@@ -68,15 +68,15 @@ fuzz-short:
 	$(GO) test ./internal/tracecap -run '^$$' -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/platform -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s
 
-# Perf-trajectory snapshot: benchmarks the simulator and refreshes
-# BENCH_10.json (ns/op, allocs/op, simulated cycles per second, speedup vs
-# the frozen pre-optimization baseline, instrumentation and I/O-subsystem
-# and live-telemetry overhead fractions, serial-vs-sharded and checkpoint
-# warm-start speedups, report-diff wall clock and the snapshot-bisection
-# step count). `make benchquick` is the smoke variant CI runs: every
-# benchmark once, no JSON.
+# The repository benchmark (perfbench/, declared in BENCHMARK.json): one
+# 28-second run of each workload through perfbench/run.sh, which builds
+# into .bench_build/. Each run ends with its result line; perfbench/README.md
+# explains the metrics and how to compare two commits (--compare).
+# `make benchquick` is the smoke variant: every Go benchmark once.
+BENCH_WORKLOADS = ref_lmi io_tail variant_sweep observe_replay
+
 bench:
-	$(GO) run ./cmd/bench
+	for w in $(BENCH_WORKLOADS); do bash perfbench/run.sh --workload $$w --seconds 28 || exit 1; done
 
 benchquick:
 	$(GO) test -bench=. -benchtime=1x ./...

@@ -17,6 +17,7 @@ package bridge
 
 import (
 	"fmt"
+	"math"
 
 	"mpsocsim/internal/attr"
 	"mpsocsim/internal/bus"
@@ -215,10 +216,40 @@ type Bridge struct {
 	residency stats.Histogram
 
 	// TargetSide must be registered on the source-fabric clock,
-	// InitiatorSide on the destination-fabric clock.
+	// InitiatorSide on the destination-fabric clock. Each side is gated on
+	// its own clock; the sides wake each other when they push into a
+	// crossing FIFO.
 	TargetSide    sim.Clocked
 	InitiatorSide sim.Clocked
+	tside         targetSide
+	iside         initiatorSide
 }
+
+// targetSide is the bridge half on the source clock.
+type targetSide struct {
+	act sim.Activity
+	b   *Bridge
+}
+
+func (s *targetSide) Eval()                   { s.b.evalTarget() }
+func (s *targetSide) Update()                 { s.b.updateTarget() }
+func (s *targetSide) Activity() *sim.Activity { return &s.act }
+
+// CreditIdle books skipped idle edges; an idle side counts nothing.
+func (s *targetSide) CreditIdle(int64) {}
+
+// initiatorSide is the bridge half on the destination clock.
+type initiatorSide struct {
+	act sim.Activity
+	b   *Bridge
+}
+
+func (s *initiatorSide) Eval()                   { s.b.evalInitiator() }
+func (s *initiatorSide) Update()                 { s.b.updateInitiator() }
+func (s *initiatorSide) Activity() *sim.Activity { return &s.act }
+
+// CreditIdle books skipped idle edges; an idle side counts nothing.
+func (s *initiatorSide) CreditIdle(int64) {}
 
 // New builds a bridge between the two clock domains.
 func New(name string, cfg Config, srcClk, dstClk *sim.Clock) *Bridge {
@@ -235,8 +266,11 @@ func New(name string, cfg Config, srcClk, dstClk *sim.Clock) *Bridge {
 		byDown: map[*bus.Request]*reqCtx{},
 		perSrc: map[int][]*reqCtx{},
 	}
-	b.TargetSide = &sim.ClockedFunc{OnEval: b.evalTarget, OnUpdate: b.updateTarget}
-	b.InitiatorSide = &sim.ClockedFunc{OnEval: b.evalInitiator, OnUpdate: b.updateInitiator}
+	b.tside.b, b.iside.b = b, b
+	b.tport.OwnedBy(&b.tside.act)
+	b.iport.OwnedBy(&b.iside.act)
+	b.TargetSide = &b.tside
+	b.InitiatorSide = &b.iside
 	return b
 }
 
@@ -293,10 +327,21 @@ func (b *Bridge) evalTarget() {
 	b.forwardMatured()
 }
 
+// updateTarget commits the source-side FIFOs and sleeps while no upstream
+// beat waits to be emitted, until a crossing response matures or the oldest
+// store-and-forward entry is ready.
 func (b *Bridge) updateTarget() {
 	b.tport.Update()
 	b.reqX.WriterUpdate()
 	b.respX.ReaderUpdate()
+	if len(b.emitQ) != 0 {
+		return
+	}
+	wake := b.respX.Matures()
+	if len(b.delayLine) > 0 {
+		wake = min(wake, b.delayLine[0].ready)
+	}
+	b.tside.act.SleepUntil(wake)
 }
 
 // drainEmitQ pushes at most one upstream response beat per cycle.
@@ -579,6 +624,7 @@ func (b *Bridge) forwardMatured() {
 		rec.Enter(attr.PhaseBridgeCDC, b.srcClk.NowPS())
 	}
 	b.reqX.Push(head.ctx)
+	b.iside.act.Poke()
 }
 
 // makeCtx builds the downstream clone with width conversion applied.
@@ -660,10 +706,21 @@ func (b *Bridge) evalInitiator() {
 	b.collectDownstream()
 }
 
+// updateInitiator commits the destination-side FIFOs and sleeps until a
+// crossing request matures (while the latency line has room for it) or the
+// latency line's head is ready to issue.
 func (b *Bridge) updateInitiator() {
 	b.iport.Update()
 	b.reqX.ReaderUpdate()
 	b.respX.WriterUpdate()
+	wake := int64(math.MaxInt64)
+	if len(b.held) < b.cfg.ReqDepth {
+		wake = b.reqX.Matures()
+	}
+	if len(b.held) > 0 {
+		wake = min(wake, b.held[0].ready)
+	}
+	b.iside.act.SleepUntil(wake)
 }
 
 // issueDownstream applies the pipeline latency and pushes requests into the
@@ -717,6 +774,7 @@ func (b *Bridge) collectDownstream() {
 	}
 	b.iport.Resp.Pop()
 	b.respX.Push(beat)
+	b.tside.act.Poke()
 }
 
 // retireWrite takes a write out of the bridge's accounting. postedForward

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"mpsocsim/internal/attr"
+	"mpsocsim/internal/sim"
 )
 
 // Op is a transaction opcode.
@@ -200,4 +201,18 @@ func (p *InitiatorPort) Update() {
 func (p *TargetPort) Update() {
 	p.Req.Update()
 	p.Resp.Update()
+}
+
+// OwnedBy declares the port's gated owner (see sim.Fifo.OwnedBy): the
+// component that commits both FIFOs, issuing on Req and collecting Resp.
+func (p *InitiatorPort) OwnedBy(a *sim.Activity) {
+	p.Req.OwnedBy(a)
+	p.Resp.OwnedBy(a)
+}
+
+// OwnedBy declares the port's gated owner (see sim.Fifo.OwnedBy): the
+// component that commits both FIFOs, serving Req and answering on Resp.
+func (p *TargetPort) OwnedBy(a *sim.Activity) {
+	p.Req.OwnedBy(a)
+	p.Resp.OwnedBy(a)
 }

@@ -49,8 +49,9 @@ type pendingOp struct {
 	addr  uint64
 }
 
-// Core is the VLIW ISS; a sim.Clocked initiator owning its bus port.
+// Core is the VLIW ISS; a gated sim.Clocked initiator owning its bus port.
 type Core struct {
+	act    sim.Activity
 	cfg    Config
 	port   *bus.InitiatorPort
 	clk    *sim.Clock
@@ -120,7 +121,7 @@ func New(cfg Config, prog Program, clk *sim.Clock, ids *bus.IDSource, origin int
 	if err != nil {
 		return nil, err
 	}
-	return &Core{
+	c := &Core{
 		cfg:    cfg,
 		port:   bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth),
 		clk:    clk,
@@ -129,7 +130,9 @@ func New(cfg Config, prog Program, clk *sim.Clock, ids *bus.IDSource, origin int
 		prog:   prog,
 		icache: ic,
 		dcache: dc,
-	}, nil
+	}
+	c.port.OwnedBy(&c.act)
+	return c, nil
 }
 
 // MustNew is New that panics on error.
@@ -190,8 +193,27 @@ func (c *Core) Eval() {
 	c.retireBundle()
 }
 
-// Update commits the port FIFOs.
-func (c *Core) Update() { c.port.Update() }
+// Update commits the port FIFOs and sleeps through a refill stall (until the
+// response arrives) or after HALT.
+func (c *Core) Update() {
+	c.port.Update()
+	if c.refillWait || c.halted {
+		c.act.Sleep()
+	}
+}
+
+// Activity returns the core's sleep state.
+func (c *Core) Activity() *sim.Activity { return &c.act }
+
+// CreditIdle books n skipped edges: a halted core counts nothing, a core
+// waiting on a refill counts a stalled cycle each.
+func (c *Core) CreditIdle(n int64) {
+	if c.halted {
+		return
+	}
+	c.cycles += n
+	c.stallCycles += n
+}
 
 // collectRefill consumes response beats; the refill completes on Last.
 func (c *Core) collectRefill() {

@@ -100,6 +100,8 @@ const (
 	dmaKindRead
 	dmaKindWrite
 	dmaKindWriteback
+	// dmaKindNone marks "nothing to issue" in the state machine's next.
+	dmaKindNone
 )
 
 // Engine is the descriptor-chain DMA: a sim.Clocked initiator that fetches
@@ -108,6 +110,7 @@ const (
 // completion writeback into the descriptor's status word, then follows the
 // link to the next descriptor.
 type Engine struct {
+	act    sim.Activity
 	cfg    DMAConfig
 	port   *bus.InitiatorPort
 	clk    *sim.Clock
@@ -149,7 +152,7 @@ func NewDMA(cfg DMAConfig, clk *sim.Clock, ids *bus.IDSource, origin int) (*Engi
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	return &Engine{
+	en := &Engine{
 		cfg:     cfg,
 		port:    bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth),
 		clk:     clk,
@@ -157,7 +160,9 @@ func NewDMA(cfg DMAConfig, clk *sim.Clock, ids *bus.IDSource, origin int) (*Engi
 		ids:     ids,
 		origin:  origin,
 		byReqID: map[uint64]uint8{},
-	}, nil
+	}
+	en.port.OwnedBy(&en.act)
+	return en, nil
 }
 
 // UseRequestPool makes the engine mint requests from (and return them to)
@@ -248,8 +253,23 @@ func (en *Engine) Eval() {
 	en.issue()
 }
 
-// Update commits the port FIFOs.
-func (en *Engine) Update() { en.port.Update() }
+// Update commits the port FIFOs and sleeps through the inter-descriptor gap,
+// or until a response arrives when the state machine has nothing to issue.
+func (en *Engine) Update() {
+	en.port.Update()
+	switch {
+	case en.gapLeft > 0:
+		en.act.SleepUntil(en.clk.Cycles() + en.gapLeft + 1)
+	case en.next() == dmaKindNone:
+		en.act.Sleep()
+	}
+}
+
+// Activity returns the engine's sleep state.
+func (en *Engine) Activity() *sim.Activity { return &en.act }
+
+// CreditIdle books n skipped idle edges: the gap countdown.
+func (en *Engine) CreditIdle(n int64) { en.gapLeft -= min(en.gapLeft, n) }
 
 func (en *Engine) collect() {
 	for en.port.Resp.CanPop() {
@@ -351,31 +371,46 @@ func (en *Engine) scatterGatherAddr(base uint64) uint64 {
 // fetch the descriptor, then scatter writes chasing completed gather reads,
 // then the completion writeback once the payload has fully moved.
 func (en *Engine) issue() {
-	if en.desc >= en.cfg.Descriptors || !en.port.Req.CanPush() {
+	if !en.port.Req.CanPush() {
 		return
 	}
-	switch {
-	case !en.fetchIssued:
-		if en.inFlight > 0 {
-			return
-		}
+	switch en.next() {
+	case dmaKindFetch:
 		en.push(dmaKindFetch, bus.OpRead, en.descAddr(en.desc), en.cfg.DescBeats, false)
 		en.fetchIssued = true
-	case !en.fetchDone:
-		return
-	case en.readsDone > en.writesIssued && en.inFlight < en.cfg.Outstanding:
+	case dmaKindWrite:
 		beats := en.chunkBeats(en.writesIssued)
 		en.push(dmaKindWrite, bus.OpWrite, en.scatterGatherAddr(en.cfg.DstBase), beats, en.cfg.PostedWrites)
 		en.writesIssued++
 		en.bytesMoved += int64(beats * en.cfg.BytesPerBeat)
-	case en.readsIssued < en.chunksTotal && en.inFlight < en.cfg.Outstanding:
+	case dmaKindRead:
 		beats := en.chunkBeats(en.readsIssued)
 		en.push(dmaKindRead, bus.OpRead, en.scatterGatherAddr(en.cfg.SrcBase), beats, false)
 		en.readsIssued++
-	case en.readsDone == en.chunksTotal && en.writesDone == en.chunksTotal && !en.wbIssued && en.inFlight == 0:
+	case dmaKindWriteback:
 		en.push(dmaKindWriteback, bus.OpWrite, en.descAddr(en.desc), 1, false)
 		en.wbIssued = true
 	}
+}
+
+// next returns the transaction kind the state machine issues next, or
+// dmaKindNone while it waits for a response or after the chain is done.
+func (en *Engine) next() uint8 {
+	switch {
+	case en.desc >= en.cfg.Descriptors:
+	case !en.fetchIssued:
+		if en.inFlight == 0 {
+			return dmaKindFetch
+		}
+	case !en.fetchDone:
+	case en.readsDone > en.writesIssued && en.inFlight < en.cfg.Outstanding:
+		return dmaKindWrite
+	case en.readsIssued < en.chunksTotal && en.inFlight < en.cfg.Outstanding:
+		return dmaKindRead
+	case en.readsDone == en.chunksTotal && en.writesDone == en.chunksTotal && !en.wbIssued && en.inFlight == 0:
+		return dmaKindWriteback
+	}
+	return dmaKindNone
 }
 
 // push mints and issues one request. Posted writes complete at issue and are

@@ -103,6 +103,7 @@ const (
 // bump cursor (64-byte aligned, wrapping) allocates block addresses and a
 // preallocated live table tracks blocks to free.
 type Allocator struct {
+	act    sim.Activity
 	cfg    AllocConfig
 	port   *bus.InitiatorPort
 	clk    *sim.Clock
@@ -144,7 +145,7 @@ func NewAllocator(cfg AllocConfig, clk *sim.Clock, ids *bus.IDSource, origin int
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	return &Allocator{
+	h := &Allocator{
 		cfg:      cfg,
 		port:     bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth),
 		clk:      clk,
@@ -153,7 +154,9 @@ func NewAllocator(cfg AllocConfig, clk *sim.Clock, ids *bus.IDSource, origin int
 		origin:   origin,
 		liveAddr: make([]uint64, cfg.LiveCap),
 		liveSize: make([]int, cfg.LiveCap),
-	}, nil
+	}
+	h.port.OwnedBy(&h.act)
+	return h, nil
 }
 
 // UseRequestPool makes the allocator mint requests from (and return them to)
@@ -224,8 +227,30 @@ func (h *Allocator) Eval() {
 	h.issue()
 }
 
-// Update commits the port FIFOs.
-func (h *Allocator) Update() { h.port.Update() }
+// Update commits the port FIFOs and sleeps through the gap between ops, while
+// a transaction is in flight, and once every op is done.
+func (h *Allocator) Update() {
+	h.port.Update()
+	switch {
+	case h.Done():
+		h.act.Sleep()
+	case h.gapLeft > 0:
+		h.act.SleepUntil(h.clk.Cycles() + h.gapLeft + 1)
+	case h.step == hsMetaIssued || h.step == hsBodyIssued:
+		h.act.Sleep()
+	}
+}
+
+// Activity returns the allocator's sleep state.
+func (h *Allocator) Activity() *sim.Activity { return &h.act }
+
+// CreditIdle books n skipped idle edges: the gap countdown, which stops once
+// every op is done.
+func (h *Allocator) CreditIdle(n int64) {
+	if !h.Done() {
+		h.gapLeft -= min(h.gapLeft, n)
+	}
+}
 
 func (h *Allocator) collect() {
 	for h.port.Resp.CanPop() {

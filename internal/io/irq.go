@@ -99,6 +99,7 @@ func (c *IRQConfig) normalize() error {
 // FIFO, and each event's service latency — raise to the final drain beat — is
 // checked against the deadline.
 type Device struct {
+	act    sim.Activity
 	cfg    IRQConfig
 	port   *bus.InitiatorPort
 	clk    *sim.Clock
@@ -154,6 +155,7 @@ func NewIRQ(cfg IRQConfig, clk *sim.Clock, ids *bus.IDSource, origin int) (*Devi
 		byReqID:   make(map[uint64]struct{}, cfg.Outstanding),
 	}
 	d.nextRaiseIn = d.drawPeriod()
+	d.port.OwnedBy(&d.act)
 	return d, nil
 }
 
@@ -214,8 +216,29 @@ func (d *Device) Eval() {
 	d.issue()
 }
 
-// Update commits the port FIFOs.
-func (d *Device) Update() { d.port.Update() }
+// Update commits the port FIFOs and, when the head event's service cannot
+// issue, sleeps until a response arrives or the next raise is due.
+func (d *Device) Update() {
+	d.port.Update()
+	if d.pending > 0 && d.burstsIssued < d.cfg.Bursts && d.inFlight < d.cfg.Outstanding {
+		return // services the head event at the next edge
+	}
+	if d.raised >= int64(d.cfg.Events) {
+		d.act.Sleep()
+		return
+	}
+	d.act.SleepUntil(d.clk.Cycles() + d.nextRaiseIn)
+}
+
+// Activity returns the device's sleep state.
+func (d *Device) Activity() *sim.Activity { return &d.act }
+
+// CreditIdle books n skipped idle edges: the raise countdown.
+func (d *Device) CreditIdle(n int64) {
+	if d.raised < int64(d.cfg.Events) {
+		d.nextRaiseIn -= n
+	}
+}
 
 // raise fires the device event source: count down the jittered period and
 // assert the IRQ line (append to the pending ring) when it expires.

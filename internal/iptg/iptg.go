@@ -158,6 +158,10 @@ func (c *Config) normalize() error {
 // agent is the runtime state of one sub-process.
 type agent struct {
 	cfg AgentConfig
+	// total is the transaction count summed over all phases; dep is the
+	// After agent (nil when unsynchronized).
+	total int64
+	dep   *agent
 
 	phase     int
 	inPhase   int64 // transactions issued in the current phase
@@ -175,15 +179,16 @@ type agent struct {
 	writesIssued int64
 }
 
-func (a *agent) totalCount() int64 {
-	var n int64
-	for _, p := range a.cfg.Phases {
-		n += p.Count
-	}
-	return n
-}
+func (a *agent) done() bool { return a.issued >= a.total && a.inFlight == 0 }
 
-func (a *agent) done() bool { return a.issued >= a.totalCount() && a.inFlight == 0 }
+// blocked reports whether the agent cannot issue whatever its gap: it has
+// finished its phases, its outstanding window is full, or its sync target
+// has not completed enough transactions. Only a response (or its own
+// generator issuing) can unblock it.
+func (a *agent) blocked() bool {
+	return a.phase >= len(a.cfg.Phases) || a.inFlight >= a.cfg.Outstanding ||
+		(a.dep != nil && a.dep.completed < a.cfg.AfterCount)
+}
 
 func (a *agent) currentPhase() *Phase {
 	if a.phase >= len(a.cfg.Phases) {
@@ -192,8 +197,10 @@ func (a *agent) currentPhase() *Phase {
 	return &a.cfg.Phases[a.phase]
 }
 
-// Generator is the IPTG component: a sim.Clocked initiator owning its port.
+// Generator is the IPTG component: a gated sim.Clocked initiator owning its
+// port.
 type Generator struct {
+	act    sim.Activity
 	cfg    Config
 	port   *bus.InitiatorPort
 	clk    *sim.Clock
@@ -202,7 +209,6 @@ type Generator struct {
 	origin int
 
 	agents  []*agent
-	byName  map[string]*agent
 	byReqID map[uint64]*agent
 	rr      int
 
@@ -233,14 +239,21 @@ func New(cfg Config, clk *sim.Clock, ids *bus.IDSource, origin int) (*Generator,
 		rng:     sim.NewRand(cfg.Seed ^ 0x5eed),
 		ids:     ids,
 		origin:  origin,
-		byName:  map[string]*agent{},
 		byReqID: map[uint64]*agent{},
 	}
+	byName := map[string]*agent{}
 	for _, ac := range cfg.Agents {
 		a := &agent{cfg: ac, cursor: ac.RegionBase}
+		for _, p := range ac.Phases {
+			a.total += p.Count
+		}
 		g.agents = append(g.agents, a)
-		g.byName[ac.Name] = a
+		byName[ac.Name] = a
 	}
+	for _, a := range g.agents {
+		a.dep = byName[a.cfg.After]
+	}
+	g.port.OwnedBy(&g.act)
 	return g, nil
 }
 
@@ -290,7 +303,7 @@ func (g *Generator) Done() bool {
 func (g *Generator) Unfinished() int64 {
 	var n int64
 	for _, a := range g.agents {
-		if left := a.totalCount() - a.issued; left > 0 {
+		if left := a.total - a.issued; left > 0 {
 			n += left
 		}
 		n += int64(a.inFlight)
@@ -315,8 +328,42 @@ func (g *Generator) Eval() {
 	g.issue()
 }
 
-// Update commits the port FIFOs.
-func (g *Generator) Update() { g.port.Update() }
+// Update commits the port FIFOs and sleeps when the next Evals would only
+// count down gaps: until a response arrives, or until the shortest gap of an
+// agent free to issue runs out.
+func (g *Generator) Update() {
+	g.port.Update()
+	if g.port.Req.Len() != 0 || g.port.Resp.Len() != 0 {
+		return
+	}
+	gap := int64(-1)
+	for _, a := range g.agents {
+		if a.blocked() {
+			continue
+		}
+		if a.gapLeft <= 1 {
+			return // issues at the next edge
+		}
+		if gap < 0 || a.gapLeft < gap {
+			gap = a.gapLeft
+		}
+	}
+	if gap < 0 {
+		g.act.Sleep()
+		return
+	}
+	g.act.SleepUntil(g.clk.Cycles() + gap)
+}
+
+// Activity returns the generator's sleep state.
+func (g *Generator) Activity() *sim.Activity { return &g.act }
+
+// CreditIdle books n skipped idle edges: the gap countdowns.
+func (g *Generator) CreditIdle(n int64) {
+	for _, a := range g.agents {
+		a.gapLeft -= min(a.gapLeft, n)
+	}
+}
 
 func (g *Generator) collect() {
 	for g.port.Resp.CanPop() {
@@ -354,22 +401,7 @@ func (g *Generator) tickGaps() {
 }
 
 // ready reports whether the agent can issue this cycle.
-func (g *Generator) ready(a *agent) bool {
-	ph := a.currentPhase()
-	if ph == nil {
-		return false
-	}
-	if a.gapLeft > 0 || a.inFlight >= a.cfg.Outstanding {
-		return false
-	}
-	if a.cfg.After != "" {
-		dep := g.byName[a.cfg.After]
-		if dep.completed < a.cfg.AfterCount {
-			return false
-		}
-	}
-	return true
-}
+func (g *Generator) ready(a *agent) bool { return a.gapLeft == 0 && !a.blocked() }
 
 func (g *Generator) issue() {
 	if !g.port.Req.CanPush() {

@@ -3,9 +3,9 @@ package platform
 import "testing"
 
 // benchRun builds the scale-0.25 reference platform (optionally with
-// attribution) and runs it to drain; cmd/bench measures the same pair with
-// an op-interleaved minimum estimator — these exist for profiling the
-// attribution hot path in isolation (go test -bench RunPhase -cpuprofile).
+// attribution) and runs it to drain. These exist for profiling the
+// attribution hot path in isolation (go test -bench RunPhase -cpuprofile);
+// the paired instrumentation cost is perfbench's observe_replay workload.
 func benchRun(b *testing.B, withAttr bool) {
 	for i := 0; i < b.N; i++ {
 		s := DefaultSpec()

@@ -99,14 +99,6 @@ const stallWindow = 200_000
 // fields, so a run split across checkpoint/restore observes progress at
 // exactly the instants an uninterrupted run would.
 func (p *Platform) runSerial(maxPS, stopAtCycle int64) (drained, stalled, paused bool) {
-	pending := func() bool {
-		for _, g := range p.gens {
-			if !g.Done() {
-				return true
-			}
-		}
-		return false
-	}
 	progress := func() int64 {
 		var n int64
 		for _, g := range p.gens {
@@ -114,7 +106,16 @@ func (p *Platform) runSerial(maxPS, stopAtCycle int64) (drained, stalled, paused
 		}
 		return n
 	}
-	for pending() {
+	// first indexes the first initiator not yet Done: Done never reverts
+	// for any traffic source, so each edge asks only that one.
+	first := 0
+	for {
+		for first < len(p.gens) && p.gens[first].Done() {
+			first++
+		}
+		if first == len(p.gens) {
+			return true, false, false
+		}
 		if stopAtCycle >= 0 && p.CentralClk.Cycles() >= stopAtCycle {
 			return false, false, true
 		}
@@ -135,7 +136,6 @@ func (p *Platform) runSerial(maxPS, stopAtCycle int64) (drained, stalled, paused
 			p.observeWatchdogCounters()
 		}
 	}
-	return true, false, false
 }
 
 // RunToCycle steps the serial platform until the central clock completes at
@@ -153,6 +153,7 @@ func (p *Platform) RunToCycle(cycle, maxPS int64) bool {
 }
 
 func (p *Platform) collect(done bool) Result {
+	p.Kernel.Settle()
 	r := Result{
 		Spec:             p.Spec,
 		Done:             done,

@@ -81,6 +81,9 @@ func (p *Platform) EnableSharding(n int) error {
 	if eff == 1 {
 		return nil
 	}
+	// Shards evaluate every component at every edge: a wake-up would have
+	// to cross shards through FIFOs that deferred commit already splits.
+	p.Kernel.SetFullEval(true)
 
 	// Deterministic greedy balance: the central unit is pinned to shard 0;
 	// the rest go heaviest-first (name-ascending tie-break) onto the least
@@ -117,6 +120,7 @@ func (p *Platform) EnableSharding(n int) error {
 	kernels := make([]*sim.Kernel, eff)
 	for i := range kernels {
 		kernels[i] = sim.NewKernel()
+		kernels[i].SetFullEval(true)
 	}
 	if comps := p.CentralClk.TakeComponents(); len(comps) != len(p.centralRegs) {
 		panic("platform: central journal out of sync") // unreachable: checked above

@@ -200,37 +200,46 @@ func shardDiff(spec Spec, shards int) string {
 	return ""
 }
 
+// specShrinkDims are the spec reductions the property-test shrinkers try,
+// one dimension at a time; each reports whether it changed the spec.
+var specShrinkDims = []func(*Spec) bool{
+	func(s *Spec) bool { changed := s.IO.Enable; s.IO = IOSpec{}; return changed },
+	func(s *Spec) bool { changed := s.TwoPhase; s.TwoPhase = false; return changed },
+	func(s *Spec) bool { changed := s.WithDSP; s.WithDSP = false; return changed },
+	func(s *Spec) bool { changed := s.SplitLMIBridge; s.SplitLMIBridge = false; return changed },
+	func(s *Spec) bool { changed := s.OnChipWaitStates != 1; s.OnChipWaitStates = 1; return changed },
+	func(s *Spec) bool { changed := s.BridgeLatency > 1; s.BridgeLatency = 1; return changed },
+	func(s *Spec) bool { changed := s.MaxOutstanding != 8; s.MaxOutstanding = 8; return changed },
+	func(s *Spec) bool { changed := s.Memory != OnChip; s.Memory = OnChip; return changed },
+	func(s *Spec) bool { changed := s.Protocol != STBus; s.Protocol = STBus; return changed },
+	func(s *Spec) bool { changed := s.Seed != 1; s.Seed = 1; return changed },
+	func(s *Spec) bool {
+		changed := s.WorkloadScale > 0.051
+		s.WorkloadScale = s.WorkloadScale / 2
+		if s.WorkloadScale < 0.05 {
+			s.WorkloadScale = 0.05
+		}
+		return changed
+	},
+}
+
 // shrinkSpec reduces a failing spec one dimension at a time while the failure
 // persists, converging on a minimal reproducer.
 func shrinkSpec(spec Spec, shards int) Spec {
-	dims := []func(*Spec) bool{
-		func(s *Spec) bool { changed := s.IO.Enable; s.IO = IOSpec{}; return changed },
-		func(s *Spec) bool { changed := s.TwoPhase; s.TwoPhase = false; return changed },
-		func(s *Spec) bool { changed := s.WithDSP; s.WithDSP = false; return changed },
-		func(s *Spec) bool { changed := s.SplitLMIBridge; s.SplitLMIBridge = false; return changed },
-		func(s *Spec) bool { changed := s.OnChipWaitStates != 1; s.OnChipWaitStates = 1; return changed },
-		func(s *Spec) bool { changed := s.BridgeLatency > 1; s.BridgeLatency = 1; return changed },
-		func(s *Spec) bool { changed := s.MaxOutstanding != 8; s.MaxOutstanding = 8; return changed },
-		func(s *Spec) bool { changed := s.Memory != OnChip; s.Memory = OnChip; return changed },
-		func(s *Spec) bool { changed := s.Protocol != STBus; s.Protocol = STBus; return changed },
-		func(s *Spec) bool { changed := s.Seed != 1; s.Seed = 1; return changed },
-		func(s *Spec) bool {
-			changed := s.WorkloadScale > 0.051
-			s.WorkloadScale = s.WorkloadScale / 2
-			if s.WorkloadScale < 0.05 {
-				s.WorkloadScale = 0.05
-			}
-			return changed
-		},
-	}
+	return shrinkWhile(spec, func(s Spec) bool { return shardDiff(s, shards) != "" })
+}
+
+// shrinkWhile applies specShrinkDims to spec, keeping each reduction under
+// which fails still holds, until a pass reduces nothing.
+func shrinkWhile(spec Spec, fails func(Spec) bool) Spec {
 	for pass := 0; pass < 4; pass++ {
 		reduced := false
-		for _, dim := range dims {
+		for _, dim := range specShrinkDims {
 			cand := spec
 			if !dim(&cand) {
 				continue
 			}
-			if shardDiff(cand, shards) != "" {
+			if fails(cand) {
 				spec = cand
 				reduced = true
 			}

@@ -60,6 +60,7 @@ func (p *Platform) pollTelemetry() {
 	if c := p.CentralClk.Cycles(); c >= p.teleNext {
 		p.teleLastCycle = c
 		p.teleNext += p.teleEvery
+		p.Kernel.Settle()
 		p.tele.Collect(c, c*p.CentralClk.PeriodPS())
 	}
 }
@@ -75,6 +76,7 @@ func (p *Platform) finishTelemetry() {
 	}
 	if c := p.CentralClk.Cycles(); c != p.teleLastCycle {
 		p.teleLastCycle = c
+		p.Kernel.Settle()
 		p.tele.Collect(c, p.Kernel.Now())
 	}
 	p.tele.Finish()
@@ -104,6 +106,7 @@ func (p *Platform) attachStallTrackers() {
 // progress, so a stall report can show exactly which counters still moved
 // during the final (wedged) window. Allocation-free (the two buffers swap).
 func (p *Platform) observeWatchdogCounters() {
+	p.Kernel.Settle()
 	p.wdCounters, p.wdPrevCounters = p.wdPrevCounters, p.wdCounters
 	for i, c := range p.Metrics.Counters() {
 		p.wdCounters[i] = metrics.CounterValue{Name: c.Name(), Value: c.Value()}
@@ -146,6 +149,7 @@ func (p *Platform) StallReport(reason string, topFifos int) *telemetry.StallRepo
 	if topFifos <= 0 {
 		topFifos = 10
 	}
+	p.Kernel.Settle()
 	rep := &telemetry.StallReport{
 		Reason: reason,
 		Cycle:  p.CentralClk.Cycles(),

@@ -86,6 +86,7 @@ type Config struct {
 // surface as iptg.Generator (sim.Clocked, Port, Done, Stats, pool wiring),
 // so the platform builder can swap one for the other.
 type Initiator struct {
+	act    sim.Activity
 	cfg    Config
 	port   *bus.InitiatorPort
 	clk    *sim.Clock
@@ -153,6 +154,7 @@ func New(cfg Config, clk *sim.Clock, ids *bus.IDSource, origin int) (*Initiator,
 		}
 		in.target[i] = c
 	}
+	in.port.OwnedBy(&in.act)
 	return in, nil
 }
 
@@ -194,8 +196,25 @@ func (in *Initiator) Eval() {
 	in.issue()
 }
 
-// Update commits the port FIFOs.
-func (in *Initiator) Update() { in.port.Update() }
+// Update commits the port FIFOs and sleeps while the next issue waits for a
+// response (or the stream is exhausted), or for its recorded cycle.
+func (in *Initiator) Update() {
+	in.port.Update()
+	switch {
+	case in.next >= len(in.events):
+		in.act.Sleep()
+	case in.cfg.Mode == Timed:
+		in.act.SleepUntil(in.target[in.next])
+	case in.inFlight >= in.cfg.Outstanding:
+		in.act.Sleep()
+	}
+}
+
+// Activity returns the replayer's sleep state.
+func (in *Initiator) Activity() *sim.Activity { return &in.act }
+
+// CreditIdle books skipped idle edges; an idle replayer counts nothing.
+func (in *Initiator) CreditIdle(int64) {}
 
 func (in *Initiator) collect() {
 	for in.port.Resp.CanPop() {

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // AsyncFifo is a clock-domain-crossing FIFO. The writer stages pushes on its
 // own clock; each entry becomes visible to the reader only after syncCycles
@@ -108,6 +111,16 @@ func (f *AsyncFifo[T]) Push(v T) {
 // CanPop reports whether a mature entry is available to the reader.
 func (f *AsyncFifo[T]) CanPop() bool {
 	return f.npop < len(f.cur) && f.cur[f.npop].visible <= f.readerClk.Cycles()
+}
+
+// Matures returns the reader-clock cycle at which the oldest entry not yet
+// popped becomes poppable (CanPop once Cycles() reaches it), or
+// math.MaxInt64 when there is none. A gated reader sleeps until then.
+func (f *AsyncFifo[T]) Matures() int64 {
+	if f.npop >= len(f.cur) {
+		return math.MaxInt64
+	}
+	return f.cur[f.npop].visible
 }
 
 // Peek returns the oldest mature entry without consuming it.

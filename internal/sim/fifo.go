@@ -50,6 +50,12 @@ type Fifo[T any] struct {
 	// CommitDeferred call of a shard coordinator (see MarkDeferred).
 	deferred bool
 
+	// watchers are the gated components a push must wake: the owner and
+	// the reader (see OwnedBy and ReadBy). nextOwned links the FIFOs one
+	// Activity owns.
+	watchers  [2]*Activity
+	nextOwned ownedFifo
+
 	// occupancy statistics (committed state, sampled at Update)
 	cycles      int64
 	fullCycles  int64
@@ -106,6 +112,50 @@ func (f *Fifo[T]) Push(v T) {
 	}
 	f.buf[f.slot(f.n+f.npush)] = v
 	f.npush++
+	for _, a := range f.watchers {
+		if a == nil {
+			break
+		}
+		a.Poke()
+	}
+}
+
+// OwnedBy declares that the gated component behind a commits this FIFO from
+// its Update. The component may sleep only while the FIFO is empty; while it
+// sleeps, a books the skipped commits to the occupancy statistics, and a
+// push wakes it in time to commit. Call before the run starts.
+func (f *Fifo[T]) OwnedBy(a *Activity) {
+	f.nextOwned = a.owned
+	a.owned = f
+	f.ReadBy(a)
+}
+
+// ReadBy declares that the gated component behind a pops this FIFO: a push
+// wakes it. A FIFO has one owner and one reader, so at most two distinct
+// components watch it. Call before the run starts.
+func (f *Fifo[T]) ReadBy(a *Activity) {
+	for i, w := range f.watchers {
+		switch w {
+		case a:
+			return
+		case nil:
+			f.watchers[i] = a
+			return
+		}
+	}
+	panic(fmt.Sprintf("sim: fifo %q already has an owner and a reader", f.name))
+}
+
+func (f *Fifo[T]) next() ownedFifo { return f.nextOwned }
+
+// idle reports whether the FIFO holds and stages nothing, the condition for
+// its owner to sleep.
+func (f *Fifo[T]) idle() bool { return f.n == 0 && f.npush == 0 && f.npop == 0 }
+
+// creditIdle books n commits of the empty FIFO its sleeping owner skipped.
+func (f *Fifo[T]) creditIdle(n int64) {
+	f.cycles += n
+	f.emptyCycles += n
 }
 
 // CanPop reports whether a committed entry is available beyond those already
@@ -186,12 +236,12 @@ func (f *Fifo[T]) Update() {
 }
 
 // MarkDeferred switches the FIFO into deferred-commit mode for sharded
-// execution: the owner's Update becomes a no-op and the coordinator must
-// call CommitDeferred once per owning-clock cycle, between synchronization
-// windows. The FIFO must be quiescent — no staged pushes or pops, i.e. the
-// call happens at an edge boundary, not mid-cycle — because a staged
-// operation at the mode switch would tear the SPSC field partition
-// documented on the type. Committed entries are fine: n and head are frozen
+// execution, dropping its watchers: the owner's Update becomes a no-op and
+// the coordinator must call CommitDeferred once per owning-clock cycle,
+// between synchronization windows. The FIFO must be quiescent — no staged
+// pushes or pops, i.e. the call happens at an edge boundary, not mid-cycle
+// — because a staged operation at the mode switch would tear the SPSC
+// field partition documented on the type. Committed entries are fine: n and head are frozen
 // for whole windows either way, so a checkpoint-restored platform (whose
 // boundary FIFOs legitimately hold in-flight traffic) shards safely.
 func (f *Fifo[T]) MarkDeferred() {
@@ -199,6 +249,9 @@ func (f *Fifo[T]) MarkDeferred() {
 		panic(fmt.Sprintf("sim: MarkDeferred on fifo %q with staged operations (npush=%d npop=%d)", f.name, f.npush, f.npop))
 	}
 	f.deferred = true
+	// Sharded runs evaluate every component at every edge, and a poke
+	// from the pushing shard would write the reading shard's state.
+	f.watchers = [2]*Activity{}
 }
 
 // Deferred reports whether the FIFO is in deferred-commit mode.

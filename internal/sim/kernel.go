@@ -8,7 +8,9 @@
 // (compute, read current state, stage writes) and then Update() (commit the
 // staged writes). All inter-component communication flows through Fifo or
 // Reg values committed at Update, so a value written in cycle N is visible
-// to readers in cycle N+1 regardless of evaluation order.
+// to readers in cycle N+1 regardless of evaluation order. Gated components
+// that have nothing to do sleep and are skipped until a push or a timer
+// wakes them (see Activity).
 package sim
 
 import (
@@ -48,13 +50,13 @@ func (c *ClockedFunc) Update() {
 
 // Clock is a free-running clock domain. Components registered on a clock are
 // ticked on every rising edge, in registration order, first all Eval then
-// all Update.
+// all Update — except gated components while they sleep (see Activity).
 type Clock struct {
 	name     string
 	periodPS int64
 	nextEdge int64
 	cycle    int64
-	comps    []Clocked
+	slots    []slot
 	kernel   *Kernel
 }
 
@@ -81,9 +83,15 @@ func (c *Clock) NowPS() int64 { return (c.cycle + 1) * c.periodPS }
 // Register adds a component to this clock domain. Components are evaluated
 // in registration order; because all communication is through two-phase
 // FIFOs, the order affects only arbitration tie-breaks internal to a single
-// component, never cross-component value propagation.
+// component, never cross-component value propagation. A Gated component's
+// Activity is bound to this clock.
 func (c *Clock) Register(comp Clocked) {
-	c.comps = append(c.comps, comp)
+	act := awake
+	if g, ok := comp.(Gated); ok {
+		act = g.Activity()
+		act.bind(c, g)
+	}
+	c.slots = append(c.slots, slot{comp: comp, act: act})
 	if c.kernel != nil {
 		c.kernel.invalidateSchedule()
 	}
@@ -92,7 +100,7 @@ func (c *Clock) Register(comp Clocked) {
 // NumRegistered returns the number of components currently registered on the
 // clock. Shard assembly uses it to weigh clock domains when balancing units
 // across shards.
-func (c *Clock) NumRegistered() int { return len(c.comps) }
+func (c *Clock) NumRegistered() int { return len(c.slots) }
 
 // Kernel owns simulated time and all clock domains.
 //
@@ -112,12 +120,16 @@ func (c *Clock) NumRegistered() int { return len(c.comps) }
 //
 // All three tiers fire the exact same edges in the exact same order as a
 // naive per-step min-scan + stable name sort, and none of them allocates in
-// steady state.
+// steady state. Every tier skips sleeping gated components (see Activity).
 type Kernel struct {
 	nowPS  int64
 	clocks []*Clock
 	// stopped is set by Stop; Run loops exit at the next edge boundary.
 	stopped bool
+	// fullEval disables activity gating (SetFullEval).
+	fullEval bool
+	// evaluated and skipped count component-edges (EvalCounts).
+	evaluated, skipped int64
 
 	// --- lazily built edge schedule (see buildSchedule) ---
 	schedValid bool
@@ -132,14 +144,14 @@ type Kernel struct {
 
 // edgeGroup is one distinct firing instant within the hyperperiod: the
 // clocks due at base+offset in their deterministic (name-sorted) order, and
-// their components' Eval calls flattened into a single list. Updates are not
+// their components flattened into a single Eval list. Updates are not
 // flattened because the per-clock cycle counters must advance between clock
 // segments exactly as in the generic path (a component's Update may observe
 // another domain's Cycles()).
 type edgeGroup struct {
 	offset int64 // firing time relative to the hyperperiod start, in (0, hyper]
 	clocks []*Clock
-	evals  []Clocked
+	evals  []slot
 }
 
 // maxHyperEdges bounds the tabulated schedule size; hyperperiods with more
@@ -261,7 +273,7 @@ func (k *Kernel) buildHyperperiod() {
 				continue
 			}
 			g.clocks = append(g.clocks, c)
-			g.evals = append(g.evals, c.comps...)
+			g.evals = append(g.evals, c.slots...)
 		}
 		groups = append(groups, g)
 	}
@@ -323,33 +335,26 @@ func (k *Kernel) stepBounded(maxPS int64) bool {
 	switch {
 	case k.single != nil:
 		c := k.single
-		if c.nextEdge > maxPS {
+		now := c.nextEdge
+		if now > maxPS {
 			return false
 		}
-		k.nowPS = c.nextEdge
-		for _, comp := range c.comps {
-			comp.Eval()
-		}
-		for _, comp := range c.comps {
-			comp.Update()
-		}
+		k.nowPS = now
+		k.evalSlots(c.slots, now)
+		updateSlots(c.slots, now)
 		c.cycle++
 		c.nextEdge += c.periodPS
 		return true
 	case len(k.groups) > 0:
 		g := &k.groups[k.gidx]
-		next := k.base + g.offset
-		if next > maxPS {
+		now := k.base + g.offset
+		if now > maxPS {
 			return false
 		}
-		k.nowPS = next
-		for _, comp := range g.evals {
-			comp.Eval()
-		}
+		k.nowPS = now
+		k.evalSlots(g.evals, now)
 		for _, c := range g.clocks {
-			for _, comp := range c.comps {
-				comp.Update()
-			}
+			updateSlots(c.slots, now)
 			c.cycle++
 			c.nextEdge += c.periodPS
 		}
@@ -387,30 +392,62 @@ func (k *Kernel) stepGeneric(maxPS int64) bool {
 	// Tick the group synchronously: all Evals, then all Updates, so
 	// simultaneous edges across domains behave like a single wider domain.
 	for _, c := range k.firing {
-		for _, comp := range c.comps {
-			comp.Eval()
-		}
+		k.evalSlots(c.slots, next)
 	}
 	for _, c := range k.firing {
-		for _, comp := range c.comps {
-			comp.Update()
-		}
+		updateSlots(c.slots, next)
 		c.cycle++
 		c.nextEdge += c.periodPS
 	}
 	return true
 }
 
+// evalSlots calls Eval on every awake component of one firing list and
+// counts the component-edges evaluated and skipped. A sleeper whose timed
+// wake-up is due books its skipped edges first.
+func (k *Kernel) evalSlots(slots []slot, now int64) {
+	skipped := 0
+	for _, s := range slots {
+		a := s.act
+		if a.evalPS > now {
+			skipped++
+			continue
+		}
+		if a.asleep {
+			a.resume()
+		}
+		s.comp.Eval()
+	}
+	k.skipped += int64(skipped)
+	k.evaluated += int64(len(slots) - skipped)
+}
+
+// updateSlots calls Update on every component of one clock whose Update is
+// not gated off at this edge.
+func updateSlots(slots []slot, now int64) {
+	for _, s := range slots {
+		if s.act.updPS <= now {
+			s.comp.Update()
+		}
+	}
+}
+
+// RunUntil, RunCycles and RunWhile settle sleeping components (Settle) before
+// they return, so statistics read after them are exact; a caller stepping
+// with Step settles itself before reading.
+
 // RunUntil advances until simulated time reaches ps (inclusive of edges at
 // exactly ps) or Stop is called.
 func (k *Kernel) RunUntil(ps int64) {
 	for !k.stopped && k.stepBounded(ps) {
 	}
+	k.Settle()
 }
 
 // RunCycles runs n rising edges of the given clock (other clocks advance as
 // needed) or until Stop.
 func (k *Kernel) RunCycles(c *Clock, n int64) {
+	defer k.Settle()
 	target := c.cycle + n
 	for !k.stopped && c.cycle < target {
 		if !k.Step() {
@@ -423,6 +460,7 @@ func (k *Kernel) RunCycles(c *Clock, n int64) {
 // simulated time. It returns true if cond went false (normal exit), false on
 // timeout or Stop.
 func (k *Kernel) RunWhile(cond func() bool, maxPS int64) bool {
+	defer k.Settle()
 	for cond() {
 		if k.stopped || k.nowPS >= maxPS {
 			return false
@@ -484,8 +522,11 @@ func (k *Kernel) AdoptClock(c *Clock) {
 // split across shards (the central domain): the journal of registrations is
 // then replayed onto the per-shard clocks, preserving relative order.
 func (c *Clock) TakeComponents() []Clocked {
-	comps := c.comps
-	c.comps = nil
+	comps := make([]Clocked, len(c.slots))
+	for i, s := range c.slots {
+		comps[i] = s.comp
+	}
+	c.slots = nil
 	if c.kernel != nil {
 		c.kernel.invalidateSchedule()
 	}

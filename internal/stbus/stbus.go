@@ -26,6 +26,7 @@ import (
 	"mpsocsim/internal/attr"
 	"mpsocsim/internal/bus"
 	"mpsocsim/internal/metrics"
+	"mpsocsim/internal/sim"
 )
 
 // Type selects the STBus protocol generation.
@@ -95,8 +96,10 @@ type respChannel struct {
 	busyCycles int64
 }
 
-// Node is an STBus crossbar node.
+// Node is an STBus crossbar node, gated: it sleeps while no port holds a
+// request or response and no transfer is in progress.
 type Node struct {
+	act  sim.Activity
 	name string
 	cfg  Config
 
@@ -151,6 +154,7 @@ func (n *Node) Config() Config { return n.cfg }
 // the node writes into Request.Src for response routing. The port is owned
 // (Updated) by the initiator component, not by the node.
 func (n *Node) AttachInitiator(p *bus.InitiatorPort) int {
+	p.Req.ReadBy(&n.act)
 	n.initiators = append(n.initiators, p)
 	n.respCh = append(n.respCh, respChannel{})
 	n.outstanding = append(n.outstanding, 0)
@@ -162,6 +166,7 @@ func (n *Node) AttachInitiator(p *bus.InitiatorPort) int {
 // AttachTarget connects a target port and returns its index. The port is
 // owned (Updated) by the target component.
 func (n *Node) AttachTarget(p *bus.TargetPort) int {
+	p.Resp.ReadBy(&n.act)
 	n.targets = append(n.targets, p)
 	n.reqCh = append(n.reqCh, reqChannel{msgLock: -1})
 	return len(n.targets) - 1
@@ -213,8 +218,40 @@ func (n *Node) scanAttrHeads() {
 }
 
 // Update: the node owns no FIFOs (ports are owned by the attached
-// components), so there is nothing to commit.
-func (n *Node) Update() {}
+// components), so there is nothing to commit. It sleeps when the next Eval
+// would only count a cycle, until a request or response is pushed.
+func (n *Node) Update() {
+	if n.quiet() {
+		n.act.Sleep()
+	}
+}
+
+// quiet reports whether the node is idle: no transfer in progress, no
+// message lock left to release, and nothing poppable at any port.
+func (n *Node) quiet() bool {
+	for i := range n.reqCh {
+		if ch := &n.reqCh[i]; ch.cur != nil || ch.msgLock >= 0 {
+			return false
+		}
+	}
+	for _, ip := range n.initiators {
+		if ip.Req.CanPop() {
+			return false
+		}
+	}
+	for _, tp := range n.targets {
+		if tp.Resp.CanPop() {
+			return false
+		}
+	}
+	return true
+}
+
+// Activity returns the node's sleep state.
+func (n *Node) Activity() *sim.Activity { return &n.act }
+
+// CreditIdle books n skipped idle edges: the node cycle counter.
+func (n *Node) CreditIdle(edges int64) { n.cycles += edges }
 
 func (n *Node) evalRequestPaths() {
 	for t := range n.targets {
