@@ -1,11 +1,12 @@
 # Build/verify entry points. `make verify` is the full pre-merge gate:
 # vet + build + full tests + the race detector over the short suite (the
 # parallel experiment runner makes concurrency real, so every sink the
-# worker pool touches must stay race-free).
+# worker pool touches must stay race-free) + the diff smoke + the
+# benchmark's pins.
 
 GO ?= go
 
-.PHONY: build test vet race race-full verify bench benchquick fuzz-short cover diff-smoke
+.PHONY: build test vet race race-full verify benchpins bench benchquick fuzz-short cover diff-smoke
 
 build:
 	$(GO) build ./...
@@ -29,7 +30,14 @@ race:
 race-full:
 	$(GO) test -race ./...
 
-verify: vet build test race diff-smoke
+verify: vet build test race diff-smoke benchpins
+
+# The benchmark's pins: one job of every perfbench workload at seed 1 must
+# simulate exactly the pinned counts. perfbench is a module of its own, so
+# `go test ./...` does not reach it; CI runs the same command as its own
+# step.
+benchpins:
+	cd perfbench && $(GO) test .
 
 # §19 differential-observability smoke: two fabric variants replay the same
 # captured trace, their reports diff into a parseable mpsocsim.diff/1

@@ -217,8 +217,9 @@ type Bridge struct {
 
 	// TargetSide must be registered on the source-fabric clock,
 	// InitiatorSide on the destination-fabric clock. Each side is gated on
-	// its own clock; the sides wake each other when they push into a
-	// crossing FIFO.
+	// its own clock; the sides poke each other when they push into or pop
+	// from a crossing FIFO, and the initiator side pokes the target side
+	// before it lowers outstanding.
 	TargetSide    sim.Clocked
 	InitiatorSide sim.Clocked
 	tside         targetSide
@@ -235,8 +236,13 @@ func (s *targetSide) Eval()                   { s.b.evalTarget() }
 func (s *targetSide) Update()                 { s.b.updateTarget() }
 func (s *targetSide) Activity() *sim.Activity { return &s.act }
 
-// CreditIdle books skipped idle edges; an idle side counts nothing.
-func (s *targetSide) CreditIdle(int64) {}
+// CreditIdle books skipped idle edges: a blocked cycle each while an
+// upstream request waits on the blocking or outstanding rule.
+func (s *targetSide) CreditIdle(n int64) {
+	if s.b.tport.Req.CanPop() && s.b.acceptBlocked() {
+		s.b.blockedCycles += n
+	}
+}
 
 // initiatorSide is the bridge half on the destination clock.
 type initiatorSide struct {
@@ -327,22 +333,42 @@ func (b *Bridge) evalTarget() {
 	b.forwardMatured()
 }
 
-// updateTarget commits the source-side FIFOs and sleeps while no upstream
-// beat waits to be emitted, until a crossing response matures or the oldest
-// store-and-forward entry is ready.
+// updateTarget commits the source-side FIFOs and sleeps while nothing can
+// move: no upstream beat can be emitted, no upstream request accepted (the
+// port is empty, the blocking or outstanding rule holds it — a blocked
+// cycle per edge — or the store-and-forward buffer is full), and no crossing
+// entry pushed. It wakes when a crossing response matures (while the emit
+// queue has room for it), when the oldest store-and-forward entry is ready
+// (while the request crossing has room), or on a poke.
 func (b *Bridge) updateTarget() {
 	b.tport.Update()
 	b.reqX.WriterUpdate()
 	b.respX.ReaderUpdate()
-	if len(b.emitQ) != 0 {
-		return
+	if len(b.emitQ) != 0 && b.tport.Resp.CanPush() {
+		return // emits a beat at the next edge
 	}
-	wake := b.respX.Matures()
-	if len(b.delayLine) > 0 {
+	if b.tport.Req.CanPop() && !b.acceptBlocked() && len(b.delayLine) < b.cfg.ReqDepth {
+		return // accepts a request at the next edge
+	}
+	wake := int64(math.MaxInt64)
+	if len(b.emitQ) < b.emitCap() {
+		wake = b.respX.Matures()
+	}
+	if len(b.delayLine) > 0 && b.reqX.CanPush() {
 		wake = min(wake, b.delayLine[0].ready)
 	}
 	b.tside.act.SleepUntil(wake)
 }
+
+// acceptBlocked reports whether the blocking or outstanding rule holds the
+// next upstream request, which counts a blocked cycle per edge.
+func (b *Bridge) acceptBlocked() bool {
+	return (!b.cfg.Split && b.readsInFlight > 0) || b.outstanding >= b.cfg.MaxOutstanding
+}
+
+// emitCap bounds the emit queue, so conversion stalls under upstream
+// backpressure.
+func (b *Bridge) emitCap() int { return 4 + b.cfg.DstBytesPerBeat/b.cfg.SrcBytesPerBeat }
 
 // drainEmitQ pushes at most one upstream response beat per cycle.
 func (b *Bridge) drainEmitQ() {
@@ -359,14 +385,11 @@ func (b *Bridge) drainEmitQ() {
 // convertResponses turns downstream beats into upstream beats, applying
 // width conversion, at one downstream beat per cycle.
 func (b *Bridge) convertResponses() {
-	// keep emitQ bounded so conversion stalls under upstream backpressure
-	if len(b.emitQ) >= 4+b.cfg.DstBytesPerBeat/b.cfg.SrcBytesPerBeat {
-		return
-	}
-	if !b.respX.CanPop() {
+	if len(b.emitQ) >= b.emitCap() || !b.respX.CanPop() {
 		return
 	}
 	beat := b.respX.Pop()
+	b.iside.act.Poke() // room in the response crossing
 	ctx := b.byDown[beat.Req]
 	if ctx == nil || !ctx.isRead {
 		return // only read beats cross respX; anything else is stale
@@ -540,11 +563,9 @@ func (b *Bridge) acceptRequests() {
 	if !b.tport.Req.CanPop() {
 		return
 	}
-	if !b.cfg.Split && b.readsInFlight > 0 {
-		b.blockedCycles++
-		return // blocking target side: a read is in flight
-	}
-	if b.outstanding >= b.cfg.MaxOutstanding {
+	if b.acceptBlocked() {
+		// A blocking target side holds every request while a read is
+		// in flight; a split one holds them at the outstanding limit.
 		b.blockedCycles++
 		return
 	}
@@ -706,18 +727,23 @@ func (b *Bridge) evalInitiator() {
 	b.collectDownstream()
 }
 
-// updateInitiator commits the destination-side FIFOs and sleeps until a
-// crossing request matures (while the latency line has room for it) or the
-// latency line's head is ready to issue.
+// updateInitiator commits the destination-side FIFOs and sleeps while no
+// downstream beat can be collected (none queued, or a read beat waits for
+// room in the response crossing). It wakes when a crossing request matures
+// (while the latency line has room for it), when the latency line's head is
+// ready to issue (while the port has room), or on a poke.
 func (b *Bridge) updateInitiator() {
 	b.iport.Update()
 	b.reqX.ReaderUpdate()
 	b.respX.WriterUpdate()
+	if b.iport.Resp.CanPop() && (b.iport.Resp.Peek().Req.Op == bus.OpWrite || b.respX.CanPush()) {
+		return // collects a beat at the next edge
+	}
 	wake := int64(math.MaxInt64)
 	if len(b.held) < b.cfg.ReqDepth {
 		wake = b.reqX.Matures()
 	}
-	if len(b.held) > 0 {
+	if len(b.held) > 0 && b.iport.Req.CanPush() {
 		wake = min(wake, b.held[0].ready)
 	}
 	b.iside.act.SleepUntil(wake)
@@ -729,6 +755,7 @@ func (b *Bridge) issueDownstream() {
 	// move one matured crossing entry into the latency line
 	if b.reqX.CanPop() && len(b.held) < b.cfg.ReqDepth {
 		ctx := b.reqX.Pop()
+		b.tside.act.Poke() // room in the request crossing
 		if rec := ctx.down.Attr; b.attrOn && rec != nil {
 			rec.Enter(attr.PhaseBridgeIssue, b.dstClk.NowPS())
 		}
@@ -789,6 +816,7 @@ func (b *Bridge) retireWrite(ctx *reqCtx, postedForward bool) {
 		return
 	}
 	ctx.retired = true
+	b.tside.act.Poke() // the outstanding count drops
 	if b.outstanding > 0 {
 		b.outstanding--
 	}

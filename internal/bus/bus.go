@@ -204,15 +204,19 @@ func (p *TargetPort) Update() {
 }
 
 // OwnedBy declares the port's gated owner (see sim.Fifo.OwnedBy): the
-// component that commits both FIFOs, issuing on Req and collecting Resp.
+// component that commits both FIFOs, pushing Req and popping Resp.
 func (p *InitiatorPort) OwnedBy(a *sim.Activity) {
+	p.Req.PushedBy(a)
 	p.Req.OwnedBy(a)
+	p.Resp.PoppedBy(a)
 	p.Resp.OwnedBy(a)
 }
 
 // OwnedBy declares the port's gated owner (see sim.Fifo.OwnedBy): the
-// component that commits both FIFOs, serving Req and answering on Resp.
+// component that commits both FIFOs, popping Req and pushing Resp.
 func (p *TargetPort) OwnedBy(a *sim.Activity) {
+	p.Req.PoppedBy(a)
 	p.Req.OwnedBy(a)
+	p.Resp.PushedBy(a)
 	p.Resp.OwnedBy(a)
 }

@@ -193,13 +193,31 @@ func (c *Core) Eval() {
 	c.retireBundle()
 }
 
-// Update commits the port FIFOs and sleeps through a refill stall (until the
-// response arrives) or after HALT.
+// Update commits the port FIFOs and sleeps after HALT, and through a stall
+// with no response beat to collect: until the refill arrives, or until the
+// full request FIFO gives up an entry for the head memory op.
 func (c *Core) Update() {
 	c.port.Update()
-	if c.refillWait || c.halted {
+	if c.halted || (c.port.Resp.Len() == 0 && c.stalled()) {
 		c.act.Sleep()
 	}
+}
+
+// stalled reports whether the next Eval would only count a stalled cycle:
+// a refill is outstanding, or the head memory op has already accessed the
+// D-cache (or is a write-through store) and waits to issue into the full
+// request FIFO.
+func (c *Core) stalled() bool {
+	if c.refillWait {
+		return true
+	}
+	if len(c.memOps) == 0 || c.port.Req.CanPush() {
+		return false
+	}
+	if !c.opAccessed {
+		return c.cfg.WriteThrough && c.memOps[0].instr.Kind == OpStore
+	}
+	return c.needWB || c.needRefill
 }
 
 // Activity returns the core's sleep state.

@@ -253,14 +253,18 @@ func (en *Engine) Eval() {
 	en.issue()
 }
 
-// Update commits the port FIFOs and sleeps through the inter-descriptor gap,
-// or until a response arrives when the state machine has nothing to issue.
+// Update commits the port FIFOs and, with no response to collect, sleeps
+// through the inter-descriptor gap, or until a response arrives when the
+// state machine has nothing to issue, or until the full request FIFO gives
+// up an entry.
 func (en *Engine) Update() {
 	en.port.Update()
 	switch {
+	case en.port.Resp.Len() != 0:
+		// collects at the next edge
 	case en.gapLeft > 0:
 		en.act.SleepUntil(en.clk.Cycles() + en.gapLeft + 1)
-	case en.next() == dmaKindNone:
+	case en.next() == dmaKindNone || !en.port.Req.CanPush():
 		en.act.Sleep()
 	}
 }

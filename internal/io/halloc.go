@@ -227,16 +227,19 @@ func (h *Allocator) Eval() {
 	h.issue()
 }
 
-// Update commits the port FIFOs and sleeps through the gap between ops, while
-// a transaction is in flight, and once every op is done.
+// Update commits the port FIFOs and, with no response to collect, sleeps
+// through the gap between ops, while a transaction is in flight or the full
+// request FIFO holds the next one back, and once every op is done.
 func (h *Allocator) Update() {
 	h.port.Update()
 	switch {
+	case h.port.Resp.Len() != 0:
+		// collects at the next edge
 	case h.Done():
 		h.act.Sleep()
 	case h.gapLeft > 0:
 		h.act.SleepUntil(h.clk.Cycles() + h.gapLeft + 1)
-	case h.step == hsMetaIssued || h.step == hsBodyIssued:
+	case h.step == hsMetaIssued || h.step == hsBodyIssued || !h.port.Req.CanPush():
 		h.act.Sleep()
 	}
 }

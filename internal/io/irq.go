@@ -216,11 +216,15 @@ func (d *Device) Eval() {
 	d.issue()
 }
 
-// Update commits the port FIFOs and, when the head event's service cannot
-// issue, sleeps until a response arrives or the next raise is due.
+// Update commits the port FIFOs and, when no response waits and the head
+// event's service cannot issue, sleeps until a response arrives, the full
+// request FIFO gives up an entry, or the next raise is due.
 func (d *Device) Update() {
 	d.port.Update()
-	if d.pending > 0 && d.burstsIssued < d.cfg.Bursts && d.inFlight < d.cfg.Outstanding {
+	if d.port.Resp.Len() != 0 {
+		return // collects at the next edge
+	}
+	if d.pending > 0 && d.burstsIssued < d.cfg.Bursts && d.inFlight < d.cfg.Outstanding && d.port.Req.CanPush() {
 		return // services the head event at the next edge
 	}
 	if d.raised >= int64(d.cfg.Events) {

@@ -329,11 +329,16 @@ func (g *Generator) Eval() {
 }
 
 // Update commits the port FIFOs and sleeps when the next Evals would only
-// count down gaps: until a response arrives, or until the shortest gap of an
-// agent free to issue runs out.
+// count down gaps: until a response arrives, until the request FIFO, when
+// full, gives up an entry, or until the shortest gap of an agent free to
+// issue runs out.
 func (g *Generator) Update() {
 	g.port.Update()
-	if g.port.Req.Len() != 0 || g.port.Resp.Len() != 0 {
+	if g.port.Resp.Len() != 0 {
+		return // collects at the next edge
+	}
+	if !g.port.Req.CanPush() {
+		g.act.Sleep()
 		return
 	}
 	gap := int64(-1)

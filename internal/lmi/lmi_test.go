@@ -351,3 +351,19 @@ func TestPropertyCompletionAndSourceOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMonitorStateIndices pins the index constants sample observes by to the
+// trackers' state lists.
+func TestMonitorStateIndices(t *testing.T) {
+	m := newMonitor(16)
+	for idx, name := range map[int]string{idxFull: StateFull, idxStoring: StateStoring, idxNoRequest: StateNoRequest} {
+		if got := m.phases.States()[idx]; got != name {
+			t.Errorf("phase index %d is %q, want %q", idx, got, name)
+		}
+	}
+	for idx, name := range map[int]string{idxEmpty: stateEmpty, idxNonEmpty: stateNonEmpty} {
+		if got := m.empty.States()[idx]; got != name {
+			t.Errorf("empty index %d is %q, want %q", idx, got, name)
+		}
+	}
+}

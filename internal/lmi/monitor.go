@@ -32,6 +32,19 @@ const (
 	stateNonEmpty = "nonempty"
 )
 
+// Positions of the states in the trackers' state lists (see newMonitor),
+// which sample observes by index.
+const (
+	idxFull = iota
+	idxStoring
+	idxNoRequest
+)
+
+const (
+	idxEmpty = iota
+	idxNonEmpty
+)
+
 func newMonitor(window int64) *Monitor {
 	return &Monitor{
 		phases: stats.NewPhaseTracker(window, StateFull, StateStoring, StateNoRequest),
@@ -44,16 +57,16 @@ func newMonitor(window int64) *Monitor {
 func (m *Monitor) sample(q *bus.Queue) {
 	switch {
 	case q.Len() >= q.Depth():
-		m.phases.Observe(StateFull)
+		m.phases.ObserveIndex(idxFull)
 	case q.Staged() > 0:
-		m.phases.Observe(StateStoring)
+		m.phases.ObserveIndex(idxStoring)
 	default:
-		m.phases.Observe(StateNoRequest)
+		m.phases.ObserveIndex(idxNoRequest)
 	}
 	if q.Len() == 0 {
-		m.empty.Observe(stateEmpty)
+		m.empty.ObserveIndex(idxEmpty)
 	} else {
-		m.empty.Observe(stateNonEmpty)
+		m.empty.ObserveIndex(idxNonEmpty)
 	}
 }
 

@@ -122,7 +122,10 @@ func (p *Platform) runSerial(maxPS, stopAtCycle int64) (drained, stalled, paused
 		if p.Kernel.Now() >= maxPS {
 			return false, false, false
 		}
-		if !p.Kernel.Step() {
+		// Advance ticks the edge groups in which every component sleeps
+		// without returning: none of them can finish an initiator or
+		// move the central clock, the only state these checks read.
+		if !p.Kernel.Advance(p.CentralClk, maxPS) {
 			return false, false, false
 		}
 		p.pollTelemetry()

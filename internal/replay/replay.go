@@ -196,12 +196,15 @@ func (in *Initiator) Eval() {
 	in.issue()
 }
 
-// Update commits the port FIFOs and sleeps while the next issue waits for a
-// response (or the stream is exhausted), or for its recorded cycle.
+// Update commits the port FIFOs and, with no response to collect, sleeps
+// while the next issue waits for a response (or the stream is exhausted),
+// for room in the full request FIFO, or for its recorded cycle.
 func (in *Initiator) Update() {
 	in.port.Update()
 	switch {
-	case in.next >= len(in.events):
+	case in.port.Resp.Len() != 0:
+		// collects at the next edge
+	case in.next >= len(in.events) || !in.port.Req.CanPush():
 		in.act.Sleep()
 	case in.cfg.Mode == Timed:
 		in.act.SleepUntil(in.target[in.next])

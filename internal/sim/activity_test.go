@@ -84,6 +84,7 @@ func gatedRig(periodA, periodB int64, full bool) (*Kernel, *Clock, *sink) {
 	a := k.NewClockPeriodPS("a", periodA)
 	f := NewFifo[int]("in", 4)
 	k1 := &sink{clk: a, in: f}
+	f.PoppedBy(&k1.act)
 	f.OwnedBy(&k1.act)
 	a.Register(&source{rng: NewRand(7), out: f})
 	a.Register(k1)
@@ -149,66 +150,94 @@ func TestEvalCountsAddUp(t *testing.T) {
 	}
 }
 
+// holder is a gated component with no behaviour of its own: the test drives
+// its FIFO and its sleep requests by hand.
+type holder struct{ act Activity }
+
+func (h *holder) Eval()               {}
+func (h *holder) Update()             {}
+func (h *holder) Activity() *Activity { return &h.act }
+func (h *holder) CreditIdle(int64)    {}
+
 // TestSleepRequestsRefused covers the cases where SleepUntil must leave the
-// component awake: a push since the last request, a non-empty owned FIFO,
-// a wake-up due at the next edge, and full evaluation.
+// component awake — a wake-up due at the next edge, a staged operation in an
+// owned FIFO, a poke earlier in the same edge, and full evaluation — and the
+// one it must grant with work queued: committed entries, nothing staged, no
+// poke this edge.
 func TestSleepRequestsRefused(t *testing.T) {
 	k := NewKernel()
 	c := k.NewClockPeriodPS("c", 1000)
-	f := NewFifo[int]("f", 2)
-	s := &sink{clk: c, in: f}
-	f.OwnedBy(&s.act)
-	c.Register(s)
+	f := NewFifo[int]("f", 1)
+	h := &holder{}
+	f.PushedBy(&h.act)
+	f.OwnedBy(&h.act)
+	c.Register(h)
+	k.Step()
 
-	s.act.SleepUntil(c.Cycles() + 1)
-	if s.act.Asleep() {
+	h.act.SleepUntil(c.Cycles() + 1)
+	if h.act.Asleep() {
 		t.Fatal("slept although the wake-up is due at the next edge")
 	}
 	f.Push(1)
-	s.act.Sleep()
-	if s.act.Asleep() {
-		t.Fatal("slept right after a push into its FIFO")
+	h.act.Sleep()
+	if h.act.Asleep() {
+		t.Fatal("slept with a push staged in its FIFO")
 	}
 	f.Update()
-	s.act.Sleep()
-	if s.act.Asleep() {
-		t.Fatal("slept with an entry in its FIFO")
+	h.act.Sleep()
+	if !h.act.Asleep() {
+		t.Fatal("refused to sleep with a committed entry and nothing staged")
 	}
-	f.Pop()
+	f.Pop() // pokes the pusher awake
+	if h.act.Asleep() {
+		t.Fatal("a pop did not wake the pusher")
+	}
 	f.Update()
-	s.act.Sleep()
-	if !s.act.Asleep() {
-		t.Fatal("refused to sleep while idle")
+	h.act.Sleep()
+	if h.act.Asleep() {
+		t.Fatal("slept at the edge it was poked")
+	}
+	k.Step()
+	h.act.Sleep()
+	if !h.act.Asleep() {
+		t.Fatal("an old poke still refused sleep an edge later")
 	}
 	k.SetFullEval(true)
-	if s.act.Asleep() {
+	if h.act.Asleep() {
 		t.Fatal("SetFullEval left a sleeper asleep")
 	}
-	s.act.Sleep()
-	if s.act.Asleep() {
+	h.act.Sleep()
+	if h.act.Asleep() {
 		t.Fatal("slept under full evaluation")
 	}
 }
 
-// TestFifoWatchers checks the owner/reader bookkeeping: watchers are
-// deduplicated, a third distinct watcher is a wiring bug, and deferred
-// commit drops them.
+// TestFifoWatchers checks the pusher/popper bookkeeping: declaring a side
+// twice is harmless, a second component on a side is a wiring bug, an owner
+// must be one of the sides, and deferred commit drops both links.
 func TestFifoWatchers(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
 	f := NewFifo[int]("f", 2)
-	var owner, reader, third Activity
-	f.OwnedBy(&owner)
-	f.ReadBy(&owner)
-	f.ReadBy(&reader)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a third watcher did not panic")
-		}
-		f.MarkDeferred()
-		if f.watchers != [2]*Activity{} {
-			t.Fatal("MarkDeferred kept the watchers")
-		}
-	}()
-	f.ReadBy(&third)
+	var pusher, popper, third Activity
+	f.PushedBy(&pusher)
+	f.PushedBy(&pusher)
+	f.PoppedBy(&popper)
+	f.OwnedBy(&pusher)
+	mustPanic("a second pusher", func() { f.PushedBy(&third) })
+	mustPanic("a second popper", func() { f.PoppedBy(&third) })
+	mustPanic("an owner on neither side", func() { f.OwnedBy(&third) })
+	f.MarkDeferred()
+	if f.pusher != nil || f.popper != nil {
+		t.Fatal("MarkDeferred kept the pusher or popper link")
+	}
 }
 
 // TestGatedKernelStepZeroAlloc extends the kernel's zero-allocation

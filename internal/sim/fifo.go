@@ -50,11 +50,12 @@ type Fifo[T any] struct {
 	// CommitDeferred call of a shard coordinator (see MarkDeferred).
 	deferred bool
 
-	// watchers are the gated components a push must wake: the owner and
-	// the reader (see OwnedBy and ReadBy). nextOwned links the FIFOs one
+	// pusher and popper are the gated components on either side (nil for
+	// an ungated one): a push pokes the popper, a pop or RemoveAt the
+	// pusher (see PushedBy and PoppedBy). nextOwned links the FIFOs one
 	// Activity owns.
-	watchers  [2]*Activity
-	nextOwned ownedFifo
+	pusher, popper *Activity
+	nextOwned      ownedFifo
 
 	// occupancy statistics (committed state, sampled at Update)
 	cycles      int64
@@ -110,52 +111,62 @@ func (f *Fifo[T]) Push(v T) {
 	if !f.CanPush() {
 		panic(fmt.Sprintf("sim: push to full fifo %q (depth %d)", f.name, f.depth))
 	}
-	f.buf[f.slot(f.n+f.npush)] = v
-	f.npush++
-	for _, a := range f.watchers {
-		if a == nil {
-			break
-		}
+	if a := f.popper; a != nil {
 		a.Poke()
 	}
+	f.buf[f.slot(f.n+f.npush)] = v
+	f.npush++
 }
 
-// OwnedBy declares that the gated component behind a commits this FIFO from
-// its Update. The component may sleep only while the FIFO is empty; while it
-// sleeps, a books the skipped commits to the occupancy statistics, and a
-// push wakes it in time to commit. Call before the run starts.
+// PushedBy declares the gated component behind a as the FIFO's pusher: a pop
+// or RemoveAt pokes it, so it may sleep while the FIFO is full. Call before
+// the run starts.
+func (f *Fifo[T]) PushedBy(a *Activity) { f.pusher = bindSide(f.name, "pusher", f.pusher, a) }
+
+// PoppedBy declares the gated component behind a as the FIFO's popper: a
+// push pokes it, so it may sleep while nothing is poppable. Call before the
+// run starts.
+func (f *Fifo[T]) PoppedBy(a *Activity) { f.popper = bindSide(f.name, "popper", f.popper, a) }
+
+// bindSide returns a as the FIFO's side, panicking when a different
+// component already holds it: a FIFO has one pusher and one popper.
+func bindSide(name, side string, cur, a *Activity) *Activity {
+	if cur != nil && cur != a {
+		panic(fmt.Sprintf("sim: fifo %q already has a %s", name, side))
+	}
+	return a
+}
+
+// OwnedBy declares that the gated component behind a, already declared the
+// FIFO's pusher or popper, commits it from its Update. The component may
+// sleep while the FIFO holds committed entries; while it sleeps, a books the
+// skipped commits to the occupancy statistics, and the other side's next
+// push or pop wakes it first. Call before the run starts.
 func (f *Fifo[T]) OwnedBy(a *Activity) {
+	if a != f.pusher && a != f.popper {
+		panic(fmt.Sprintf("sim: fifo %q owner is neither its pusher nor its popper", f.name))
+	}
 	f.nextOwned = a.owned
 	a.owned = f
-	f.ReadBy(a)
-}
-
-// ReadBy declares that the gated component behind a pops this FIFO: a push
-// wakes it. A FIFO has one owner and one reader, so at most two distinct
-// components watch it. Call before the run starts.
-func (f *Fifo[T]) ReadBy(a *Activity) {
-	for i, w := range f.watchers {
-		switch w {
-		case a:
-			return
-		case nil:
-			f.watchers[i] = a
-			return
-		}
-	}
-	panic(fmt.Sprintf("sim: fifo %q already has an owner and a reader", f.name))
 }
 
 func (f *Fifo[T]) next() ownedFifo { return f.nextOwned }
 
-// idle reports whether the FIFO holds and stages nothing, the condition for
-// its owner to sleep.
-func (f *Fifo[T]) idle() bool { return f.n == 0 && f.npush == 0 && f.npop == 0 }
+// staged reports whether a push or pop is waiting for this cycle's commit;
+// its owner may not sleep then.
+func (f *Fifo[T]) staged() bool { return f.npush != 0 || f.npop != 0 }
 
-// creditIdle books n commits of the empty FIFO its sleeping owner skipped.
+// creditIdle books n commits its sleeping owner skipped. Nothing is staged
+// while the owner sleeps — the other side's next push or pop wakes it first
+// — so each skipped commit saw the current occupancy.
 func (f *Fifo[T]) creditIdle(n int64) {
 	f.cycles += n
-	f.emptyCycles += n
+	switch {
+	case f.n >= f.depth:
+		f.fullCycles += n
+	case f.n == 0:
+		f.emptyCycles += n
+	}
 }
 
 // CanPop reports whether a committed entry is available beyond those already
@@ -198,6 +209,9 @@ func (f *Fifo[T]) RemoveAt(i int) T {
 	if i < 0 || idx >= f.n {
 		panic(fmt.Sprintf("sim: removeAt(%d) out of range on fifo %q", i, f.name))
 	}
+	if a := f.pusher; a != nil {
+		a.Poke()
+	}
 	v := f.buf[f.slot(idx)]
 	// Close the gap in place: shift the younger committed entries and any
 	// pushes staged this cycle down one slot, then clear the vacated slot
@@ -216,6 +230,9 @@ func (f *Fifo[T]) RemoveAt(i int) T {
 func (f *Fifo[T]) Pop() T {
 	if !f.CanPop() {
 		panic(fmt.Sprintf("sim: pop from empty fifo %q", f.name))
+	}
+	if a := f.pusher; a != nil {
+		a.Poke()
 	}
 	v := f.buf[f.slot(f.npop)]
 	f.npop++
@@ -236,22 +253,23 @@ func (f *Fifo[T]) Update() {
 }
 
 // MarkDeferred switches the FIFO into deferred-commit mode for sharded
-// execution, dropping its watchers: the owner's Update becomes a no-op and
-// the coordinator must call CommitDeferred once per owning-clock cycle,
-// between synchronization windows. The FIFO must be quiescent — no staged
-// pushes or pops, i.e. the call happens at an edge boundary, not mid-cycle
-// — because a staged operation at the mode switch would tear the SPSC
-// field partition documented on the type. Committed entries are fine: n and head are frozen
-// for whole windows either way, so a checkpoint-restored platform (whose
-// boundary FIFOs legitimately hold in-flight traffic) shards safely.
+// execution, dropping its pusher and popper links: the owner's Update
+// becomes a no-op and the coordinator must call CommitDeferred once per
+// owning-clock cycle, between synchronization windows. The FIFO must be
+// quiescent — no staged pushes or pops, i.e. the call happens at an edge
+// boundary, not mid-cycle — because a staged operation at the mode switch
+// would tear the SPSC field partition documented on the type. Committed
+// entries are fine: n and head are frozen for whole windows either way, so
+// a checkpoint-restored platform (whose boundary FIFOs legitimately hold
+// in-flight traffic) shards safely.
 func (f *Fifo[T]) MarkDeferred() {
 	if f.npush != 0 || f.npop != 0 {
 		panic(fmt.Sprintf("sim: MarkDeferred on fifo %q with staged operations (npush=%d npop=%d)", f.name, f.npush, f.npop))
 	}
 	f.deferred = true
 	// Sharded runs evaluate every component at every edge, and a poke
-	// from the pushing shard would write the reading shard's state.
-	f.watchers = [2]*Activity{}
+	// from one shard would write the other shard's state.
+	f.pusher, f.popper = nil, nil
 }
 
 // Deferred reports whether the FIFO is in deferred-commit mode.

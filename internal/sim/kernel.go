@@ -9,8 +9,9 @@
 // staged writes). All inter-component communication flows through Fifo or
 // Reg values committed at Update, so a value written in cycle N is visible
 // to readers in cycle N+1 regardless of evaluation order. Gated components
-// that have nothing to do sleep and are skipped until a push or a timer
-// wakes them (see Activity).
+// whose next edges would only count sleep and are skipped until the other
+// side of a FIFO moves, a partner pokes them or a timer runs out (see
+// Activity).
 package sim
 
 import (
@@ -58,6 +59,18 @@ type Clock struct {
 	cycle    int64
 	slots    []slot
 	kernel   *Kernel
+
+	// sleepers counts the slots asleep; wakeMin is at or before the
+	// earliest timed wake-up among them. While every slot sleeps and
+	// wakeMin lies after an edge, the clock's sweeps at that edge are
+	// skipped whole.
+	sleepers int
+	wakeMin  int64
+	// sweepPS is the instant of the clock's latest Eval sweep and pos the
+	// slot it has reached (len(slots) once done): a component woken at
+	// this instant takes the edge's Eval only if its slot lies ahead.
+	sweepPS int64
+	pos     int
 }
 
 // Name returns the clock's name.
@@ -89,7 +102,7 @@ func (c *Clock) Register(comp Clocked) {
 	act := awake
 	if g, ok := comp.(Gated); ok {
 		act = g.Activity()
-		act.bind(c, g)
+		act.bind(c, g, len(c.slots))
 	}
 	c.slots = append(c.slots, slot{comp: comp, act: act})
 	if c.kernel != nil {
@@ -111,8 +124,7 @@ func (c *Clock) NumRegistered() int { return len(c.slots) }
 //
 //  1. single-clock fast path — no min-scan, no grouping at all;
 //  2. hyperperiod schedule — the distinct firing offsets within one
-//     hyperperiod, each with its pre-sorted clock group and a flattened
-//     eval list, stepped by index;
+//     hyperperiod, each with its pre-sorted clock group, stepped by index;
 //  3. generic path — when the hyperperiod would be too long to tabulate
 //     (co-prime periods such as 7519 ps for a quantized 133 MHz clock), a
 //     single min-scan over clocks pre-sorted by name into a reusable
@@ -120,7 +132,8 @@ func (c *Clock) NumRegistered() int { return len(c.slots) }
 //
 // All three tiers fire the exact same edges in the exact same order as a
 // naive per-step min-scan + stable name sort, and none of them allocates in
-// steady state. Every tier skips sleeping gated components (see Activity).
+// steady state. Every tier skips sleeping gated components (see Activity),
+// and Advance ticks whole edge groups in which every component sleeps.
 type Kernel struct {
 	nowPS  int64
 	clocks []*Clock
@@ -139,19 +152,22 @@ type Kernel struct {
 	base       int64       // absolute time of the current hyperperiod start
 	gidx       int         // next group to fire within the hyperperiod
 	sorted     []*Clock    // tier 3: clocks stably sorted by name
-	firing     []*Clock    // tier 3: reusable buffer of clocks firing now
+	firing     []*Clock    // tier 3: reusable buffer of clocks firing next
+	// scanned marks firing and firingPS as the next group, found by a
+	// tickIdle that left it to Step.
+	scanned  bool
+	firingPS int64
 }
 
 // edgeGroup is one distinct firing instant within the hyperperiod: the
-// clocks due at base+offset in their deterministic (name-sorted) order, and
-// their components flattened into a single Eval list. Updates are not
-// flattened because the per-clock cycle counters must advance between clock
-// segments exactly as in the generic path (a component's Update may observe
-// another domain's Cycles()).
+// clocks due at base+offset in their deterministic (name-sorted) order. The
+// group is swept clock by clock, so each clock records how far its sweep
+// has got (Activity.wake needs it), and the per-clock cycle counters advance
+// between clock segments of the Update phase exactly as in the generic path
+// (a component's Update may observe another domain's Cycles()).
 type edgeGroup struct {
 	offset int64 // firing time relative to the hyperperiod start, in (0, hyper]
 	clocks []*Clock
-	evals  []slot
 }
 
 // maxHyperEdges bounds the tabulated schedule size; hyperperiods with more
@@ -205,7 +221,7 @@ func (k *Kernel) NewClockPeriodPS(name string, periodPS int64) *Clock {
 	if periodPS <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %d for clock %q", periodPS, name))
 	}
-	c := &Clock{name: name, periodPS: periodPS, nextEdge: periodPS, kernel: k}
+	c := &Clock{name: name, periodPS: periodPS, nextEdge: periodPS, kernel: k, wakeMin: math.MaxInt64}
 	k.clocks = append(k.clocks, c)
 	k.invalidateSchedule()
 	return c
@@ -213,7 +229,7 @@ func (k *Kernel) NewClockPeriodPS(name string, periodPS int64) *Clock {
 
 // invalidateSchedule forces a rebuild on the next Step; called whenever the
 // clock set or a component list changes.
-func (k *Kernel) invalidateSchedule() { k.schedValid = false }
+func (k *Kernel) invalidateSchedule() { k.schedValid, k.scanned = false, false }
 
 // buildSchedule selects and constructs the dispatch tier. Runs once per
 // topology change, never in steady state.
@@ -273,7 +289,6 @@ func (k *Kernel) buildHyperperiod() {
 				continue
 			}
 			g.clocks = append(g.clocks, c)
-			g.evals = append(g.evals, c.slots...)
 		}
 		groups = append(groups, g)
 	}
@@ -325,6 +340,25 @@ func gcd64(a, b int64) int64 {
 // when there are no clocks registered.
 func (k *Kernel) Step() bool { return k.stepBounded(math.MaxInt64) }
 
+// Advance ticks the edge groups in which every component sleeps —
+// advancing time and cycle counts without running any component — up to the
+// next group that would run a component or fire pace, and fires that group
+// like Step. It stops early, right after an idle group, once time reaches
+// budgetPS. A run loop that checks a time budget, pace's cycle count and
+// component state between steps therefore sees exactly what it would see
+// stepping group by group: a group nobody runs in changes none of them. It
+// returns false when there are no clocks registered. With a nil pace and an
+// unbounded budget, Advance does not return once every component sleeps
+// without a timer.
+func (k *Kernel) Advance(pace *Clock, budgetPS int64) bool {
+	for k.tickIdle(pace) {
+		if k.nowPS >= budgetPS {
+			return true
+		}
+	}
+	return k.Step()
+}
+
 // stepBounded fires the next edge group if it is due at or before maxPS and
 // reports whether it stepped. It is the single dispatch point for all run
 // loops, so the bound check shares the same scan that locates the edge.
@@ -340,10 +374,8 @@ func (k *Kernel) stepBounded(maxPS int64) bool {
 			return false
 		}
 		k.nowPS = now
-		k.evalSlots(c.slots, now)
-		updateSlots(c.slots, now)
-		c.cycle++
-		c.nextEdge += c.periodPS
+		k.evalClock(c, now)
+		updateClock(c, now)
 		return true
 	case len(k.groups) > 0:
 		g := &k.groups[k.gidx]
@@ -352,28 +384,51 @@ func (k *Kernel) stepBounded(maxPS int64) bool {
 			return false
 		}
 		k.nowPS = now
-		k.evalSlots(g.evals, now)
-		for _, c := range g.clocks {
-			updateSlots(c.slots, now)
-			c.cycle++
-			c.nextEdge += c.periodPS
-		}
-		k.gidx++
-		if k.gidx == len(k.groups) {
-			k.gidx = 0
-			k.base += k.hyper
-		}
+		k.fire(g.clocks, now)
+		k.nextGroup()
 		return true
 	case len(k.clocks) == 0:
 		return false
 	}
-	return k.stepGeneric(maxPS)
+	next := k.scanFiring()
+	if next > maxPS {
+		return false
+	}
+	k.scanned = false
+	k.nowPS = next
+	k.fire(k.firing, next)
+	return true
 }
 
-// stepGeneric is the fallback tier: one scan over the name-sorted clocks
-// finds the minimum edge and collects the firing group into a reusable
-// buffer, already in deterministic order.
-func (k *Kernel) stepGeneric(maxPS int64) bool {
+// fire ticks one edge group synchronously: every clock's Eval sweep, then
+// every clock's Update sweep, so simultaneous edges across domains behave
+// like a single wider domain.
+func (k *Kernel) fire(clocks []*Clock, now int64) {
+	for _, c := range clocks {
+		k.evalClock(c, now)
+	}
+	for _, c := range clocks {
+		updateClock(c, now)
+	}
+}
+
+// nextGroup moves the tabulated schedule on by one group.
+func (k *Kernel) nextGroup() {
+	k.gidx++
+	if k.gidx == len(k.groups) {
+		k.gidx = 0
+		k.base += k.hyper
+	}
+}
+
+// scanFiring is the generic tier's edge search: one scan over the
+// name-sorted clocks finds the minimum edge and collects the firing group
+// into a reusable buffer, already in deterministic order. A group tickIdle
+// found and did not tick is reused as is.
+func (k *Kernel) scanFiring() int64 {
+	if k.scanned {
+		return k.firingPS
+	}
 	next := int64(math.MaxInt64)
 	k.firing = k.firing[:0]
 	for _, c := range k.sorted {
@@ -385,51 +440,103 @@ func (k *Kernel) stepGeneric(maxPS int64) bool {
 			k.firing = append(k.firing, c)
 		}
 	}
-	if next > maxPS {
+	k.firingPS = next
+	return next
+}
+
+// tickIdle ticks the next edge group without running a single component
+// when every component it would tick sleeps past it and pace does not fire
+// in it, and reports whether it did.
+func (k *Kernel) tickIdle(pace *Clock) bool {
+	if !k.schedValid {
+		k.buildSchedule()
+	}
+	var clocks []*Clock
+	var now int64
+	switch {
+	case k.single != nil:
+		clocks, now = k.clocks, k.single.nextEdge
+	case len(k.groups) > 0:
+		g := &k.groups[k.gidx]
+		clocks, now = g.clocks, k.base+g.offset
+	case len(k.clocks) == 0:
 		return false
+	default:
+		now = k.scanFiring()
+		clocks = k.firing
+		k.scanned = true
 	}
-	k.nowPS = next
-	// Tick the group synchronously: all Evals, then all Updates, so
-	// simultaneous edges across domains behave like a single wider domain.
-	for _, c := range k.firing {
-		k.evalSlots(c.slots, next)
+	for _, c := range clocks {
+		if c == pace || !c.idleAt(now) {
+			return false
+		}
 	}
-	for _, c := range k.firing {
-		updateSlots(c.slots, next)
-		c.cycle++
-		c.nextEdge += c.periodPS
+	k.scanned = false
+	k.nowPS = now
+	for _, c := range clocks {
+		c.skipEdge()
+	}
+	if len(k.groups) > 0 {
+		k.nextGroup()
 	}
 	return true
 }
 
-// evalSlots calls Eval on every awake component of one firing list and
-// counts the component-edges evaluated and skipped. A sleeper whose timed
-// wake-up is due books its skipped edges first.
-func (k *Kernel) evalSlots(slots []slot, now int64) {
+// idleAt reports whether every component of the clock sleeps past the edge
+// at now.
+func (c *Clock) idleAt(now int64) bool { return c.sleepers == len(c.slots) && c.wakeMin > now }
+
+// skipEdge completes an edge at which every component sleeps.
+func (c *Clock) skipEdge() {
+	c.kernel.skipped += int64(len(c.slots))
+	c.cycle++
+	c.nextEdge += c.periodPS
+}
+
+// evalClock runs the clock's Eval sweep at now: Eval on every awake
+// component in registration order, counting the component-edges evaluated
+// and skipped. A sleeper whose timed wake-up is due books its skipped edges
+// first. The sweep also refreshes wakeMin from the sleepers it passes.
+func (k *Kernel) evalClock(c *Clock, now int64) {
+	c.sweepPS = now
+	if c.idleAt(now) {
+		c.pos = len(c.slots)
+		k.skipped += int64(len(c.slots))
+		return
+	}
+	wakeMin := int64(math.MaxInt64)
 	skipped := 0
-	for _, s := range slots {
+	for i, s := range c.slots {
 		a := s.act
 		if a.evalPS > now {
 			skipped++
+			wakeMin = min(wakeMin, a.evalPS)
 			continue
 		}
 		if a.asleep {
 			a.resume()
 		}
+		c.pos = i
 		s.comp.Eval()
 	}
+	c.pos = len(c.slots)
+	c.wakeMin = wakeMin
 	k.skipped += int64(skipped)
-	k.evaluated += int64(len(slots) - skipped)
+	k.evaluated += int64(len(c.slots) - skipped)
 }
 
-// updateSlots calls Update on every component of one clock whose Update is
-// not gated off at this edge.
-func updateSlots(slots []slot, now int64) {
-	for _, s := range slots {
-		if s.act.updPS <= now {
-			s.comp.Update()
+// updateClock calls Update on every component of the clock whose Update is
+// not gated off at this edge, then completes the clock's cycle.
+func updateClock(c *Clock, now int64) {
+	if !c.idleAt(now) {
+		for _, s := range c.slots {
+			if s.act.updPS <= now {
+				s.comp.Update()
+			}
 		}
 	}
+	c.cycle++
+	c.nextEdge += c.periodPS
 }
 
 // RunUntil, RunCycles and RunWhile settle sleeping components (Settle) before

@@ -175,6 +175,13 @@ func (p *PhaseTracker) Observe(state string) {
 	if !ok {
 		panic(fmt.Sprintf("stats: unknown state %q", state))
 	}
+	p.ObserveIndex(i)
+}
+
+// ObserveIndex records the state of one cycle by its position in the state
+// list given to NewPhaseTracker: Observe without the name lookup, for
+// per-cycle callers.
+func (p *PhaseTracker) ObserveIndex(i int) {
 	p.current[i]++
 	p.total[i]++
 	p.cycle++

@@ -1,9 +1,13 @@
 package stats
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"mpsocsim/internal/snapshot"
 )
 
 func TestHistogramBasics(t *testing.T) {
@@ -128,6 +132,33 @@ func TestPhaseTrackerWindows(t *testing.T) {
 	}
 	if len(p.States()) != 3 {
 		t.Fatal("states lost")
+	}
+}
+
+// TestPhaseTrackerObserveIndexMatchesObserve requires observing by index
+// and by name to leave identical counts, windows and snapshot bytes.
+func TestPhaseTrackerObserveIndexMatchesObserve(t *testing.T) {
+	states := []string{"full", "storing", "norequest"}
+	byName := NewPhaseTracker(7, states...)
+	byIndex := NewPhaseTracker(7, states...)
+	for c := 0; c < 100; c++ {
+		i := (c * c) % 3
+		byName.Observe(states[i])
+		byIndex.ObserveIndex(i)
+	}
+	if !reflect.DeepEqual(byName.Windows(), byIndex.Windows()) || byName.Cycles() != byIndex.Cycles() {
+		t.Fatal("windows differ")
+	}
+	for _, st := range states {
+		if byName.TotalCount(st) != byIndex.TotalCount(st) {
+			t.Fatalf("%s: %d by name, %d by index", st, byName.TotalCount(st), byIndex.TotalCount(st))
+		}
+	}
+	a, b := snapshot.NewEncoder(), snapshot.NewEncoder()
+	byName.EncodeState(a)
+	byIndex.EncodeState(b)
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("snapshot bytes differ")
 	}
 }
 

@@ -96,8 +96,9 @@ type respChannel struct {
 	busyCycles int64
 }
 
-// Node is an STBus crossbar node, gated: it sleeps while no port holds a
-// request or response and no transfer is in progress.
+// Node is an STBus crossbar node, gated: it sleeps while no transfer is in
+// progress and no request or response can move — nothing is queued, or the
+// FIFO it would move into is full.
 type Node struct {
 	act  sim.Activity
 	name string
@@ -154,7 +155,8 @@ func (n *Node) Config() Config { return n.cfg }
 // the node writes into Request.Src for response routing. The port is owned
 // (Updated) by the initiator component, not by the node.
 func (n *Node) AttachInitiator(p *bus.InitiatorPort) int {
-	p.Req.ReadBy(&n.act)
+	p.Req.PoppedBy(&n.act)
+	p.Resp.PushedBy(&n.act)
 	n.initiators = append(n.initiators, p)
 	n.respCh = append(n.respCh, respChannel{})
 	n.outstanding = append(n.outstanding, 0)
@@ -166,7 +168,8 @@ func (n *Node) AttachInitiator(p *bus.InitiatorPort) int {
 // AttachTarget connects a target port and returns its index. The port is
 // owned (Updated) by the target component.
 func (n *Node) AttachTarget(p *bus.TargetPort) int {
-	p.Resp.ReadBy(&n.act)
+	p.Req.PushedBy(&n.act)
+	p.Resp.PoppedBy(&n.act)
 	n.targets = append(n.targets, p)
 	n.reqCh = append(n.reqCh, reqChannel{msgLock: -1})
 	return len(n.targets) - 1
@@ -218,29 +221,47 @@ func (n *Node) scanAttrHeads() {
 }
 
 // Update: the node owns no FIFOs (ports are owned by the attached
-// components), so there is nothing to commit. It sleeps when the next Eval
-// would only count a cycle, until a request or response is pushed.
+// components), so there is nothing to commit. It sleeps while its next Eval
+// would only count — stalled — until a push or pop at one of its ports.
 func (n *Node) Update() {
-	if n.quiet() {
+	if n.stalled() {
 		n.act.Sleep()
 	}
 }
 
-// quiet reports whether the node is idle: no transfer in progress, no
-// message lock left to release, and nothing poppable at any port.
-func (n *Node) quiet() bool {
-	for i := range n.reqCh {
-		if ch := &n.reqCh[i]; ch.cur != nil || ch.msgLock >= 0 {
+// stalled reports whether the node's next Eval would only count: no request
+// channel is mid-transfer or about to drop a message lock, no initiator head
+// is eligible for a target with room in its FIFO, no target's response head
+// can move to its initiator, and — under attribution — every visible
+// initiator head already carries its arb_wait stamp. A channel whose grant
+// waits for room in a full target FIFO still counts a grant stall and moves
+// its round-robin pointer each edge; CreditIdle books both.
+func (n *Node) stalled() bool {
+	for t := range n.reqCh {
+		ch := &n.reqCh[t]
+		if ch.cur != nil || (ch.msgLock >= 0 && !n.eligible(ch.msgLock, t)) {
 			return false
 		}
 	}
-	for _, ip := range n.initiators {
-		if ip.Req.CanPop() {
+	for i, ip := range n.initiators {
+		if !ip.Req.CanPop() {
+			continue
+		}
+		if n.attrCol != nil && (i >= len(n.attrHead) || !n.attrHead[i]) {
+			return false
+		}
+		t := n.amap.Decode(ip.Req.Peek().Addr)
+		if t >= 0 && t < len(n.targets) && n.targets[t].Req.CanPush() && n.eligible(i, t) {
 			return false
 		}
 	}
 	for _, tp := range n.targets {
-		if tp.Resp.CanPop() {
+		if !tp.Resp.CanPop() {
+			continue
+		}
+		beat := tp.Resp.Peek()
+		i := beat.Req.Src
+		if i >= 0 && i < len(n.initiators) && n.initiators[i].Resp.CanPush() && n.inOrder(i, beat) {
 			return false
 		}
 	}
@@ -250,8 +271,23 @@ func (n *Node) quiet() bool {
 // Activity returns the node's sleep state.
 func (n *Node) Activity() *sim.Activity { return &n.act }
 
-// CreditIdle books n skipped idle edges: the node cycle counter.
-func (n *Node) CreditIdle(edges int64) { n.cycles += edges }
+// CreditIdle books n skipped stalled edges: the node cycle counter, and on
+// every channel whose grant waits for its full target FIFO a grant stall per
+// edge plus the round-robin pointer's advance (a held message lock keeps the
+// pointer still).
+func (n *Node) CreditIdle(edges int64) {
+	n.cycles += edges
+	for t := range n.reqCh {
+		ch := &n.reqCh[t]
+		if n.targets[t].Req.CanPush() || n.grantee(t) < 0 {
+			continue
+		}
+		n.grantStalls += edges
+		if ch.msgLock < 0 {
+			ch.rr = n.stallRR(t, ch.rr, edges)
+		}
+	}
+}
 
 func (n *Node) evalRequestPaths() {
 	for t := range n.targets {
@@ -264,7 +300,7 @@ func (n *Node) evalRequestPaths() {
 			}
 			continue
 		}
-		// arbitration: pick an initiator whose head request decodes to t
+		// arbitration: grant an initiator whose head request decodes to t
 		init := n.arbitrate(t, ch)
 		if init < 0 {
 			continue
@@ -333,47 +369,34 @@ func (n *Node) completeTransfer(t int, ch *reqChannel) {
 	}
 }
 
-// arbitrate returns the initiator index granted for target t, or -1.
-func (n *Node) arbitrate(t int, ch *reqChannel) int {
+// eligible reports whether initiator i's committed head request may be
+// granted target t this cycle. It has no side effects; arbitration, the
+// stall test and the idle credit all decide through it.
+func (n *Node) eligible(i, t int) bool {
+	ip := n.initiators[i]
+	if !ip.Req.CanPop() {
+		return false
+	}
+	if n.amap.Decode(ip.Req.Peek().Addr) != t {
+		return false
+	}
+	if n.outstanding[i] >= n.cfg.MaxOutstanding {
+		return false
+	}
+	if n.cfg.Type == Type2 && n.outstanding[i] > 0 && n.outTarget[i] != t {
+		return false // in-order issue rule: one target at a time
+	}
+	return true
+}
+
+// pick returns the first eligible initiator of highest priority (higher
+// Prio wins) scanning round-robin from rr, or -1.
+func (n *Node) pick(t, rr int) int {
 	ni := len(n.initiators)
-	if ni == 0 {
-		return -1
-	}
-	eligible := func(i int) bool {
-		ip := n.initiators[i]
-		if !ip.Req.CanPop() {
-			return false
-		}
-		req := ip.Req.Peek()
-		if n.amap.Decode(req.Addr) != t {
-			return false
-		}
-		if n.outstanding[i] >= n.cfg.MaxOutstanding {
-			return false
-		}
-		if n.cfg.Type == Type2 && n.outstanding[i] > 0 && n.outTarget[i] != t {
-			return false // in-order issue rule: one target at a time
-		}
-		return true
-	}
-	if ch.msgLock >= 0 {
-		// Grant held for an in-progress message: serve the holder while
-		// it keeps requests to this target queued back-to-back. Any
-		// stall — empty queue, head decoding elsewhere, or the holder's
-		// outstanding window exhausted — releases the lock so one
-		// master's message cannot starve the channel (the grant-timeout
-		// behaviour of real message arbiters).
-		i := ch.msgLock
-		if eligible(i) {
-			return i
-		}
-		ch.msgLock = -1
-	}
-	// Priority first (higher Prio wins), round-robin among equals.
 	best, bestPrio := -1, 0
 	for k := 0; k < ni; k++ {
-		i := (ch.rr + k) % ni
-		if !eligible(i) {
+		i := (rr + k) % ni
+		if !n.eligible(i, t) {
 			continue
 		}
 		p := n.initiators[i].Req.Peek().Prio
@@ -381,10 +404,76 @@ func (n *Node) arbitrate(t int, ch *reqChannel) int {
 			best, bestPrio = i, p
 		}
 	}
+	return best
+}
+
+// grantee returns the initiator target t's arbiter grants this cycle, or
+// -1, without side effects: the message-lock holder while it stays
+// eligible, otherwise pick's choice.
+func (n *Node) grantee(t int) int {
+	ch := &n.reqCh[t]
+	if ch.msgLock >= 0 && n.eligible(ch.msgLock, t) {
+		return ch.msgLock
+	}
+	return n.pick(t, ch.rr)
+}
+
+// arbitrate returns the initiator index granted for target t, or -1,
+// moving the round-robin pointer past the grantee.
+func (n *Node) arbitrate(t int, ch *reqChannel) int {
+	if ch.msgLock >= 0 {
+		// Grant held for an in-progress message: serve the holder while
+		// it keeps requests to this target queued back-to-back. Any
+		// stall — empty queue, head decoding elsewhere, or the holder's
+		// outstanding window exhausted — releases the lock so one
+		// master's message cannot starve the channel (the grant-timeout
+		// behaviour of real message arbiters).
+		if n.eligible(ch.msgLock, t) {
+			return ch.msgLock
+		}
+		ch.msgLock = -1
+	}
+	best := n.pick(t, ch.rr)
 	if best >= 0 {
-		ch.rr = (best + 1) % ni
+		ch.rr = (best + 1) % len(n.initiators)
 	}
 	return best
+}
+
+// stallRR returns target t's round-robin pointer after k >= 1 consecutive
+// arbitrations from rr that all stall on the full target FIFO. With the
+// eligible set frozen, each picks the next highest-priority eligible
+// initiator in cyclic order from the pointer and moves the pointer past it,
+// so the k-th pick is the ((k-1) mod m)-th of the m top-priority eligible
+// initiators counted from rr.
+func (n *Node) stallRR(t, rr int, k int64) int {
+	ni := len(n.initiators)
+	top, m := 0, int64(0)
+	for i := 0; i < ni; i++ {
+		if !n.eligible(i, t) {
+			continue
+		}
+		switch p := n.initiators[i].Req.Peek().Prio; {
+		case m == 0 || p > top:
+			top, m = p, 1
+		case p == top:
+			m++
+		}
+	}
+	if m == 0 {
+		return rr
+	}
+	q := (k - 1) % m
+	for j := 0; ; j++ {
+		i := (rr + j) % ni
+		if !n.eligible(i, t) || n.initiators[i].Req.Peek().Prio != top {
+			continue
+		}
+		if q == 0 {
+			return (i + 1) % ni
+		}
+		q--
+	}
 }
 
 func (n *Node) evalResponsePaths() {
@@ -402,11 +491,7 @@ func (n *Node) evalResponsePaths() {
 				continue
 			}
 			beat := tp.Resp.Peek()
-			if beat.Req.Src != i {
-				continue
-			}
-			// Type 2 delivers responses in issue order per initiator.
-			if n.cfg.Type == Type2 && len(n.order[i]) > 0 && n.order[i][0] != beat.Req.ID {
+			if beat.Req.Src != i || !n.inOrder(i, beat) {
 				continue
 			}
 			tp.Resp.Pop()
@@ -420,6 +505,12 @@ func (n *Node) evalResponsePaths() {
 			break
 		}
 	}
+}
+
+// inOrder reports whether beat may go to initiator i now: Type 2 delivers
+// responses in issue order per initiator.
+func (n *Node) inOrder(i int, beat bus.Beat) bool {
+	return n.cfg.Type != Type2 || len(n.order[i]) == 0 || n.order[i][0] == beat.Req.ID
 }
 
 // retire removes a completed request from the outstanding accounting.
