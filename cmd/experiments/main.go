@@ -63,7 +63,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	seed := flag.Uint64("seed", 1, "traffic generator seed")
 	jobs := flag.Int("j", runtime.NumCPU(), "max concurrent simulation runs (1 = serial)")
-	shards := flag.Int("shards", 1, "parallel shards per simulation run (bit-identical to serial; composes with -j)")
 	warmCache := flag.String("warm-cache", "", "directory of warm-start checkpoints: full-platform runs restore their warm-up prefix from it instead of re-simulating (first run primes it; results stay byte-identical)")
 	warmPrefix := flag.Int64("warm-prefix", experiments.DefaultWarmPrefix, "warm-up prefix length in central cycles for -warm-cache")
 	quiet := flag.Bool("q", false, "suppress the progress/ETA line")
@@ -86,7 +85,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	o := experiments.Options{Scale: *scale, Seed: *seed, Workers: *jobs, Shards: *shards}
+	o := experiments.Options{Scale: *scale, Seed: *seed, Workers: *jobs}
 	if !*quiet {
 		o.Progress = os.Stderr
 	}

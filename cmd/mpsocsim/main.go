@@ -40,9 +40,9 @@
 // platform state at central cycle N and then finishes the run as usual, and
 // -restore FILE resumes a later invocation from that snapshot instead of
 // re-simulating the prefix. The restored run is bit-identical to an
-// uninterrupted one — same report, same trace, same attribution — and may
-// still be sharded with -shards. The observability configuration (capture,
-// timelines, attribution) travels inside the checkpoint:
+// uninterrupted one — same report, same trace, same attribution. The
+// observability configuration (capture, timelines, attribution) travels
+// inside the checkpoint:
 //
 //	mpsocsim -checkpoint-at 8000 -checkpoint warm.ckpt -report cold.json
 //	mpsocsim -restore warm.ckpt -report warm.json   # identical modulo resumed_from_cycle
@@ -52,9 +52,9 @@
 // cycles — cycle, simulated time, per-initiator issue/completion counts and
 // the full counter/gauge registry — and -live serves the same collector over
 // HTTP: Prometheus text at /metrics, an SSE record stream at /events and a
-// JSON progress document (cycles/s, ETA against the budget, per-shard window
-// counts) at /progress. The record stream is deterministic: byte-identical
-// between serial and sharded runs of the same spec and cadence:
+// JSON progress document (cycles/s, ETA against the budget) at /progress.
+// The record stream is deterministic: byte-identical across runs of the same
+// spec and cadence:
 //
 //	mpsocsim -telemetry run.ndjson -telemetry-every 512
 //	mpsocsim -live 127.0.0.1:9100 & curl localhost:9100/progress
@@ -151,7 +151,6 @@ func main() {
 	sampleEvery := flag.Int64("sample-every", metrics.DefaultSampleEvery, "gauge sampling window in domain cycles (for -report/-chrome-trace timelines)")
 	attrOn := flag.Bool("attr", false, "enable per-transaction latency attribution (adds the report's attribution section and the Chrome-trace phase sub-slices)")
 	attrTop := flag.Int("attr-top", 0, "print the top-N initiators by attributed latency, with their dominant phase, to stderr (implies -attr)")
-	shards := flag.Int("shards", 1, "run clock domains on N parallel shards (bit-identical to serial; incompatible with -trace/-vcd)")
 	checkpointFile := flag.String("checkpoint", "", "write a full-state checkpoint to this file at -checkpoint-at, then finish the run")
 	checkpointAt := flag.Int64("checkpoint-at", 0, "central-clock cycle to take the -checkpoint at (> 0)")
 	restoreFile := flag.String("restore", "", "resume from a checkpoint written by -checkpoint instead of simulating the prefix (spec flags must rebuild the same platform; observability travels with the checkpoint)")
@@ -242,8 +241,9 @@ func main() {
 
 	// Contradictory flag combinations are usage errors (exit 2), not silent
 	// no-ops: an -io-* knob shapes nothing without the subsystem, replayed
-	// traffic comes from the trace rather than the generators, and a restored
-	// run's observability travels inside the checkpoint.
+	// traffic comes from the trace rather than the generators, a restored
+	// run's observability travels inside the checkpoint, and a checkpoint
+	// needs both its file and its cycle.
 	ioShaping := []string{"io-dma-desc", "io-dma-burst", "io-irq-agents",
 		"io-irq-period", "io-irq-deadline", "io-irq-events", "io-alloc-ops"}
 	for _, name := range ioShaping {
@@ -261,9 +261,9 @@ func main() {
 		usagef("-attr/-attr-top cannot be enabled at -restore: observability travels inside the checkpoint — pass them to the run that takes the checkpoint")
 	}
 	// Differential-observability flags have their own contradictions: diffs
-	// compare complete artifacts, bisection probes are serial and perform no
-	// normal run, and elastic replay reschedules issue instants per fabric so
-	// per-cycle alignment between variants is ill-defined.
+	// compare complete artifacts, bisection performs no normal run, and
+	// elastic replay reschedules issue instants per fabric so per-cycle
+	// alignment between variants is ill-defined.
 	for _, name := range []string{"diff", "diff-stream", "bisect"} {
 		if !set[name] {
 			continue
@@ -285,9 +285,6 @@ func main() {
 		if *diffFile != "" || *diffStreamFile != "" {
 			usagef("-bisect runs the paired localization search instead of a normal run; it cannot be combined with -diff/-diff-stream")
 		}
-		if *shards > 1 {
-			usagef("-bisect probes are serial (the Snapshot/RunToCycle contract): drop -shards")
-		}
 		for _, out := range []struct {
 			name string
 			on   bool
@@ -302,6 +299,21 @@ func main() {
 				usagef("-%s has nothing to apply to under -bisect: the localization search performs no normal run", out.name)
 			}
 		}
+	}
+	// The CSV/VCD waveform sampler's state cannot be checkpointed, so it
+	// combines with neither side of a checkpoint.
+	waveform := *traceFile != "" || *vcdFile != ""
+	switch {
+	case *restoreFile != "" && (*checkpointFile != "" || *checkpointAt != 0):
+		usagef("-restore is mutually exclusive with -checkpoint/-checkpoint-at: checkpoint the run that -restore resumes from instead")
+	case *restoreFile != "" && waveform:
+		usagef("-restore is incompatible with -trace/-vcd: the waveform sampler cannot checkpoint")
+	case *checkpointFile != "" && *checkpointAt <= 0:
+		usagef("-checkpoint needs -checkpoint-at N (> 0): the central-clock cycle to snapshot at")
+	case *checkpointAt != 0 && *checkpointFile == "":
+		usagef("-checkpoint-at needs -checkpoint FILE: the file to write the snapshot to")
+	case *checkpointFile != "" && waveform:
+		usagef("-checkpoint is incompatible with -trace/-vcd: the waveform sampler cannot checkpoint")
 	}
 
 	if *replayFile != "" {
@@ -354,14 +366,7 @@ func main() {
 	if *restoreFile != "" {
 		// The checkpoint carries the observability configuration: Restore
 		// re-applies capture/timelines/attribution as they were at snapshot
-		// time, so the CLI's own enable flags do not apply here. The CSV/VCD
-		// sampler cannot checkpoint at all.
-		if *checkpointFile != "" || *checkpointAt != 0 {
-			fatalf("-restore is mutually exclusive with -checkpoint/-checkpoint-at")
-		}
-		if *traceFile != "" || *vcdFile != "" {
-			fatalf("-restore is incompatible with -trace/-vcd (the waveform sampler cannot checkpoint)")
-		}
+		// time, so the CLI's own enable flags do not apply here.
 		f, err := os.Open(*restoreFile)
 		if err != nil {
 			fatalf("restore: %v", err)
@@ -434,15 +439,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "live telemetry on http://%s (/metrics /events /progress)\n", ln.Addr())
 		}
 	}
-	if *checkpointFile != "" || *checkpointAt != 0 {
-		// Checkpoint before sharding: Snapshot requires the serial platform
-		// (a later -restore can still re-shard the remainder).
-		if *checkpointFile == "" || *checkpointAt <= 0 {
-			fatalf("-checkpoint FILE and -checkpoint-at N (> 0) must be given together")
-		}
-		if sampler != nil {
-			fatalf("-checkpoint is incompatible with -trace/-vcd (the waveform sampler cannot checkpoint)")
-		}
+	if *checkpointFile != "" {
 		if p.RunToCycle(*checkpointAt, budget) {
 			f, err := os.Create(*checkpointFile)
 			if err != nil {
@@ -458,13 +455,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wrote %s at central cycle %d\n", *checkpointFile, p.CentralClk.Cycles())
 		} else {
 			fmt.Fprintf(os.Stderr, "mpsocsim: warning: run ended before cycle %d; no checkpoint written\n", *checkpointAt)
-		}
-	}
-	if *shards > 1 {
-		// Last: sharding freezes the component-to-shard assignment, so every
-		// observability attachment above must already be in place.
-		if err := p.EnableSharding(*shards); err != nil {
-			fatalf("shards: %v", err)
 		}
 	}
 	r := p.Run(budget)

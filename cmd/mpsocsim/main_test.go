@@ -129,10 +129,10 @@ func TestTelemetryFlagWritesNDJSON(t *testing.T) {
 	}
 }
 
-// TestDiffBisectFlagConflictsExitUsage pins the exit-2 contract for the
-// differential-observability flags: each contradictory combination must be
-// rejected before any file is opened or any cycle simulated.
-func TestDiffBisectFlagConflictsExitUsage(t *testing.T) {
+// TestFlagConflictsExitUsage pins the exit-2 contract for contradictory
+// flag combinations: each must be rejected with the usage-error prefix
+// before any file is opened or any cycle simulated.
+func TestFlagConflictsExitUsage(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
@@ -162,15 +162,27 @@ func TestDiffBisectFlagConflictsExitUsage(t *testing.T) {
 		{"bisect with diff",
 			[]string{"-bisect", "b.conf", "-diff", "a.json"},
 			"cannot be combined with -diff"},
-		{"bisect with shards",
-			[]string{"-bisect", "b.conf", "-shards", "2"},
-			"probes are serial"},
 		{"bisect with report",
 			[]string{"-bisect", "b.conf", "-report", "run.json"},
 			"-report has nothing to apply to under -bisect"},
 		{"diff subcommand with one file",
 			[]string{"diff", "a.json"},
 			"exactly two input files"},
+		{"checkpoint without checkpoint-at",
+			[]string{"-checkpoint", "run.ckpt"},
+			"-checkpoint needs -checkpoint-at"},
+		{"checkpoint-at without checkpoint",
+			[]string{"-checkpoint-at", "3000"},
+			"-checkpoint-at needs -checkpoint"},
+		{"checkpoint with trace",
+			[]string{"-checkpoint", "run.ckpt", "-checkpoint-at", "3000", "-trace", "run.csv"},
+			"-checkpoint is incompatible with -trace/-vcd"},
+		{"restore with checkpoint",
+			[]string{"-restore", "warm.ckpt", "-checkpoint", "run.ckpt", "-checkpoint-at", "3000"},
+			"-restore is mutually exclusive with -checkpoint"},
+		{"restore with vcd",
+			[]string{"-restore", "warm.ckpt", "-vcd", "run.vcd"},
+			"-restore is incompatible with -trace/-vcd"},
 	}
 	for _, tc := range cases {
 		tc := tc

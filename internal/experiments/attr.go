@@ -34,20 +34,13 @@ type AttrResult struct {
 
 // attrJob runs one platform with attribution enabled and reduces the result
 // to its attribution snapshot.
-func attrJob(name string, spec platform.Spec, shards int) runner.Job[*attr.Snapshot] {
+func attrJob(name string, spec platform.Spec) runner.Job[*attr.Snapshot] {
 	return runner.Job[*attr.Snapshot]{Name: name, Run: func() (*attr.Snapshot, error) {
 		p, err := platform.Build(spec)
 		if err != nil {
 			return nil, err
 		}
-		// Attribution before sharding: EnableSharding freezes the
-		// component-to-shard assignment, so observers attach first.
 		p.EnableAttribution(0)
-		if shards > 1 {
-			if err := p.EnableSharding(shards); err != nil {
-				return nil, err
-			}
-		}
 		r := p.Run(Budget)
 		if !r.Done {
 			return nil, fmt.Errorf("%s did not drain within budget", spec.Name())
@@ -90,7 +83,7 @@ func AttrComparison(o Options) (AttrResult, error) {
 	mk := func(name string, proto platform.Protocol) runner.Job[*attr.Snapshot] {
 		s := baseSpec(o)
 		s.Protocol, s.Topology, s.Memory = proto, platform.Distributed, platform.LMIDDR
-		return attrJob(name, s, o.Shards)
+		return attrJob(name, s)
 	}
 	snaps, err := runner.Values(runner.Map([]runner.Job[*attr.Snapshot]{
 		mk("STBus", platform.STBus),

@@ -34,11 +34,10 @@ type BisectReport struct {
 	Result    *diff.BisectResult
 }
 
-// Bisect runs the divergence-localization experiment. The full variant runs
-// honor o.Shards (reports are bit-identical to serial by the §15 contract);
-// the localization probes themselves are serial per variant — the
-// Snapshot/RunToCycle contract — with the two variants advancing in
-// parallel.
+// Bisect runs the divergence-localization experiment: one full run per
+// variant supplies the deadline table, then the localization probes step
+// both variants along a Snapshot/RunToCycle grid, the two variants
+// advancing in parallel.
 func Bisect(o Options) (BisectReport, error) {
 	o.normalize()
 	sa := baseSpec(o)
@@ -52,11 +51,6 @@ func Bisect(o Options) (BisectReport, error) {
 			p, err := platform.Build(spec)
 			if err != nil {
 				return nil, err
-			}
-			if o.Shards > 1 {
-				if err := p.EnableSharding(o.Shards); err != nil {
-					return nil, err
-				}
 			}
 			r := p.Run(Budget)
 			if !r.Done {

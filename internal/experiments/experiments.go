@@ -38,12 +38,6 @@ type Options struct {
 	// <= 0 selects runtime.NumCPU(), 1 restores strictly serial
 	// execution (the CLI's -j flag maps here).
 	Workers int
-	// Shards runs each simulation's clock domains on N parallel shards
-	// (platform.EnableSharding; bit-identical results by contract). It
-	// composes with Workers: Workers parallelizes across runs, Shards
-	// within one run. <= 1 keeps runs serial (the CLI's -shards flag
-	// maps here).
-	Shards int
 	// Progress, when non-nil, receives the runner's live progress/ETA
 	// line (the CLI passes os.Stderr; tests leave it nil).
 	Progress io.Writer
@@ -122,21 +116,6 @@ func normalizeEntries(entries []Entry) {
 	}
 }
 
-// buildPlatform builds the spec and applies the sharded execution mode when
-// Options.Shards asks for one.
-func buildPlatform(spec platform.Spec, shards int) (*platform.Platform, error) {
-	p, err := platform.Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	if shards > 1 {
-		if err := p.EnableSharding(shards); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
 // platformJob wraps one full-platform run as a runner job. A run that
 // fails to drain within the budget is an error, not a panic: under the
 // runner one crashed configuration must not kill its siblings. With a
@@ -161,10 +140,10 @@ func platformJob(name string, spec platform.Spec, o Options) runner.Job[platform
 		var r platform.Result
 		var err error
 		if o.Cache != nil {
-			r, err = o.Cache.run(spec, o.Shards, attach)
+			r, err = o.Cache.run(spec, attach)
 		} else {
 			var p *platform.Platform
-			if p, err = buildPlatform(spec, o.Shards); err == nil {
+			if p, err = platform.Build(spec); err == nil {
 				if attach != nil {
 					attach(p)
 				}

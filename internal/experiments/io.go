@@ -60,18 +60,13 @@ type ioRun struct {
 // to its deadline table and attribution snapshot. Deadline-miss conservation
 // (met + missed == serviced == raised) is asserted here so a bookkeeping bug
 // fails the experiment instead of skewing the table.
-func ioJob(name string, spec platform.Spec, shards int) runner.Job[ioRun] {
+func ioJob(name string, spec platform.Spec) runner.Job[ioRun] {
 	return runner.Job[ioRun]{Name: name, Run: func() (ioRun, error) {
 		p, err := platform.Build(spec)
 		if err != nil {
 			return ioRun{}, err
 		}
 		p.EnableAttribution(0)
-		if shards > 1 {
-			if err := p.EnableSharding(shards); err != nil {
-				return ioRun{}, err
-			}
-		}
 		r := p.Run(Budget)
 		if !r.Done {
 			return ioRun{}, fmt.Errorf("%s did not drain within budget", spec.Name())
@@ -141,7 +136,7 @@ func IODeadlines(o Options) (IOResult, error) {
 		if storm {
 			label = "storm"
 		}
-		return ioJob(fmt.Sprintf("%s/%s", proto, label), s, o.Shards)
+		return ioJob(fmt.Sprintf("%s/%s", proto, label), s)
 	}
 	var jobs []runner.Job[ioRun]
 	for _, pr := range protos {

@@ -56,11 +56,6 @@ func CrossFabricReplay(o Options) (ReplayResult, error) {
 	}
 	capture := tracecap.NewCapture(base.Name(), 0)
 	p.AttachCapture(capture)
-	if o.Shards > 1 {
-		if err := p.EnableSharding(o.Shards); err != nil {
-			return ReplayResult{}, err
-		}
-	}
 	r := p.Run(Budget)
 	if !r.Done {
 		return ReplayResult{}, fmt.Errorf("capture run on %s did not drain within budget", base.Name())

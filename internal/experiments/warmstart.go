@@ -77,7 +77,7 @@ func (c *SnapCache) entry(spec platform.Spec) string {
 // records where the restore happened). attach, when non-nil, is called on
 // the platform before the finishing run — the live-telemetry hook-up point
 // (collectors are not part of a checkpoint, so a restored run re-attaches).
-func (c *SnapCache) run(spec platform.Spec, shards int, attach func(*platform.Platform)) (platform.Result, error) {
+func (c *SnapCache) run(spec platform.Spec, attach func(*platform.Platform)) (platform.Result, error) {
 	path := c.entry(spec)
 	if data, err := os.ReadFile(path); err == nil {
 		if p, err := platform.Restore(spec, bytes.NewReader(data)); err == nil {
@@ -85,7 +85,7 @@ func (c *SnapCache) run(spec platform.Spec, shards int, attach func(*platform.Pl
 			if attach != nil {
 				attach(p)
 			}
-			return finishRun(p, shards)
+			return p.Run(Budget), nil
 		}
 		// A stale or torn entry (format bump mid-hash-collision, partial
 		// disk) must never kill the sweep: drop it and run cold.
@@ -103,19 +103,6 @@ func (c *SnapCache) run(spec platform.Spec, shards int, attach func(*platform.Pl
 		var buf bytes.Buffer
 		if err := p.Snapshot(&buf); err == nil {
 			writeFileAtomic(path, buf.Bytes())
-		}
-	}
-	return finishRun(p, shards)
-}
-
-// finishRun completes a run from wherever the platform currently stands
-// (fresh, past the warm-up, or just restored), applying the sharded
-// execution mode first when requested — sharding must follow any
-// checkpoint/restore, never precede it.
-func finishRun(p *platform.Platform, shards int) (platform.Result, error) {
-	if shards > 1 {
-		if err := p.EnableSharding(shards); err != nil {
-			return platform.Result{}, err
 		}
 	}
 	return p.Run(Budget), nil

@@ -58,25 +58,6 @@ func TestWarmStartFig5ByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmStartShardedByteIdentical checks the cache composes with the
-// sharded execution mode: a warm restore followed by EnableSharding must
-// still reproduce the serial table.
-func TestWarmStartShardedByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("regenerates fig5 twice")
-	}
-	o := warmOpts(t, 2000)
-	cold := renderFig5(t, o)
-	o.Shards = 2
-	warm := renderFig5(t, o)
-	if h := o.Cache.Hits(); h != 5 {
-		t.Fatalf("warm sharded pass: hits=%d, want 5", h)
-	}
-	if warm != cold {
-		t.Errorf("sharded warm output differs from serial cold output:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
-	}
-}
-
 // TestWarmStartCorruptEntryFallsBack pins the resilience path: a truncated
 // or garbage cache entry is dropped and the run completes cold, re-priming
 // the entry.

@@ -73,7 +73,6 @@ type Result struct {
 func (p *Platform) Run(maxPS int64) Result {
 	if p.tele != nil {
 		p.tele.SetBudgetPS(maxPS)
-		p.tele.SetShards(p.shards)
 	}
 	if p.sharded {
 		return p.runSharded(maxPS)

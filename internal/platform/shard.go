@@ -359,9 +359,6 @@ func (p *Platform) runSharded(maxPS int64) Result {
 
 	for pending() && unfinished() > p.tailThreshold && ex.next < maxPS {
 		ex.window()
-		if p.tele != nil {
-			p.tele.AddWindow()
-		}
 		p.pollTelemetry()
 		if c := p.CentralClk.Cycles(); c-p.wdLastCheck >= stallWindow {
 			if prog := progress(); prog == p.wdLastProg {

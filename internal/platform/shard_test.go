@@ -135,30 +135,6 @@ func TestShardedReplayConformance(t *testing.T) {
 	}
 }
 
-// randomSpec draws one platform configuration from the property-test space:
-// every protocol, topology and memory subsystem, with randomized workload
-// scale, buffering, bridge and DSP parameters.
-func randomSpec(rng *rand.Rand) Spec {
-	s := DefaultSpec()
-	s.Protocol = []Protocol{STBus, AHB, AXI}[rng.Intn(3)]
-	s.Topology = []Topology{Distributed, Collapsed}[rng.Intn(2)]
-	s.Memory = []MemoryKind{OnChip, LMIDDR}[rng.Intn(2)]
-	s.WorkloadScale = 0.05 + 0.15*rng.Float64()
-	s.Seed = rng.Uint64()%1000 + 1
-	s.WithDSP = rng.Intn(2) == 0
-	s.DSPIterations = 50
-	s.OnChipWaitStates = rng.Intn(8)
-	s.SplitLMIBridge = rng.Intn(2) == 0
-	s.TwoPhase = rng.Intn(4) == 0
-	s.MaxOutstanding = []int{1, 2, 4, 8}[rng.Intn(4)]
-	s.BridgeLatency = 1 + rng.Intn(3)
-	if rng.Intn(2) == 0 {
-		s.IO.Enable = true
-		s.IO.DMAPostedWrites = rng.Intn(2) == 0
-	}
-	return s
-}
-
 // shardDiff runs spec serially and sharded and describes the first observed
 // divergence ("" when equivalent).
 func shardDiff(spec Spec, shards int) string {
@@ -200,55 +176,10 @@ func shardDiff(spec Spec, shards int) string {
 	return ""
 }
 
-// specShrinkDims are the spec reductions the property-test shrinkers try,
-// one dimension at a time; each reports whether it changed the spec.
-var specShrinkDims = []func(*Spec) bool{
-	func(s *Spec) bool { changed := s.IO.Enable; s.IO = IOSpec{}; return changed },
-	func(s *Spec) bool { changed := s.TwoPhase; s.TwoPhase = false; return changed },
-	func(s *Spec) bool { changed := s.WithDSP; s.WithDSP = false; return changed },
-	func(s *Spec) bool { changed := s.SplitLMIBridge; s.SplitLMIBridge = false; return changed },
-	func(s *Spec) bool { changed := s.OnChipWaitStates != 1; s.OnChipWaitStates = 1; return changed },
-	func(s *Spec) bool { changed := s.BridgeLatency > 1; s.BridgeLatency = 1; return changed },
-	func(s *Spec) bool { changed := s.MaxOutstanding != 8; s.MaxOutstanding = 8; return changed },
-	func(s *Spec) bool { changed := s.Memory != OnChip; s.Memory = OnChip; return changed },
-	func(s *Spec) bool { changed := s.Protocol != STBus; s.Protocol = STBus; return changed },
-	func(s *Spec) bool { changed := s.Seed != 1; s.Seed = 1; return changed },
-	func(s *Spec) bool {
-		changed := s.WorkloadScale > 0.051
-		s.WorkloadScale = s.WorkloadScale / 2
-		if s.WorkloadScale < 0.05 {
-			s.WorkloadScale = 0.05
-		}
-		return changed
-	},
-}
-
 // shrinkSpec reduces a failing spec one dimension at a time while the failure
 // persists, converging on a minimal reproducer.
 func shrinkSpec(spec Spec, shards int) Spec {
 	return shrinkWhile(spec, func(s Spec) bool { return shardDiff(s, shards) != "" })
-}
-
-// shrinkWhile applies specShrinkDims to spec, keeping each reduction under
-// which fails still holds, until a pass reduces nothing.
-func shrinkWhile(spec Spec, fails func(Spec) bool) Spec {
-	for pass := 0; pass < 4; pass++ {
-		reduced := false
-		for _, dim := range specShrinkDims {
-			cand := spec
-			if !dim(&cand) {
-				continue
-			}
-			if fails(cand) {
-				spec = cand
-				reduced = true
-			}
-		}
-		if !reduced {
-			break
-		}
-	}
-	return spec
 }
 
 // TestShardedRandomTopologyProperty fuzzes the equivalence contract over
@@ -269,12 +200,6 @@ func TestShardedRandomTopologyProperty(t *testing.T) {
 				i, shards, diff, specSummary(spec), specSummary(min))
 		}
 	}
-}
-
-// specSummary renders the property-test-relevant spec dimensions compactly.
-func specSummary(s Spec) string {
-	return fmt.Sprintf("%s scale=%.3f seed=%d dsp=%v waits=%d split=%v twophase=%v outstanding=%d bridgelat=%d",
-		s.Name(), s.WorkloadScale, s.Seed, s.WithDSP, s.OnChipWaitStates, s.SplitLMIBridge, s.TwoPhase, s.MaxOutstanding, s.BridgeLatency)
 }
 
 // TestEnableShardingValidation pins the refusal cases and the degenerate

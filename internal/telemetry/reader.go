@@ -19,9 +19,8 @@ type Stream struct {
 
 // Truncated reports whether the stream's final line was an incomplete JSON
 // record — the signature of a crash- or kill-interrupted run whose last
-// buffered write never finished. Mirrors trace.Recorder's trailer
-// convention: damage confined to the tail is reported, not fatal, because
-// every record before the cut is still trustworthy.
+// buffered write never finished. Damage confined to the tail is reported,
+// not fatal, because every record before the cut is still trustworthy.
 func (s *Stream) Truncated() bool { return s.truncated }
 
 // ReadStream parses an NDJSON telemetry stream written by Streamer. Every

@@ -48,8 +48,7 @@ func TestReadStreamParsesFullStream(t *testing.T) {
 
 // A crash-interrupted run leaves its final record cut mid-line with no
 // trailing newline. The reader must keep every complete record and report
-// the damage through Truncated() instead of erroring — mirroring
-// trace.Recorder's missing-trailer convention.
+// the damage through Truncated() instead of erroring.
 func TestReadStreamToleratesTruncatedFinalLine(t *testing.T) {
 	full := teleLine(t, 0, 100) + "\n" + teleLine(t, 1, 200) + "\n"
 	cut := teleLine(t, 2, 300)

@@ -33,13 +33,6 @@ type Progress struct {
 	// budget is exhausted — an upper bound, since most runs drain earlier.
 	ETAMS float64 `json:"eta_ms,omitempty"`
 
-	Shards int `json:"shards"`
-	// Windows counts completed barrier windows; ShardWindows replicates it
-	// per shard (all shards cross every barrier together, so the counts are
-	// equal by construction). Empty for a serial run.
-	Windows      int64   `json:"windows,omitempty"`
-	ShardWindows []int64 `json:"shard_windows,omitempty"`
-
 	Initiators []InitiatorRecord `json:"initiators"`
 	// CounterRatesPerSec holds the per-wall-second delta of every counter
 	// that moved between the last two snapshots.
@@ -165,12 +158,11 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 // buildProgress derives the progress document from the collector's newest
 // snapshots. Shared by the single-run server and tests.
 func buildProgress(col *Collector) Progress {
-	budgetPS, shards, windows, done, wall := col.status()
+	budgetPS, done, wall := col.status()
 	p := Progress{
 		Schema: ProgressSchema,
 		Done:   done,
 		WallMS: float64(wall.Nanoseconds()) / 1e6,
-		Shards: shards,
 	}
 	last, prev, n := col.latestPair()
 	if n == 0 {
@@ -182,13 +174,6 @@ func buildProgress(col *Collector) Progress {
 	if budgetPS > 0 {
 		p.BudgetPS = budgetPS
 		p.BudgetFrac = float64(last.TimePS) / float64(budgetPS)
-	}
-	if shards > 1 {
-		p.Windows = windows
-		p.ShardWindows = make([]int64, shards)
-		for i := range p.ShardWindows {
-			p.ShardWindows[i] = windows
-		}
 	}
 	// Rates over the last snapshot interval; whole-run mean with a single
 	// snapshot.

@@ -57,8 +57,6 @@ func TestServerMetricsExposition(t *testing.T) {
 func TestServerProgressDocument(t *testing.T) {
 	col, _, a, _ := testCollector(8)
 	col.SetBudgetPS(8_000_000)
-	col.SetShards(2)
-	col.AddWindow()
 	srv := httptest.NewServer(NewServer(col).Handler())
 	defer srv.Close()
 
@@ -78,9 +76,6 @@ func TestServerProgressDocument(t *testing.T) {
 	}
 	if p.BudgetFrac != 0.5 {
 		t.Fatalf("budget frac = %v, want 0.5", p.BudgetFrac)
-	}
-	if p.Shards != 2 || len(p.ShardWindows) != 2 || p.ShardWindows[0] != 1 {
-		t.Fatalf("shards=%d windows=%v", p.Shards, p.ShardWindows)
 	}
 	if len(p.Initiators) != 2 || p.Initiators[0].Outstanding != 2 {
 		t.Fatalf("initiators = %+v", p.Initiators)

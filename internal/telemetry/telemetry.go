@@ -118,8 +118,6 @@ type Collector struct {
 	// run-shape fields for the progress document, set by the platform
 	// before/at Run under mu.
 	budgetPS int64
-	shards   int
-	windows  int64
 
 	publish func(cycle, ps int64)
 	notify  chan struct{}
@@ -139,7 +137,6 @@ func NewCollector(reg *metrics.Registry, inits []InitiatorSource, ringCap int) *
 		inits:    inits,
 		start:    time.Now(),
 		rows:     make([]row, ringCap),
-		shards:   1,
 		notify:   make(chan struct{}, 1),
 	}
 	for _, g := range c.gauges {
@@ -165,30 +162,12 @@ func (c *Collector) SetBudgetPS(ps int64) {
 	c.mu.Unlock()
 }
 
-// SetShards records the run's shard count for the progress document.
-func (c *Collector) SetShards(n int) {
-	c.mu.Lock()
-	if n < 1 {
-		n = 1
-	}
-	c.shards = n
-	c.mu.Unlock()
-}
-
 // SetPublish installs a hook called after every Collect with the snapshot's
 // cycle and simulated time. The hook runs on the simulation goroutine and
 // must not allocate in steady state — the experiments hub uses atomic stores.
 func (c *Collector) SetPublish(fn func(cycle, ps int64)) {
 	c.mu.Lock()
 	c.publish = fn
-	c.mu.Unlock()
-}
-
-// AddWindow counts one sharded barrier window for the progress document.
-// Allocation-free.
-func (c *Collector) AddWindow() {
-	c.mu.Lock()
-	c.windows++
 	c.mu.Unlock()
 }
 
@@ -370,8 +349,8 @@ func (c *Collector) latestPair() (last, prev Record, n int) {
 }
 
 // status snapshots the run-shape fields under the mutex.
-func (c *Collector) status() (budgetPS int64, shards int, windows int64, done bool, wall time.Duration) {
+func (c *Collector) status() (budgetPS int64, done bool, wall time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.budgetPS, c.shards, c.windows, c.done, time.Since(c.start)
+	return c.budgetPS, c.done, time.Since(c.start)
 }

@@ -113,17 +113,14 @@ func TestCollectorLatestAndStatus(t *testing.T) {
 		t.Fatal("Latest on empty collector reported a record")
 	}
 	col.SetBudgetPS(1_000_000)
-	col.SetShards(2)
-	col.AddWindow()
-	col.AddWindow()
 	col.Collect(100, 400_000)
 	rec, ok := col.Latest()
 	if !ok || rec.Cycle != 100 {
 		t.Fatalf("Latest = %+v, %v", rec, ok)
 	}
-	budget, shards, windows, done, _ := col.status()
-	if budget != 1_000_000 || shards != 2 || windows != 2 || done {
-		t.Fatalf("status = %d %d %d %v", budget, shards, windows, done)
+	budget, done, _ := col.status()
+	if budget != 1_000_000 || done {
+		t.Fatalf("status = %d %v", budget, done)
 	}
 	col.Finish()
 	if !col.Done() {

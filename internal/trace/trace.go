@@ -1,7 +1,7 @@
-// Package trace provides the debugging/inspection channel of the virtual
-// platform: a cycle-stamped event recorder and a signal sampler that dumps
-// waveform-like CSV series (the role RTL waveform inspection played in the
-// paper's reverse-engineering workflow).
+// Package trace provides the waveform inspection channel of the virtual
+// platform: a signal sampler that dumps cycle-stamped series as CSV or VCD
+// (the role RTL waveform inspection played in the paper's
+// reverse-engineering workflow).
 package trace
 
 import (
@@ -9,73 +9,6 @@ import (
 	"io"
 	"sort"
 )
-
-// Event is one recorded occurrence.
-type Event struct {
-	TimePS    int64
-	Component string
-	What      string
-}
-
-// Recorder accumulates events when enabled; a disabled recorder is free.
-// Events recorded past the cap are not silently lost: they are counted in
-// Dropped and flagged by Truncated, and Dump reports the loss.
-type Recorder struct {
-	enabled bool
-	events  []Event
-	limit   int
-	dropped int64
-}
-
-// NewRecorder returns a recorder capped at limit events (0 = 1M default).
-func NewRecorder(enabled bool, limit int) *Recorder {
-	if limit <= 0 {
-		limit = 1 << 20
-	}
-	return &Recorder{enabled: enabled, limit: limit}
-}
-
-// Enabled reports whether recording is active.
-func (r *Recorder) Enabled() bool { return r.enabled }
-
-// Record appends an event when enabled and under the cap; past the cap the
-// event is discarded but counted, so truncation is observable.
-func (r *Recorder) Record(timePS int64, component, format string, args ...any) {
-	if !r.enabled {
-		return
-	}
-	if len(r.events) >= r.limit {
-		r.dropped++
-		return
-	}
-	r.events = append(r.events, Event{TimePS: timePS, Component: component, What: fmt.Sprintf(format, args...)})
-}
-
-// Events returns the recorded events.
-func (r *Recorder) Events() []Event { return r.events }
-
-// Dropped returns how many events were discarded after the cap was hit.
-func (r *Recorder) Dropped() int64 { return r.dropped }
-
-// Truncated reports whether any event was lost to the cap.
-func (r *Recorder) Truncated() bool { return r.dropped > 0 }
-
-// Dump writes events as tab-separated lines. A truncated recording ends
-// with a comment line stating how many events were dropped, so a dump that
-// stops early is never mistaken for a complete one.
-func (r *Recorder) Dump(w io.Writer) error {
-	for _, e := range r.events {
-		if _, err := fmt.Fprintf(w, "%d\t%s\t%s\n", e.TimePS, e.Component, e.What); err != nil {
-			return err
-		}
-	}
-	if r.dropped > 0 {
-		if _, err := fmt.Fprintf(w, "# truncated: %d events dropped after cap of %d\n", r.dropped, r.limit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Sampler collects named integer signals over time (e.g. FIFO occupancy per
 // cycle) and emits an aligned CSV with one column per signal.

@@ -5,87 +5,6 @@ import (
 	"testing"
 )
 
-func TestRecorderEnabled(t *testing.T) {
-	r := NewRecorder(true, 10)
-	r.Record(100, "lmi", "pop req %d", 1)
-	r.Record(200, "node", "grant %s", "i0")
-	if len(r.Events()) != 2 {
-		t.Fatalf("events = %d", len(r.Events()))
-	}
-	var sb strings.Builder
-	if err := r.Dump(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "pop req 1") || !strings.Contains(sb.String(), "grant i0") {
-		t.Fatalf("dump: %q", sb.String())
-	}
-}
-
-func TestRecorderDisabledIsFree(t *testing.T) {
-	r := NewRecorder(false, 10)
-	r.Record(1, "x", "y")
-	if len(r.Events()) != 0 {
-		t.Fatal("disabled recorder recorded")
-	}
-	if r.Enabled() {
-		t.Fatal("should be disabled")
-	}
-}
-
-func TestRecorderLimit(t *testing.T) {
-	r := NewRecorder(true, 3)
-	for i := 0; i < 10; i++ {
-		r.Record(int64(i), "c", "e")
-	}
-	if len(r.Events()) != 3 {
-		t.Fatalf("limit ignored: %d events", len(r.Events()))
-	}
-}
-
-// TestRecorderTruncationObservable guards against silent event loss: events
-// past the cap must be counted, surfaced by the accessors, and flagged in
-// the dump output.
-func TestRecorderTruncationObservable(t *testing.T) {
-	r := NewRecorder(true, 3)
-	for i := 0; i < 10; i++ {
-		r.Record(int64(i), "c", "event %d", i)
-	}
-	if got := r.Dropped(); got != 7 {
-		t.Fatalf("Dropped() = %d, want 7", got)
-	}
-	if !r.Truncated() {
-		t.Fatal("Truncated() = false after drops")
-	}
-	var sb strings.Builder
-	if err := r.Dump(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "# truncated: 7 events dropped after cap of 3") {
-		t.Fatalf("dump does not report truncation:\n%s", sb.String())
-	}
-
-	full := NewRecorder(true, 3)
-	full.Record(1, "c", "e")
-	if full.Truncated() || full.Dropped() != 0 {
-		t.Fatal("under-cap recorder reports truncation")
-	}
-	var sb2 strings.Builder
-	if err := full.Dump(&sb2); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb2.String(), "truncated") {
-		t.Fatalf("untruncated dump mentions truncation:\n%s", sb2.String())
-	}
-
-	// a disabled recorder drops nothing — it never accepts events at all
-	off := NewRecorder(false, 1)
-	off.Record(1, "c", "e")
-	off.Record(2, "c", "e")
-	if off.Truncated() || off.Dropped() != 0 {
-		t.Fatal("disabled recorder counted drops")
-	}
-}
-
 func TestSamplerCSV(t *testing.T) {
 	s := NewSampler(100)
 	s.Sample(1, "fifo", 0)
