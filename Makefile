@@ -1,18 +1,26 @@
 # Build/verify entry points. `make verify` is the full pre-merge gate:
-# vet + build + full tests + the race detector over the short suite (the
+# gofmt + vet + build + full tests + the race detector over the short suite (the
 # parallel experiment runner makes concurrency real, so every sink the
 # worker pool touches must stay race-free) + the diff smoke + the
 # benchmark's pins.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: build test vet race race-full verify benchpins bench benchquick fuzz-short cover diff-smoke
+.PHONY: build test fmt vet race race-full verify benchpins bench benchquick fuzz-short cover diff-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Formatting gate: gofmt -l over the tracked Go files (so build and smoke
+# directories such as .bench_build/ and .diffsmoke/ stay out), printing and
+# failing on any file it lists.
+fmt:
+	@files=$$($(GOFMT) -l $$(git ls-files '*.go')); \
+	if [ -n "$$files" ]; then echo "gofmt -l lists unformatted files:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -33,7 +41,7 @@ race:
 race-full:
 	$(GO) test -race ./...
 
-verify: vet build test race diff-smoke benchpins
+verify: fmt vet build test race diff-smoke benchpins
 
 # The benchmark's pins: one job of every perfbench workload at seed 1 must
 # simulate exactly the pinned counts. perfbench is a module of its own, so
@@ -70,14 +78,16 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-# Short coverage-guided fuzz of the binary decoders (seed corpora live in
+# Short coverage-guided fuzz of the decoders of external input: the trace
+# and snapshot binaries and the platform config parser (seed corpora live in
 # each package's testdata/fuzz). Ten seconds apiece is enough to exercise
 # the mutation engine against every validation path on each run; longer
 # local sessions just raise -fuzztime. Go allows one -fuzz target per
-# invocation, hence the two lines.
+# invocation, hence one line each.
 fuzz-short:
 	$(GO) test ./internal/tracecap -run '^$$' -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/platform -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s
+	$(GO) test ./internal/config -run '^$$' -fuzz FuzzParsePlatform -fuzztime 10s
 
 # The repository benchmark (perfbench/, declared in BENCHMARK.json): one
 # 28-second run of each workload through perfbench/run.sh, which builds

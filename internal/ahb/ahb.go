@@ -15,6 +15,7 @@ import (
 	"mpsocsim/internal/attr"
 	"mpsocsim/internal/bus"
 	"mpsocsim/internal/metrics"
+	"mpsocsim/internal/sim"
 )
 
 // Config parameterizes an AHB layer.
@@ -27,7 +28,10 @@ type Config struct {
 func DefaultConfig() Config { return Config{BytesPerBeat: 8} }
 
 // Bus is a single AHB layer: one shared channel, one transaction in flight.
+// It is gated (DESIGN.md §20): it sleeps after an edge on which it granted,
+// forwarded and stamped nothing, until a push or pop at one of its ports.
 type Bus struct {
+	act  sim.Activity
 	name string
 	cfg  Config
 
@@ -44,6 +48,9 @@ type Bus struct {
 	next       *bus.Request
 	nextTarget int
 	rr         int
+	// moved records that the current edge's Eval granted, forwarded or
+	// stamped something; an edge that only counted sleeps (see Update).
+	moved bool
 
 	// attrCol/attrNow, when set, stamp latency-attribution phases on every
 	// granted request (see EnableAttribution). attrHead caches, per
@@ -75,14 +82,20 @@ func New(name string, cfg Config, amap *bus.AddrMap) *Bus {
 // Name returns the layer name.
 func (b *Bus) Name() string { return b.name }
 
-// AttachInitiator connects a master; see bus.Fabric.
+// AttachInitiator connects a master; see bus.Fabric. The bus pops the
+// port's requests and pushes its responses.
 func (b *Bus) AttachInitiator(p *bus.InitiatorPort) int {
+	p.Req.PoppedBy(&b.act)
+	p.Resp.PushedBy(&b.act)
 	b.initiators = append(b.initiators, p)
 	return len(b.initiators) - 1
 }
 
-// AttachTarget connects a slave; see bus.Fabric.
+// AttachTarget connects a slave; see bus.Fabric. The bus pushes the port's
+// requests and pops its responses.
 func (b *Bus) AttachTarget(p *bus.TargetPort) int {
+	p.Req.PushedBy(&b.act)
+	p.Resp.PoppedBy(&b.act)
 	b.targets = append(b.targets, p)
 	return len(b.targets) - 1
 }
@@ -100,6 +113,7 @@ func (b *Bus) EnableAttribution(col *attr.Collector, now func() int64) {
 // Eval advances the bus one cycle.
 func (b *Bus) Eval() {
 	b.cycles++
+	b.moved = false
 	if b.attrCol != nil {
 		// Attach records to requests newly arrived at a master-port head
 		// (entering arb_wait). The bus is the sole consumer of these
@@ -119,6 +133,7 @@ func (b *Bus) Eval() {
 			}
 			bus.AttachAttr(b.attrCol, ip.Req.Peek(), now)
 			b.attrHead[i] = true
+			b.moved = true
 		}
 	}
 	if b.cur != nil {
@@ -136,6 +151,7 @@ func (b *Bus) Eval() {
 			if beat.Req.ID == b.cur.ID {
 				tp.Resp.Pop()
 				ip.Resp.Push(beat)
+				b.moved = true
 				b.dataBeats++
 				if beat.Last {
 					// the pipelined transaction (if any) enters
@@ -200,13 +216,41 @@ func (b *Bus) arbitrate() (*bus.Request, int) {
 		b.targets[t].Req.Push(req)
 		b.rr = (i + 1) % ni
 		b.granted++
+		b.moved = true
 		return req, t
 	}
 	return nil, -1
 }
 
-// Update: the bus owns no FIFOs.
-func (b *Bus) Update() {}
+// Update: the bus owns no FIFOs, so there is nothing to commit. After an
+// edge whose Eval only counted it sleeps until a push or pop at one of its
+// ports: the next Eval would see the same heads, the same free space and the
+// same data-phase state, and so would only count again — no head grantable
+// (absent, undecodable or its slave FIFO full; in a data phase, the
+// pipelined slot already held), no response beat of the data-phase
+// transaction able to move, and under attribution every visible head
+// already stamped. A push or pop by the other side during the edge pokes
+// the bus, which refuses the sleep.
+func (b *Bus) Update() {
+	if !b.moved {
+		b.act.Sleep()
+	}
+}
+
+// Activity returns the bus's sleep state.
+func (b *Bus) Activity() *sim.Activity { return &b.act }
+
+// CreditIdle books n skipped edges: the cycle counter, and the busy cycles
+// of a held data phase or, on an idle bus with a request queued, the stall
+// cycles.
+func (b *Bus) CreditIdle(n int64) {
+	b.cycles += n
+	if b.cur != nil {
+		b.busyCycles += n
+	} else if b.pendingRequest() {
+		b.stallCycles += n
+	}
+}
 
 // RegisterMetrics registers the layer's telemetry under "ahb.<name>.*" on
 // the given clock domain: grants, busy/stall cycles, data beats, and an

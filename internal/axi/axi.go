@@ -22,6 +22,7 @@ import (
 	"mpsocsim/internal/attr"
 	"mpsocsim/internal/bus"
 	"mpsocsim/internal/metrics"
+	"mpsocsim/internal/sim"
 )
 
 // Config parameterizes an AXI interconnect.
@@ -93,8 +94,12 @@ type perInitiator struct {
 	respPipeB []pipedBeat
 }
 
-// Interconnect is an AXI fabric.
+// Interconnect is an AXI fabric. It is gated (DESIGN.md §20): it sleeps
+// after an edge on which it moved and stamped nothing, with no write
+// streaming and no register stage occupied, until a push or pop at one of
+// its ports.
 type Interconnect struct {
+	act  sim.Activity
 	name string
 	cfg  Config
 
@@ -104,6 +109,11 @@ type Interconnect struct {
 
 	ts []perTarget
 	is []perInitiator
+
+	// moved records that the current edge's Eval changed anything but a
+	// counter: a grant, a W beat, a delivery, a forwarded response beat,
+	// a drained register stage or an attribution stamp.
+	moved bool
 
 	// attrCol/attrNow, when set, stamp latency-attribution phases on every
 	// request crossing the fabric (see EnableAttribution). attrHead
@@ -135,15 +145,21 @@ func New(name string, cfg Config, amap *bus.AddrMap) *Interconnect {
 // Name returns the fabric name.
 func (x *Interconnect) Name() string { return x.name }
 
-// AttachInitiator connects a master interface; see bus.Fabric.
+// AttachInitiator connects a master interface; see bus.Fabric. The
+// interconnect pops the port's requests and pushes its responses.
 func (x *Interconnect) AttachInitiator(p *bus.InitiatorPort) int {
+	p.Req.PoppedBy(&x.act)
+	p.Resp.PushedBy(&x.act)
 	x.initiators = append(x.initiators, p)
 	x.is = append(x.is, perInitiator{outTarget: -1})
 	return len(x.initiators) - 1
 }
 
-// AttachTarget connects a slave interface; see bus.Fabric.
+// AttachTarget connects a slave interface; see bus.Fabric. The
+// interconnect pushes the port's requests and pops its responses.
 func (x *Interconnect) AttachTarget(p *bus.TargetPort) int {
+	p.Req.PushedBy(&x.act)
+	p.Resp.PoppedBy(&x.act)
 	x.targets = append(x.targets, p)
 	x.ts = append(x.ts, perTarget{})
 	return len(x.targets) - 1
@@ -163,6 +179,7 @@ func (x *Interconnect) EnableAttribution(col *attr.Collector, now func() int64) 
 // Eval advances all five channel groups one cycle.
 func (x *Interconnect) Eval() {
 	x.cycles++
+	x.moved = false
 	if x.attrCol != nil {
 		// Attach records to requests newly arrived at a port head
 		// (entering arb_wait). The fabric is the sole consumer of these
@@ -182,6 +199,7 @@ func (x *Interconnect) Eval() {
 			}
 			bus.AttachAttr(x.attrCol, ip.Req.Peek(), now)
 			x.attrHead[i] = true
+			x.moved = true
 		}
 	}
 	if x.cfg.RegisterStages > 0 {
@@ -191,9 +209,7 @@ func (x *Interconnect) Eval() {
 		x.evalWriteChannels(t)
 		x.evalReadAddress(t)
 	}
-	for i := range x.initiators {
-		x.evalResponses(i)
-	}
+	x.evalResponses()
 }
 
 // drainPipes moves matured register-stage entries into the ports, one per
@@ -208,6 +224,7 @@ func (x *Interconnect) drainPipes() {
 				rec.Enter(attr.PhaseTargetQueue, x.attrNow())
 			}
 			x.targets[t].Req.Push(pt.reqPipe[0].req)
+			x.moved = true
 			n := copy(pt.reqPipe, pt.reqPipe[1:])
 			pt.reqPipe[n] = pipedReq{}
 			pt.reqPipe = pt.reqPipe[:n]
@@ -218,12 +235,14 @@ func (x *Interconnect) drainPipes() {
 		ip := x.initiators[i]
 		if len(pi.respPipeR) > 0 && pi.respPipeR[0].at <= x.cycles && ip.Resp.CanPush() {
 			ip.Resp.Push(pi.respPipeR[0].beat)
+			x.moved = true
 			n := copy(pi.respPipeR, pi.respPipeR[1:])
 			pi.respPipeR[n] = pipedBeat{}
 			pi.respPipeR = pi.respPipeR[:n]
 		}
 		if len(pi.respPipeB) > 0 && pi.respPipeB[0].at <= x.cycles && ip.Resp.CanPush() {
 			ip.Resp.Push(pi.respPipeB[0].beat)
+			x.moved = true
 			n := copy(pi.respPipeB, pi.respPipeB[1:])
 			pi.respPipeB[n] = pipedBeat{}
 			pi.respPipeB = pi.respPipeB[:n]
@@ -251,8 +270,53 @@ func (x *Interconnect) deliverReq(t int, req *bus.Request) {
 	x.ts[t].reqPipe = append(x.ts[t].reqPipe, pipedReq{req: req, at: x.cycles + int64(x.cfg.RegisterStages)})
 }
 
-// Update: the interconnect owns no FIFOs.
-func (x *Interconnect) Update() {}
+// Update: the interconnect owns no FIFOs, so there is nothing to commit.
+// After an edge whose Eval only counted it sleeps until a push or pop at one
+// of its ports: with no write streaming beats (a stream moves every edge)
+// and every register stage empty (a piped entry matures with time), the
+// next Eval would see the same heads, windows and free space, and so would
+// only count again — no head grantable (absent, undecodable, its slave FIFO
+// full, or held by the outstanding or in-order window), no response head
+// able to move to its initiator, and under attribution every visible head
+// already stamped. A push or pop by the other side during the edge pokes
+// the interconnect, which refuses the sleep.
+func (x *Interconnect) Update() {
+	if !x.moved && x.pipesEmpty() {
+		x.act.Sleep()
+	}
+}
+
+// pipesEmpty reports whether no register stage holds a request or a beat.
+func (x *Interconnect) pipesEmpty() bool {
+	if x.cfg.RegisterStages == 0 {
+		return true
+	}
+	for t := range x.ts {
+		if len(x.ts[t].reqPipe) > 0 {
+			return false
+		}
+	}
+	for i := range x.is {
+		if len(x.is[i].respPipeR) > 0 || len(x.is[i].respPipeB) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Activity returns the interconnect's sleep state.
+func (x *Interconnect) Activity() *sim.Activity { return &x.act }
+
+// CreditIdle books n skipped edges: the cycle counter, and a W stall per
+// edge for every slave whose completed write waits on its full FIFO.
+func (x *Interconnect) CreditIdle(n int64) {
+	x.cycles += n
+	for t := range x.ts {
+		if pt := &x.ts[t]; pt.wCur != nil && pt.wBeatsLeft <= 0 && !x.canDeliverReq(t) {
+			x.wStalls += n
+		}
+	}
+}
 
 // headFor returns the index of initiator i's head request if it decodes to
 // target t, matches op, and i has window space; otherwise nil.
@@ -282,6 +346,7 @@ func (x *Interconnect) evalWriteChannels(t int) {
 		if pt.wBeatsLeft > 0 {
 			pt.busyW++
 			pt.wBeatsLeft--
+			x.moved = true
 		}
 		if pt.wBeatsLeft <= 0 {
 			// Hand the completed write to the slave; if reads filled
@@ -292,6 +357,7 @@ func (x *Interconnect) evalWriteChannels(t int) {
 				return
 			}
 			x.deliverReq(t, pt.wCur)
+			x.moved = true
 			x.forwarded++
 			if pt.wCur.Posted {
 				x.retire(pt.wCur.Src, pt.wCur.ID)
@@ -359,57 +425,86 @@ func (x *Interconnect) evalReadAddress(t int) {
 }
 
 // evalResponses forwards up to one read beat (R channel) and one write
-// response (B channel) to initiator i.
-func (x *Interconnect) evalResponses(i int) {
+// response (B channel) to each initiator. Only a beat's source may take it,
+// so the sweep visits just the initiators owning a committed target
+// response head, in index order. A pop exposes the target's next beat,
+// which a later initiator in the sweep may take — as it would if every
+// initiator were scanned in turn.
+func (x *Interconnect) evalResponses() {
+	for i := x.nextOwner(-1); i >= 0; i = x.nextOwner(i) {
+		x.forward(i, bus.OpRead)
+		x.forward(i, bus.OpWrite)
+	}
+}
+
+// nextOwner returns the lowest initiator index above i that owns a
+// committed target response head, or -1.
+func (x *Interconnect) nextOwner(i int) int {
+	next := -1
+	for _, tp := range x.targets {
+		if !tp.Resp.CanPop() {
+			continue
+		}
+		if s := tp.Resp.Peek().Req.Src; s > i && (next < 0 || s < next) {
+			next = s
+		}
+	}
+	if next >= len(x.initiators) {
+		return -1
+	}
+	return next
+}
+
+// forward moves one response beat of kind op to initiator i: the first
+// eligible target head round-robin from the channel's pointer — i's beat,
+// next in order under InOrder, with room in the port or register stage.
+func (x *Interconnect) forward(i int, op bus.Op) {
 	pi := &x.is[i]
 	ip := x.initiators[i]
-	nt := len(x.targets)
-	canDeliver := func(pipe []pipedBeat) bool {
-		if x.cfg.RegisterStages == 0 {
-			return ip.Resp.CanPush()
-		}
-		return len(pipe) < x.cfg.RegisterStages+2
+	rr, busy, pipe, ord := &pi.rRR, &pi.busyR, &pi.respPipeR, pi.oldestR
+	if op == bus.OpWrite {
+		rr, busy, pipe, ord = &pi.bRR, &pi.busyB, &pi.respPipeB, pi.oldestW
 	}
-	forward := func(op bus.Op, rr *int, busy *int64, pipe *[]pipedBeat) {
-		for k := 0; k < nt; k++ {
-			t := (*rr + k) % nt
-			tp := x.targets[t]
-			if !tp.Resp.CanPop() || !canDeliver(*pipe) {
-				continue
-			}
-			beat := tp.Resp.Peek()
-			if beat.Req.Src != i || beat.Req.Op != op {
-				continue
-			}
-			if x.cfg.InOrder {
-				ord := pi.oldestR
-				if op == bus.OpWrite {
-					ord = pi.oldestW
-				}
-				if len(ord) > 0 && ord[0] != beat.Req.ID {
-					continue
-				}
-			}
-			tp.Resp.Pop()
-			if x.cfg.RegisterStages == 0 {
-				ip.Resp.Push(beat)
-			} else {
-				*pipe = append(*pipe, pipedBeat{beat: beat, at: x.cycles + int64(x.cfg.RegisterStages)})
-			}
-			*busy++
-			x.beatsOut++
-			if beat.Last {
-				x.retire(i, beat.Req.ID)
-			}
-			*rr = (t + 1) % nt
+	if x.cfg.RegisterStages == 0 {
+		if !ip.Resp.CanPush() {
 			return
 		}
+	} else if len(*pipe) >= x.cfg.RegisterStages+2 {
+		return
 	}
-	forward(bus.OpRead, &pi.rRR, &pi.busyR, &pi.respPipeR)
-	forward(bus.OpWrite, &pi.bRR, &pi.busyB, &pi.respPipeB)
+	nt := len(x.targets)
+	for k := 0; k < nt; k++ {
+		t := (*rr + k) % nt
+		tp := x.targets[t]
+		if !tp.Resp.CanPop() {
+			continue
+		}
+		beat := tp.Resp.Peek()
+		if beat.Req.Src != i || beat.Req.Op != op {
+			continue
+		}
+		if x.cfg.InOrder && len(ord) > 0 && ord[0] != beat.Req.ID {
+			continue
+		}
+		tp.Resp.Pop()
+		if x.cfg.RegisterStages == 0 {
+			ip.Resp.Push(beat)
+		} else {
+			*pipe = append(*pipe, pipedBeat{beat: beat, at: x.cycles + int64(x.cfg.RegisterStages)})
+		}
+		x.moved = true
+		*busy++
+		x.beatsOut++
+		if beat.Last {
+			x.retire(i, beat.Req.ID)
+		}
+		*rr = (t + 1) % nt
+		return
+	}
 }
 
 func (x *Interconnect) issue(i int, req *bus.Request) {
+	x.moved = true
 	if x.attrCol != nil {
 		// Attach here as well as at the head scan: the AR and AW channels
 		// can both pop from one port in a single cycle, and the second

@@ -331,3 +331,31 @@ func TestRegisterStagesPreserveBeatOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestResponseSweepTakesExposedBeats pins the response sweep's order: a
+// pop exposes the target's next beat, which a later initiator in the sweep
+// takes in the same cycle, while an initiator whose turn has passed waits
+// for the next cycle.
+func TestResponseSweepTakesExposedBeats(t *testing.T) {
+	x := New("axi0", DefaultConfig(), bus.Single(0))
+	var inis []*bus.InitiatorPort
+	for i := 0; i < 3; i++ {
+		p := bus.NewInitiatorPort("ini", 2, 2)
+		x.AttachInitiator(p)
+		inis = append(inis, p)
+	}
+	tp := bus.NewTargetPort("tgt", 1, 4)
+	x.AttachTarget(tp)
+	for _, src := range []int{1, 2, 0} {
+		tp.Resp.Push(bus.Beat{Req: &bus.Request{ID: uint64(src), Src: src}, Last: true})
+	}
+	tp.Resp.Update()
+	x.Eval()
+	var got []int
+	for _, p := range inis {
+		got = append(got, p.Resp.Staged())
+	}
+	if got[0] != 0 || got[1] != 1 || got[2] != 1 {
+		t.Fatalf("beats forwarded per initiator = %v, want [0 1 1]", got)
+	}
+}

@@ -20,7 +20,7 @@ import (
 //	waitstates = 1             # on-chip memory wait states
 //	lmi.sdram.cas = 3          # SDRAM CAS latency in memory cycles (>= 1)
 //	stbustype = 3              # 1 | 2 | 3
-//	scale     = 1.0
+//	scale     = 1.0            # workload scale, at most 1000
 //	seed      = 1
 //	twophase  = false
 //	splitlmi  = false
@@ -28,11 +28,13 @@ import (
 //	messaging = true
 //	io        = false          # attach the I/O subsystem (DMA + IRQ agents + heap allocator)
 //	io.dma.descriptors = 0     # 0 = default, negative disables the DMA engine
-//	io.irq.agents      = 0     # 0 = default (2), negative disables the IRQ agents
+//	io.irq.agents      = 0     # 0 = default (2), negative disables the IRQ agents, at most 64
 //	io.irq.deadline    = 0     # per-event service deadline in I/O cycles (0 = default)
 //	io.alloc.ops       = 0     # 0 = default, negative disables the heap allocator
 //
 // Unset keys keep platform.DefaultSpec values. '#' and ';' start comments.
+// The bounds on scale and io.irq.agents keep what Build preallocates (each
+// IRQ agent's event ring grows with the scale) far below any host's memory.
 func ParsePlatform(r io.Reader) (platform.Spec, error) {
 	spec := platform.DefaultSpec()
 	sc := bufio.NewScanner(r)
@@ -79,6 +81,12 @@ func ParsePlatform(r io.Reader) (platform.Spec, error) {
 func ParsePlatformString(s string) (platform.Spec, error) {
 	return ParsePlatform(strings.NewReader(s))
 }
+
+// Upper bounds of the platform keys whose values size what Build allocates.
+const (
+	maxScale     = 1000
+	maxIRQAgents = 64
+)
 
 func platformKey(spec *platform.Spec, key, val string) error {
 	switch key {
@@ -131,8 +139,8 @@ func platformKey(spec *platform.Spec, key, val string) error {
 		spec.STBusType = stbus.Type(n)
 	case "scale":
 		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f <= 0 {
-			return fmt.Errorf("scale wants a positive number, got %q", val)
+		if err != nil || !(f > 0 && f <= maxScale) {
+			return fmt.Errorf("scale wants a positive number up to %d, got %q", maxScale, val)
 		}
 		spec.WorkloadScale = f
 	case "seed":
@@ -179,8 +187,8 @@ func platformKey(spec *platform.Spec, key, val string) error {
 		spec.IO.DMADescriptors = n
 	case "io.irq.agents":
 		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("io.irq.agents wants an integer, got %q", val)
+		if err != nil || n > maxIRQAgents {
+			return fmt.Errorf("io.irq.agents wants an integer up to %d, got %q", maxIRQAgents, val)
 		}
 		spec.IO.IRQAgents = n
 	case "io.irq.deadline":

@@ -83,6 +83,10 @@ func TestParsePlatformErrors(t *testing.T) {
 		{"bad-waits", "[platform]\nwaitstates = -1", "waitstates"},
 		{"bad-type", "[platform]\nstbustype = 5", "stbustype"},
 		{"bad-scale", "[platform]\nscale = 0", "scale"},
+		{"nan-scale", "[platform]\nscale = NaN", "scale"},
+		{"inf-scale", "[platform]\nscale = +Inf", "scale"},
+		{"huge-scale", "[platform]\nscale = 1e9", "scale"},
+		{"many-irq-agents", "[platform]\nio.irq.agents = 1000000", "io.irq.agents"},
 		{"bad-seed", "[platform]\nseed = x", "seed"},
 		{"bad-bool", "[platform]\ndsp = maybe", "boolean"},
 		{"unknown-key", "[platform]\ncolor = blue", "unknown platform key"},

@@ -10,21 +10,31 @@ import (
 // reached steady state, stepping the kernel performs zero heap allocations
 // per cycle. Queue capacities, the request pool, and the stats arenas are all
 // grown during warm-up; after that every data structure is recycled in place.
+// It holds on the reference platform and on distributed AHB and AXI
+// platforms, whose fabrics sleep and wake as well.
 func TestZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is slow under -short")
 	}
-	p := MustBuild(DefaultSpec())
-	// Warm up past every high-water mark: queue growth, pool population,
-	// phase-tracker windows. 5000 central cycles is ~10x the deepest
-	// transient observed in the reference workload.
-	p.Kernel.RunCycles(p.CentralClk, 5000)
+	ahbSpec, axiSpec := DefaultSpec(), DefaultSpec()
+	ahbSpec.Protocol, ahbSpec.Memory = AHB, OnChip
+	axiSpec.Protocol = AXI
+	for _, spec := range []Spec{DefaultSpec(), ahbSpec, axiSpec} {
+		t.Run(spec.Name(), func(t *testing.T) {
+			p := MustBuild(spec)
+			// Warm up past every high-water mark: queue growth, pool
+			// population, phase-tracker windows. 5000 central cycles is
+			// ~10x the deepest transient observed in the reference
+			// workload.
+			p.Kernel.RunCycles(p.CentralClk, 5000)
 
-	allocs := testing.AllocsPerRun(2000, func() {
-		p.Kernel.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Step allocates: %.2f allocs/step (want 0)", allocs)
+			allocs := testing.AllocsPerRun(2000, func() {
+				p.Kernel.Step()
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state Step allocates: %.2f allocs/step (want 0)", allocs)
+			}
+		})
 	}
 }
 

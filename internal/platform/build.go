@@ -224,6 +224,11 @@ type instrumented interface {
 // Build assembles a platform instance from the spec.
 func Build(spec Spec) (*Platform, error) {
 	spec.normalize()
+	switch spec.Protocol {
+	case STBus, AHB, AXI:
+	default:
+		return nil, fmt.Errorf("platform: unknown protocol %d", spec.Protocol)
+	}
 	p := &Platform{
 		Spec:       spec,
 		Kernel:     sim.NewKernel(),
@@ -241,7 +246,9 @@ func Build(spec Spec) (*Platform, error) {
 		return nil, err
 	}
 	if spec.WithDSP {
-		p.buildDSP()
+		if err := p.buildDSP(); err != nil {
+			return nil, err
+		}
 	}
 	if err := p.buildIO(); err != nil {
 		return nil, err
@@ -505,6 +512,9 @@ func (p *Platform) buildMemory() error {
 		return nil
 	case LMIDDR:
 		cfg := p.Spec.LMI
+		if err := cfg.SDRAM.Validate(); err != nil {
+			return fmt.Errorf("platform: %w", err)
+		}
 		p.ctrl = lmi.New("lmi", cfg)
 		if p.Spec.Protocol == STBus {
 			// the LMI is STBus-native: direct attach
@@ -647,7 +657,7 @@ func (p *Platform) Capture() *tracecap.Capture { return p.capture }
 
 // buildDSP adds the ST220-class core behind its upsize (32->64 bit) and
 // frequency (400->250 MHz) converter.
-func (p *Platform) buildDSP() {
+func (p *Platform) buildDSP() error {
 	const mb = 1 << 20
 	p.CPUClk = p.Kernel.NewClock("cpu", CPUMHz)
 	iters := p.Spec.DSPIterations
@@ -665,7 +675,11 @@ func (p *Platform) buildDSP() {
 	if p.Spec.DSPDCacheKB > 0 {
 		coreCfg.DCache.SizeBytes = p.Spec.DSPDCacheKB << 10
 	}
-	p.core = dspcore.MustNew(coreCfg, prog, p.CPUClk, p.newIDSource(dspOrigin), dspOrigin)
+	core, err := dspcore.New(coreCfg, prog, p.CPUClk, p.newIDSource(dspOrigin), dspOrigin)
+	if err != nil {
+		return fmt.Errorf("platform: %w", err)
+	}
+	p.core = core
 
 	var convCfg bridge.Config
 	if p.Spec.Protocol == STBus {
@@ -693,6 +707,7 @@ func (p *Platform) buildDSP() {
 	p.CPUClk.Register(link)
 	p.CPUClk.Register(conv.TargetSide)
 	p.regCentral("cpu", conv.InitiatorSide)
+	return nil
 }
 
 // Initiators returns the platform's traffic sources (live generators or

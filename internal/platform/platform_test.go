@@ -335,6 +335,37 @@ func TestSpecNameAndStrings(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsBadSpecs requires Build to return an error, not panic or
+// substitute a default, on specs it cannot build: a D-cache whose set count
+// is not a power of two, an SDRAM geometry with no banks or no bytes per
+// column, and a protocol outside the enum.
+func TestBuildRejectsBadSpecs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(s *Spec)
+		want string
+	}{
+		{"dcache-3KB", func(s *Spec) { s.DSPDCacheKB = 3 }, "power of two"},
+		{"dcache-48KB", func(s *Spec) { s.DSPDCacheKB = 48 }, "power of two"},
+		{"sdram-no-banks", func(s *Spec) { s.LMI.SDRAM.Geometry.Banks = 0 }, "bank"},
+		{"sdram-no-column-bytes", func(s *Spec) { s.LMI.SDRAM.Geometry.BytesPerCol = 0 }, "BytesPerCol"},
+		{"protocol-7", func(s *Spec) { s.Protocol = 7 }, "unknown protocol"},
+		{"protocol-negative", func(s *Spec) { s.Protocol = -1 }, "unknown protocol"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := quick(STBus, Distributed, LMIDDR)
+			c.edit(&s)
+			p, err := Build(s)
+			if err == nil {
+				t.Fatalf("Build returned a platform (%s), want an error", p.Spec.Name())
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not mention %q", err, c.want)
+			}
+		})
+	}
+}
+
 func TestAttachSampler(t *testing.T) {
 	p := MustBuild(quick(STBus, Distributed, LMIDDR))
 	s := trace.NewSampler(1 << 16)

@@ -89,13 +89,23 @@ type Device struct {
 	rowMisses  int64
 }
 
-// New builds a device; all banks start precharged.
-func New(cfg Config) *Device {
-	if cfg.Geometry.Banks <= 0 {
-		panic("sdram: need at least one bank")
+// Validate reports a geometry the device cannot address: no banks, or no
+// bytes per column.
+func (c Config) Validate() error {
+	if c.Geometry.Banks <= 0 {
+		return fmt.Errorf("sdram: need at least one bank, got %d", c.Geometry.Banks)
 	}
-	if cfg.Geometry.BytesPerCol <= 0 {
-		panic("sdram: BytesPerCol must be positive")
+	if c.Geometry.BytesPerCol <= 0 {
+		return fmt.Errorf("sdram: BytesPerCol must be positive, got %d", c.Geometry.BytesPerCol)
+	}
+	return nil
+}
+
+// New builds a device; all banks start precharged. It panics on a config
+// Validate rejects.
+func New(cfg Config) *Device {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	d := &Device{cfg: cfg, banks: make([]bank, cfg.Geometry.Banks)}
 	for i := range d.banks {

@@ -1,7 +1,8 @@
 // Package testutil provides small scripted components shared by the test
 // suites of the fabric, bridge, memory-controller and platform packages: a
-// scripted initiator that replays a fixed request sequence, and a probe
-// target that records arrivals and answers instantly.
+// scripted initiator that replays a fixed request sequence, a probe target
+// that records arrivals and answers instantly, and the backpressure rig
+// that holds each gated fabric to full evaluation (backpressure.go).
 package testutil
 
 import (
