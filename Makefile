@@ -79,15 +79,22 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # Short coverage-guided fuzz of the decoders of external input: the trace
-# and snapshot binaries and the platform config parser (seed corpora live in
+# and snapshot binaries, the platform config parser, and the report/2 JSON
+# and telemetry NDJSON readers behind `mpsocsim diff` (seed corpora live in
 # each package's testdata/fuzz). Ten seconds apiece is enough to exercise
 # the mutation engine against every validation path on each run; longer
 # local sessions just raise -fuzztime. Go allows one -fuzz target per
-# invocation, hence one line each.
+# invocation, hence one line each. The snapshot and diff seeds are whole
+# snapshots, reports and streams of tens of kB, which Go's default
+# 60-second minimization of every new input spends the whole budget on
+# (the snapshot fuzzer ran 360 inputs in ten seconds), so those lines cap
+# it at 20 runs.
 fuzz-short:
 	$(GO) test ./internal/tracecap -run '^$$' -fuzz FuzzDecode -fuzztime 10s
-	$(GO) test ./internal/platform -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s
+	$(GO) test ./internal/platform -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/config -run '^$$' -fuzz FuzzParsePlatform -fuzztime 10s
+	$(GO) test ./internal/diff -run '^$$' -fuzz FuzzReports -fuzztime 10s -fuzzminimizetime 20x
+	$(GO) test ./internal/diff -run '^$$' -fuzz FuzzStreams -fuzztime 10s -fuzzminimizetime 20x
 
 # The repository benchmark (perfbench/, declared in BENCHMARK.json): one
 # 28-second run of each workload through perfbench/run.sh, which builds

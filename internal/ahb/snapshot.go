@@ -35,7 +35,7 @@ func (b *Bus) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	b.curTarget = int(d.I())
 	b.next = bus.DecodeReqRef(d, col)
 	b.nextTarget = int(d.I())
-	b.rr = int(d.I())
+	b.rr = d.Int(0, max(len(b.initiators)-1, 0), "ahb %q round-robin pointer", b.name)
 	nh := d.N(1 << 16)
 	if d.Err() != nil {
 		return

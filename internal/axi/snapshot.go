@@ -81,8 +81,8 @@ func (x *Interconnect) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 		pt := &x.ts[t]
 		pt.wCur = bus.DecodeReqRef(d, col)
 		pt.wBeatsLeft = int(d.I())
-		pt.arRR = int(d.I())
-		pt.awRR = int(d.I())
+		pt.arRR = d.Int(0, max(len(x.is)-1, 0), "axi %q slave %d AR pointer", x.name, t)
+		pt.awRR = d.Int(0, max(len(x.is)-1, 0), "axi %q slave %d AW pointer", x.name, t)
 		pt.busyAR = d.I()
 		pt.busyW = d.I()
 		np := d.N(1 << 16)
@@ -106,8 +106,8 @@ func (x *Interconnect) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	}
 	for i := range x.is {
 		pi := &x.is[i]
-		pi.rRR = int(d.I())
-		pi.bRR = int(d.I())
+		pi.rRR = d.Int(0, max(nt-1, 0), "axi %q master %d R pointer", x.name, i)
+		pi.bRR = d.Int(0, max(nt-1, 0), "axi %q master %d B pointer", x.name, i)
 		pi.busyR = d.I()
 		pi.busyB = d.I()
 		pi.outst = int(d.I())

@@ -59,8 +59,9 @@ type ScalarDelta struct {
 }
 
 // ValueDelta is the change of one integer instrument (counter or gauge).
-// Rel is delta over the larger magnitude, so it is bounded to [-1, 1] and
-// stays JSON-encodable when one side is zero.
+// Rel is delta over the larger magnitude, so it is bounded to [-2, 2]
+// (beyond ±1 only when the sides have opposite signs) and stays
+// JSON-encodable when one side is zero.
 type ValueDelta struct {
 	Name  string  `json:"name"`
 	A     int64   `json:"a"`
@@ -139,15 +140,30 @@ type ReportDiff struct {
 	Deadlines       []DeadlineDelta `json:"deadlines,omitempty"`
 }
 
-// rel is the bounded relative change: delta over the larger magnitude.
-// Symmetric in the sense that swapping sides only flips the sign, and
-// defined (as 0) when both sides are zero.
+// rel is the bounded relative change: delta over the larger magnitude, in
+// [-2, 2]. Symmetric in the sense that swapping sides only flips the sign,
+// and defined (as 0) when both sides are zero. Sides of opposite sign near
+// the float64 limit overflow b − a to ±Inf, so only then is each side scaled
+// before subtracting.
 func rel(a, b float64) float64 {
 	if a == b {
 		return 0
 	}
 	m := math.Max(math.Abs(a), math.Abs(b))
-	return (b - a) / m
+	if d := b - a; !math.IsInf(d, 0) {
+		return d / m
+	}
+	return b/m - a/m
+}
+
+// delta is b − a, saturated at ±math.MaxFloat64 where it overflows, so a
+// scalar row stays JSON-encodable.
+func delta(a, b float64) float64 {
+	d := b - a
+	if math.IsInf(d, 0) {
+		return math.Copysign(math.MaxFloat64, d)
+	}
+	return d
 }
 
 // rankValues orders instrument deltas most-disturbed first: |rel| desc,
@@ -172,18 +188,34 @@ func rankValues(ds []ValueDelta) {
 	})
 }
 
-// ReadReportFile loads a report/2 JSON document, checking its schema family.
+// ReadReportFile loads a report/2 JSON document from a file (see
+// ReadReport).
 func ReadReportFile(path string) (*platform.Report, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	rep, err := ReadReport(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return rep, nil
+}
+
+// ReadReport decodes one report/2 JSON document, checking its schema
+// family. Any document it accepts can be diffed against any other.
+func ReadReport(r io.Reader) (*platform.Report, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
 	var rep platform.Report
 	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	if !strings.HasPrefix(rep.Schema, "mpsocsim.report/") {
-		return nil, fmt.Errorf("%s: schema %q is not a run report", path, rep.Schema)
+		return nil, fmt.Errorf("schema %q is not a run report", rep.Schema)
 	}
 	return &rep, nil
 }
@@ -227,7 +259,7 @@ func diffScalars(a, b *platform.Report) []ScalarDelta {
 	}
 	out := make([]ScalarDelta, len(rows))
 	for i, r := range rows {
-		out[i] = ScalarDelta{Name: r.name, A: r.a, B: r.b, Delta: r.b - r.a, Rel: rel(r.a, r.b)}
+		out[i] = ScalarDelta{Name: r.name, A: r.a, B: r.b, Delta: delta(r.a, r.b), Rel: rel(r.a, r.b)}
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package diff
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"mpsocsim/internal/config"
@@ -101,6 +102,41 @@ func TestReportDiffJSONDeterministic(t *testing.T) {
 	}
 	if doc["schema"] != Schema {
 		t.Fatalf("schema = %v", doc["schema"])
+	}
+}
+
+// TestReportDiffOppositeExtremes diffs two copies of one report whose first
+// histogram mean and throughput sit at opposite ends of the float64 range:
+// b − a overflows, yet the relative changes must come out −2, the scalar
+// delta saturate, and the document render.
+func TestReportDiffOppositeExtremes(t *testing.T) {
+	raw, err := json.Marshal(runReport(t, "[platform]\nscale = 0.05\n", false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sides [2]*platform.Report
+	for i, v := range []float64{1e308, -1e308} {
+		if sides[i], err = ReadReport(bytes.NewReader(raw)); err != nil {
+			t.Fatal(err)
+		}
+		if len(sides[i].Metrics.Histograms) == 0 {
+			t.Fatal("report has no histograms")
+		}
+		sides[i].Metrics.Histograms[0].Mean = v
+		sides[i].ThroughputMBps = v
+	}
+	d := Reports(sides[0], sides[1], "a.json", "b.json")
+	var buf bytes.Buffer
+	if err := d.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	if len(d.Histograms) != 1 || d.Histograms[0].Rel != -2 {
+		t.Fatalf("histogram rows = %+v, want one with rel -2", d.Histograms)
+	}
+	for _, s := range d.Scalars {
+		if s.Name == "throughput_mbps" && (s.Rel != -2 || s.Delta != -math.MaxFloat64) {
+			t.Fatalf("throughput row = %+v, want rel -2 and delta -MaxFloat64", s)
+		}
 	}
 }
 

@@ -213,6 +213,23 @@ func (d *Decoder) I() int64 {
 	return v
 }
 
+// Int reads a signed varint that must lie in [lo, hi] — an index, a
+// round-robin pointer or a bounded count the restored component will act
+// on — and rejects any other value as corrupt, naming the field by format
+// and args.
+func (d *Decoder) Int(lo, hi int, format string, args ...any) int {
+	at := d.off
+	v := d.I()
+	if d.err != nil {
+		return 0
+	}
+	if v < int64(lo) || v > int64(hi) {
+		d.fail(ErrCorrupt, at, "%s %d out of range [%d, %d]", fmt.Sprintf(format, args...), v, lo, hi)
+		return 0
+	}
+	return int(v)
+}
+
 // Bool reads a boolean.
 func (d *Decoder) Bool() bool {
 	at := d.off

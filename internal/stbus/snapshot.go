@@ -1,6 +1,8 @@
 package stbus
 
 import (
+	"math"
+
 	"mpsocsim/internal/attr"
 	"mpsocsim/internal/bus"
 	"mpsocsim/internal/snapshot"
@@ -47,40 +49,38 @@ func (n *Node) EncodeState(e *snapshot.Encoder) {
 }
 
 // DecodeState restores a node serialized by EncodeState. The receiver must
-// have the same attached initiator/target counts (rebuilt from the spec).
+// have the same attached initiator/target counts (rebuilt from the spec);
+// every pointer, lock and window it restores must index them.
 func (n *Node) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	d.Tag('S')
-	nt := d.N(1 << 16)
-	if d.Err() != nil {
-		return
+	ni, nt := len(n.initiators), len(n.targets)
+	if c := d.N(1 << 16); d.Err() == nil && c != nt {
+		d.Corrupt("stbus %q target count %d does not match platform's %d", n.name, c, nt)
 	}
-	if nt != len(n.reqCh) {
-		d.Corrupt("stbus %q target count %d does not match platform's %d", n.name, nt, len(n.reqCh))
+	if d.Err() != nil {
 		return
 	}
 	for t := range n.reqCh {
 		ch := &n.reqCh[t]
 		ch.cur = bus.DecodeReqRef(d, col)
-		ch.beatsLeft = int(d.I())
-		ch.msgLock = int(d.I())
-		ch.rr = int(d.I())
+		ch.beatsLeft = d.Int(0, math.MaxInt, "stbus %q target %d beats left", n.name, t)
+		ch.msgLock = d.Int(-1, ni-1, "stbus %q target %d message lock", n.name, t)
+		ch.rr = d.Int(0, max(ni-1, 0), "stbus %q target %d round-robin pointer", n.name, t)
 		ch.busyCycles = d.I()
 	}
-	ni := d.N(1 << 16)
+	if c := d.N(1 << 16); d.Err() == nil && c != ni {
+		d.Corrupt("stbus %q initiator count %d does not match platform's %d", n.name, c, ni)
+	}
 	if d.Err() != nil {
 		return
 	}
-	if ni != len(n.respCh) {
-		d.Corrupt("stbus %q initiator count %d does not match platform's %d", n.name, ni, len(n.respCh))
-		return
-	}
 	for i := range n.respCh {
-		n.respCh[i].rr = int(d.I())
+		n.respCh[i].rr = d.Int(0, max(nt-1, 0), "stbus %q initiator %d response pointer", n.name, i)
 		n.respCh[i].busyCycles = d.I()
 	}
 	for i := range n.outstanding {
-		n.outstanding[i] = int(d.I())
-		n.outTarget[i] = int(d.I())
+		n.outstanding[i] = d.Int(0, n.cfg.MaxOutstanding, "stbus %q initiator %d outstanding", n.name, i)
+		n.outTarget[i] = d.Int(-1, nt-1, "stbus %q initiator %d window target", n.name, i)
 		cnt := d.N(1 << 16)
 		n.order[i] = n.order[i][:0]
 		for j := 0; j < cnt; j++ {

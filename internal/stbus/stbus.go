@@ -96,9 +96,9 @@ type respChannel struct {
 	busyCycles int64
 }
 
-// Node is an STBus crossbar node, gated: it sleeps while no transfer is in
-// progress and no request or response can move — nothing is queued, or the
-// FIFO it would move into is full.
+// Node is an STBus crossbar node. It is gated (DESIGN.md §20): it sleeps
+// after an edge on which it granted, transferred, delivered and stamped
+// nothing, until a push or pop at one of its ports.
 type Node struct {
 	act  sim.Activity
 	name string
@@ -120,6 +120,10 @@ type Node struct {
 	// one initiator on a single target so that in-order delivery cannot
 	// cross-block between targets (the standard in-order issue rule).
 	outTarget []int
+
+	// moved records that this edge's Eval granted, transferred, delivered
+	// or stamped something; an edge that only counted sleeps (see Update).
+	moved bool
 
 	// attrCol/attrNow, when set, make the node stamp latency-attribution
 	// phases on every request it arbitrates (see EnableAttribution).
@@ -190,6 +194,7 @@ func (n *Node) EnableAttribution(col *attr.Collector, now func() int64) {
 // Eval advances request and response paths one node cycle.
 func (n *Node) Eval() {
 	n.cycles++
+	n.moved = false
 	if n.attrCol != nil {
 		n.scanAttrHeads()
 	}
@@ -217,55 +222,21 @@ func (n *Node) scanAttrHeads() {
 		}
 		bus.AttachAttr(n.attrCol, ip.Req.Peek(), now)
 		n.attrHead[i] = true
+		n.moved = true
 	}
 }
 
-// Update: the node owns no FIFOs (ports are owned by the attached
-// components), so there is nothing to commit. It sleeps while its next Eval
-// would only count — stalled — until a push or pop at one of its ports.
+// Update: the node owns no FIFOs, so there is nothing to commit. After an
+// edge whose Eval moved nothing it sleeps until a push or pop at one of its
+// ports pokes it: with no transfer in progress, the next Eval would see the
+// same heads, windows and free space and only count again. A message lock
+// needs no test: arbitration dropped it, or its holder is still eligible
+// and its target full — a grant stall, which CreditIdle books with the
+// round-robin pointer in closed form (DESIGN.md §20).
 func (n *Node) Update() {
-	if n.stalled() {
+	if !n.moved {
 		n.act.Sleep()
 	}
-}
-
-// stalled reports whether the node's next Eval would only count: no request
-// channel is mid-transfer or about to drop a message lock, no initiator head
-// is eligible for a target with room in its FIFO, no target's response head
-// can move to its initiator, and — under attribution — every visible
-// initiator head already carries its arb_wait stamp. A channel whose grant
-// waits for room in a full target FIFO still counts a grant stall and moves
-// its round-robin pointer each edge; CreditIdle books both.
-func (n *Node) stalled() bool {
-	for t := range n.reqCh {
-		ch := &n.reqCh[t]
-		if ch.cur != nil || (ch.msgLock >= 0 && !n.eligible(ch.msgLock, t)) {
-			return false
-		}
-	}
-	for i, ip := range n.initiators {
-		if !ip.Req.CanPop() {
-			continue
-		}
-		if n.attrCol != nil && (i >= len(n.attrHead) || !n.attrHead[i]) {
-			return false
-		}
-		t := n.amap.Decode(ip.Req.Peek().Addr)
-		if t >= 0 && t < len(n.targets) && n.targets[t].Req.CanPush() && n.eligible(i, t) {
-			return false
-		}
-	}
-	for _, tp := range n.targets {
-		if !tp.Resp.CanPop() {
-			continue
-		}
-		beat := tp.Resp.Peek()
-		i := beat.Req.Src
-		if i >= 0 && i < len(n.initiators) && n.initiators[i].Resp.CanPush() && n.inOrder(i, beat) {
-			return false
-		}
-	}
-	return true
 }
 
 // Activity returns the node's sleep state.
@@ -293,6 +264,7 @@ func (n *Node) evalRequestPaths() {
 	for t := range n.targets {
 		ch := &n.reqCh[t]
 		if ch.cur != nil {
+			n.moved = true
 			ch.busyCycles++
 			ch.beatsLeft--
 			if ch.beatsLeft == 0 {
@@ -312,6 +284,7 @@ func (n *Node) evalRequestPaths() {
 			continue // target input FIFO full: no grant this cycle
 		}
 		ip.Req.Pop()
+		n.moved = true
 		req.Src = init
 		if n.attrCol != nil {
 			// Attach here as well as at the head scan, so a request
@@ -371,7 +344,7 @@ func (n *Node) completeTransfer(t int, ch *reqChannel) {
 
 // eligible reports whether initiator i's committed head request may be
 // granted target t this cycle. It has no side effects; arbitration, the
-// stall test and the idle credit all decide through it.
+// closed-form pointer advance and the idle credit all decide through it.
 func (n *Node) eligible(i, t int) bool {
 	ip := n.initiators[i]
 	if !ip.Req.CanPop() {
@@ -476,34 +449,60 @@ func (n *Node) stallRR(t, rr int, k int64) int {
 	}
 }
 
+// evalResponsePaths delivers up to one beat to each initiator. Only a beat's
+// source may take it, so the sweep visits just the initiators owning a
+// committed target response head, in index order, re-reading the heads after
+// each visit: a pop exposes the next beat to a later initiator, as a scan of
+// every initiator would.
 func (n *Node) evalResponsePaths() {
-	for i := range n.initiators {
-		ch := &n.respCh[i]
-		ip := n.initiators[i]
-		if !ip.Resp.CanPush() {
+	for i := n.nextOwner(-1); i < len(n.initiators); i = n.nextOwner(i) {
+		n.deliver(i)
+	}
+}
+
+// nextOwner returns the lowest initiator index above i that owns a
+// committed target response head, or the initiator count if none does.
+func (n *Node) nextOwner(i int) int {
+	next := len(n.initiators)
+	for _, tp := range n.targets {
+		if tp.Resp.CanPop() {
+			if s := tp.Resp.Peek().Req.Src; s > i && s < next {
+				next = s
+			}
+		}
+	}
+	return next
+}
+
+// deliver moves one beat to initiator i if it has room: the first target
+// head, round-robin from i's pointer, that is i's and (Type 2) next in order.
+func (n *Node) deliver(i int) {
+	ch := &n.respCh[i]
+	ip := n.initiators[i]
+	if !ip.Resp.CanPush() {
+		return
+	}
+	nt := len(n.targets)
+	for k := 0; k < nt; k++ {
+		t := (ch.rr + k) % nt
+		tp := n.targets[t]
+		if !tp.Resp.CanPop() {
 			continue
 		}
-		nt := len(n.targets)
-		for k := 0; k < nt; k++ {
-			t := (ch.rr + k) % nt
-			tp := n.targets[t]
-			if !tp.Resp.CanPop() {
-				continue
-			}
-			beat := tp.Resp.Peek()
-			if beat.Req.Src != i || !n.inOrder(i, beat) {
-				continue
-			}
-			tp.Resp.Pop()
-			ip.Resp.Push(beat)
-			ch.busyCycles++
-			n.beatsOut++
-			if beat.Last {
-				n.retire(i, beat.Req.ID)
-			}
-			ch.rr = (t + 1) % nt
-			break
+		beat := tp.Resp.Peek()
+		if beat.Req.Src != i || !n.inOrder(i, beat) {
+			continue
 		}
+		tp.Resp.Pop()
+		ip.Resp.Push(beat)
+		n.moved = true
+		ch.busyCycles++
+		n.beatsOut++
+		if beat.Last {
+			n.retire(i, beat.Req.ID)
+		}
+		ch.rr = (t + 1) % nt
+		return
 	}
 }
 

@@ -1,6 +1,7 @@
 package stbus
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -454,5 +455,80 @@ func TestPropertyAllTransactionsComplete(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResponseSweepTakesExposedBeats pins the response sweep's order, cycle
+// by cycle: a pop exposes the target's next beat, which a later initiator in
+// the sweep takes in the same cycle, while an initiator whose turn has
+// passed waits for the next cycle. Under Type 2 a head that is not next in
+// its initiator's issue order waits even though the initiator has room, and
+// the initiator takes its older beat from the other target first.
+func TestResponseSweepTakesExposedBeats(t *testing.T) {
+	type head struct {
+		src int
+		id  uint64
+	}
+	rows := []struct {
+		name  string
+		typ   Type
+		heads [][]head   // per target, oldest first
+		order [][]uint64 // per initiator, issue order of its outstanding IDs
+		want  [][]int    // beats forwarded per initiator, cycle by cycle
+	}{
+		{
+			name:  "one target",
+			typ:   Type3,
+			heads: [][]head{{{1, 1}, {2, 2}, {0, 3}}},
+			want:  [][]int{{0, 1, 1}, {1, 0, 0}},
+		},
+		{
+			name:  "two targets, Type 2 out-of-order head waits",
+			typ:   Type2,
+			heads: [][]head{{{0, 11}}, {{1, 20}, {0, 10}, {2, 30}}},
+			order: [][]uint64{{10, 11}, {20}, {30}},
+			want:  [][]int{{0, 1, 0}, {1, 0, 1}, {1, 0, 0}, {0, 0, 0}},
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Type = row.typ
+			n := NewNode("n0", cfg, bus.Single(0))
+			var inis []*bus.InitiatorPort
+			for i := 0; i < 3; i++ {
+				p := bus.NewInitiatorPort("ini", 2, 4)
+				n.AttachInitiator(p)
+				inis = append(inis, p)
+			}
+			var tgts []*bus.TargetPort
+			for _, hs := range row.heads {
+				tp := bus.NewTargetPort("tgt", 1, 4)
+				n.AttachTarget(tp)
+				for _, h := range hs {
+					tp.Resp.Push(bus.Beat{Req: &bus.Request{ID: h.id, Src: h.src}, Last: true})
+				}
+				tp.Update()
+				tgts = append(tgts, tp)
+			}
+			for i, ids := range row.order {
+				n.order[i] = append(n.order[i], ids...)
+				n.outstanding[i] = len(ids)
+			}
+			for c, want := range row.want {
+				n.Eval()
+				got := make([]int, len(inis))
+				for i, p := range inis {
+					got[i] = p.Resp.Staged()
+					p.Update()
+				}
+				for _, tp := range tgts {
+					tp.Update()
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("cycle %d: beats forwarded per initiator = %v, want %v", c, got, want)
+				}
+			}
+		})
 	}
 }
