@@ -7,7 +7,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test fmt vet race race-full verify benchpins bench benchquick fuzz-short cover diff-smoke
+.PHONY: build test fmt vet race race-full verify benchpins bench benchquick fuzz-short cover diff-smoke loc
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,16 @@ diff-smoke:
 	grep -q '"kind": "bisect"' .diffsmoke/bisect.json
 	grep -q '"diverged_at": [0-9]' .diffsmoke/bisect.json
 	rm -rf .diffsmoke
+
+# Size trajectory figures: non-test Go lines per package directory and
+# their total, over the tracked files outside perfbench/, then the flag
+# count of each CLI (the option lines its -h prints: two spaces and a dash).
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^perfbench/' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
+	END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
+	@for c in mpsocsim experiments; do \
+	printf '%7d  %s flags\n' $$($(GO) run ./cmd/$$c -h 2>&1 | grep -c '^  -') $$c; done
 
 # Coverage over the full suite: writes the raw profile (coverage.out, the CI
 # artifact) and prints the per-function summary with the total at the bottom.

@@ -28,20 +28,26 @@ func (b *Bus) EncodeState(e *snapshot.Encoder) {
 	e.I(b.stallCycles)
 }
 
-// DecodeState restores a layer serialized by EncodeState.
+// DecodeState restores a layer serialized by EncodeState. Every index it
+// restores must address the attached ports; an in-flight slot's slave index
+// is -1 only while the slot is empty.
 func (b *Bus) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	d.Tag('B')
-	b.cur = bus.DecodeReqRef(d, col)
-	b.curTarget = int(d.I())
-	b.next = bus.DecodeReqRef(d, col)
-	b.nextTarget = int(d.I())
-	b.rr = d.Int(0, max(len(b.initiators)-1, 0), "ahb %q round-robin pointer", b.name)
+	ni, nt := len(b.initiators), len(b.targets)
+	b.cur = bus.DecodeInFlight(d, col, ni)
+	b.curTarget = d.Int(-1, nt-1, "ahb %q data-phase slave", b.name)
+	b.next = bus.DecodeInFlight(d, col, ni)
+	b.nextTarget = d.Int(-1, nt-1, "ahb %q address-phase slave", b.name)
+	if (b.cur != nil && b.curTarget < 0) || (b.next != nil && b.nextTarget < 0) {
+		d.Corrupt("ahb %q in-flight transaction without a slave", b.name)
+	}
+	b.rr = d.Int(0, max(ni-1, 0), "ahb %q round-robin pointer", b.name)
 	nh := d.N(1 << 16)
 	if d.Err() != nil {
 		return
 	}
-	if nh != 0 && nh != len(b.initiators) {
-		d.Corrupt("ahb %q attr head cache size %d does not match %d masters", b.name, nh, len(b.initiators))
+	if nh != 0 && nh != ni {
+		d.Corrupt("ahb %q attr head cache size %d does not match %d masters", b.name, nh, ni)
 		return
 	}
 	b.attrHead = b.attrHead[:0]

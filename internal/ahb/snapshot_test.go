@@ -9,10 +9,10 @@ import (
 	"mpsocsim/internal/testutil"
 )
 
-// TestDecodeStateRejectsOutOfRange sets the restored round-robin pointer
-// outside the masters it indexes, and requires the decoder to reject the
-// snapshot as corrupt instead of handing Run a bus that panics on its next
-// arbitration.
+// TestDecodeStateRejectsOutOfRange sets the restored round-robin pointer, or
+// the master or slave of an in-flight transaction, outside the ports it
+// indexes, and requires the decoder to reject the snapshot as corrupt
+// instead of handing Run a bus that panics on its next edge.
 func TestDecodeStateRejectsOutOfRange(t *testing.T) {
 	const ni, nt = 3, 2
 	build := func() *Bus {
@@ -31,6 +31,16 @@ func TestDecodeStateRejectsOutOfRange(t *testing.T) {
 	}{
 		{"rr negative", func(b *Bus) { b.rr = -3 }},
 		{"rr past masters", func(b *Bus) { b.rr = ni }},
+		{"data-phase slave past slaves", func(b *Bus) { b.cur, b.curTarget = &bus.Request{Src: 1}, 5 }},
+		{"data-phase master past masters", func(b *Bus) { b.cur, b.curTarget = &bus.Request{Src: 7}, 0 }},
+		{"address-phase slave negative", func(b *Bus) {
+			b.cur, b.curTarget = &bus.Request{Src: 0}, 1
+			b.next, b.nextTarget = &bus.Request{Src: 2}, -1
+		}},
+		{"address-phase master negative", func(b *Bus) {
+			b.cur, b.curTarget = &bus.Request{Src: 0}, 1
+			b.next, b.nextTarget = &bus.Request{Src: -1}, 0
+		}},
 	}
 	decode := func(b *Bus) error {
 		e := snapshot.NewEncoder()

@@ -2,7 +2,6 @@ package attr
 
 import (
 	"sort"
-	"sync"
 
 	"mpsocsim/internal/stats"
 )
@@ -27,24 +26,11 @@ type slot struct {
 }
 
 // Collector owns the Record free list and the per-initiator × per-phase
-// attribution matrices. One collector serves the whole platform; by default
-// it is not safe for concurrent use (the serial simulation kernel is
-// single-threaded). Sharded execution calls SetShared(true), which guards
-// Start and Finish — the only entry points shards race on — with a mutex.
-// The per-record stamping path (Record.Enter/EnterFrom) stays lock-free: a
-// record travels with its transaction, and each hop's stamps happen-before
-// the next hop's via the boundary-FIFO commit barriers. The matrices come
-// out bit-identical to a serial run because every fold target is keyed by
-// the initiator's registered slot and the bucketed histograms are
-// order-independent; only the optional retention ring's *order* (a debug
-// export, not part of any report) depends on cross-shard completion
-// interleaving.
+// attribution matrices. One collector serves the whole platform; it is not
+// safe for concurrent use (the simulation kernel is single-threaded).
 type Collector struct {
 	slots []*slot
 	index map[int]int32 // origin → slots index
-
-	shared bool
-	mu     sync.Mutex
 
 	free  []*Record
 	grown int64
@@ -97,11 +83,6 @@ func (c *Collector) AddInitiator(origin int, name string) {
 	c.slots = append(c.slots, &slot{name: name, origin: origin})
 }
 
-// SetShared toggles mutex protection of Start/Finish for sharded execution.
-// Call before the run starts (see the Collector doc for why the matrices
-// stay deterministic).
-func (c *Collector) SetShared(on bool) { c.shared = on }
-
 // EnableRetention preallocates a ring keeping the last n finished
 // transactions' segment logs (oldest overwritten, counted in RetainedDropped).
 func (c *Collector) EnableRetention(n int) {
@@ -119,10 +100,6 @@ func (c *Collector) EnableRetention(n int) {
 // initiator-queue time is recovered retroactively from issuePS. Zero
 // allocations while the preallocated free list lasts.
 func (c *Collector) Start(origin int, issuePS int64, write, posted bool) *Record {
-	if c.shared {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
 	var r *Record
 	if n := len(c.free); n > 0 {
 		r = c.free[n-1]
@@ -156,10 +133,6 @@ func (c *Collector) Start(origin int, issuePS int64, write, posted bool) *Record
 // durations into the attribution matrix and recycles it. The caller must
 // drop its pointer afterwards. Zero allocations.
 func (c *Collector) Finish(r *Record, endPS int64) {
-	if c.shared {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
 	last := r.starts[r.n-1]
 	if endPS < last {
 		endPS = last

@@ -66,7 +66,9 @@ func encodeBeatPipe(e *snapshot.Encoder, pipe []pipedBeat) {
 	}
 }
 
-// DecodeState restores an interconnect serialized by EncodeState.
+// DecodeState restores an interconnect serialized by EncodeState. Every
+// pointer and in-flight request source it restores must index the attached
+// ports, and every register-stage entry must hold a request.
 func (x *Interconnect) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	d.Tag('X')
 	nt := d.N(1 << 16)
@@ -79,7 +81,7 @@ func (x *Interconnect) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	}
 	for t := range x.ts {
 		pt := &x.ts[t]
-		pt.wCur = bus.DecodeReqRef(d, col)
+		pt.wCur = bus.DecodeInFlight(d, col, len(x.is))
 		pt.wBeatsLeft = int(d.I())
 		pt.arRR = d.Int(0, max(len(x.is)-1, 0), "axi %q slave %d AR pointer", x.name, t)
 		pt.awRR = d.Int(0, max(len(x.is)-1, 0), "axi %q slave %d AW pointer", x.name, t)
@@ -88,7 +90,10 @@ func (x *Interconnect) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 		np := d.N(1 << 16)
 		pt.reqPipe = pt.reqPipe[:0]
 		for j := 0; j < np; j++ {
-			req := bus.DecodeReqRef(d, col)
+			req := bus.DecodeInFlight(d, col, len(x.is))
+			if req == nil {
+				d.Corrupt("axi %q slave %d register stage %d holds no request", x.name, t, j)
+			}
 			at := d.I()
 			pt.reqPipe = append(pt.reqPipe, pipedReq{req: req, at: at})
 		}

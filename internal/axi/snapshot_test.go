@@ -9,10 +9,11 @@ import (
 	"mpsocsim/internal/testutil"
 )
 
-// TestDecodeStateRejectsOutOfRange sets one restored round-robin pointer
-// outside the ports it indexes, and requires the decoder to reject the
-// snapshot as corrupt instead of handing Run an interconnect that panics on
-// its next arbitration or response sweep.
+// TestDecodeStateRejectsOutOfRange sets one restored round-robin pointer or
+// in-flight request source outside the ports it indexes, or drops a
+// register-stage request, and requires the decoder to reject the snapshot as
+// corrupt instead of handing Run an interconnect that panics on its next
+// edge.
 func TestDecodeStateRejectsOutOfRange(t *testing.T) {
 	const ni, nt = 3, 2
 	build := func() *Interconnect {
@@ -37,6 +38,20 @@ func TestDecodeStateRejectsOutOfRange(t *testing.T) {
 		{"R rr past slaves", func(x *Interconnect) { x.is[0].rRR = nt }},
 		{"B rr negative", func(x *Interconnect) { x.is[1].bRR = -2 }},
 		{"B rr past slaves", func(x *Interconnect) { x.is[2].bRR = nt + 5 }},
+		{"write source past masters", func(x *Interconnect) {
+			x.ts[1].wCur = &bus.Request{Src: 9, Op: bus.OpWrite, Posted: true, Beats: 2}
+			x.ts[1].wBeatsLeft = 1
+		}},
+		{"write source negative", func(x *Interconnect) {
+			x.ts[0].wCur = &bus.Request{Src: -1, Op: bus.OpWrite, Beats: 2}
+			x.ts[0].wBeatsLeft = 1
+		}},
+		{"register stage source past masters", func(x *Interconnect) {
+			x.ts[0].reqPipe = append(x.ts[0].reqPipe, pipedReq{req: &bus.Request{Src: ni, Op: bus.OpRead, Beats: 1}})
+		}},
+		{"register stage request missing", func(x *Interconnect) {
+			x.ts[1].reqPipe = append(x.ts[1].reqPipe, pipedReq{})
+		}},
 	}
 	decode := func(x *Interconnect) error {
 		e := snapshot.NewEncoder()

@@ -287,12 +287,6 @@ func (b *Bridge) Name() string { return b.name }
 // them into) the given pool. Call before simulation starts.
 func (b *Bridge) UseRequestPool(p *bus.RequestPool) { b.pool = p }
 
-// SourceClock returns the clock domain of the bridge's target side.
-func (b *Bridge) SourceClock() *sim.Clock { return b.srcClk }
-
-// DestinationClock returns the clock domain of the bridge's initiator side.
-func (b *Bridge) DestinationClock() *sim.Clock { return b.dstClk }
-
 // RehomeDestination re-points the bridge's destination domain at a different
 // clock. Sharded assembly calls it when the bridge's home shard is not the
 // shard owning the real destination clock: the initiator side is then

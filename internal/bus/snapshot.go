@@ -91,6 +91,17 @@ func DecodeReqRef(d *snapshot.Decoder, col *attr.Collector) *Request {
 	return r
 }
 
+// DecodeInFlight restores a request a fabric holds in flight (nil allowed)
+// and rejects a source outside the fabric's ni initiators, which it indexes
+// its ports with.
+func DecodeInFlight(d *snapshot.Decoder, col *attr.Collector, ni int) *Request {
+	r := DecodeReqRef(d, col)
+	if r != nil && (r.Src < 0 || r.Src >= ni) {
+		d.Corrupt("in-flight request source %d out of range [0, %d)", r.Src, ni)
+	}
+	return r
+}
+
 // EncodeBeat serializes one response beat (request by reference).
 func EncodeBeat(e *snapshot.Encoder, b Beat) {
 	EncodeReqRef(e, b.Req)

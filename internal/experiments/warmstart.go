@@ -61,9 +61,6 @@ func NewSnapCache(dir string, prefixCycles int64) (*SnapCache, error) {
 func (c *SnapCache) Hits() int64   { return c.hits.Load() }
 func (c *SnapCache) Misses() int64 { return c.misses.Load() }
 
-// PrefixCycles returns the configured warm-up length.
-func (c *SnapCache) PrefixCycles() int64 { return c.prefix }
-
 // entry returns the on-disk path of the checkpoint for one spec.
 func (c *SnapCache) entry(spec platform.Spec) string {
 	h := fnv.New64a()

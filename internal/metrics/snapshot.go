@@ -36,6 +36,8 @@ func (s *Sampler) EncodeState(e *snapshot.Encoder) {
 // DecodeState restores a sampler serialized by EncodeState. Rows are placed
 // from slot 0 with the head advanced past them, which reproduces the exported
 // timeline exactly (it only depends on logical order, not physical layout).
+// The sample count must be non-negative and the kept rows exactly the ring's
+// share of it, min(n, cap): the timeline export sizes its rows from n.
 func (s *Sampler) DecodeState(d *snapshot.Decoder) {
 	d.Tag('Z')
 	clock := d.Str()
@@ -54,6 +56,10 @@ func (s *Sampler) DecodeState(d *snapshot.Decoder) {
 	s.n = d.I()
 	kept := d.N(s.cap)
 	if d.Err() != nil {
+		return
+	}
+	if s.n < 0 || int64(kept) != min(s.n, int64(s.cap)) {
+		d.Corrupt("sampler %q keeps %d rows of %d samples (ring %d)", s.clock, kept, s.n, s.cap)
 		return
 	}
 	for i := range s.times {

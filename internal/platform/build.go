@@ -108,17 +108,14 @@ type Platform struct {
 	// (see shard.go); serial runs never read it.
 	centralRegs []centralReg
 
-	// timeline-trigger state, kept so sharded assembly can replace the
-	// single cross-domain trigger with per-shard equivalents.
-	timelineEvery   int64
-	timelineCap     int
-	timelineTrigger *sim.ClockedFunc
-	samplerClocks   []*sim.Clock
-	// timelineLeft is the live countdown to the next sampling instant. A
-	// Platform field (not a closure variable) so checkpoint/restore can
-	// carry it: a restored run must sample at exactly the instants the
+	// timelineEvery and timelineCap are the EnableTimelines parameters, and
+	// timelineLeft is the live countdown to the next sampling instant. All
+	// three are Platform fields (not closure variables) so checkpoint/restore
+	// can carry them: a restored run must sample at exactly the instants the
 	// uninterrupted run would.
-	timelineLeft int64
+	timelineEvery int64
+	timelineCap   int
+	timelineLeft  int64
 
 	// attrRetain remembers the retention depth EnableAttribution was called
 	// with, so a snapshot can re-enable attribution identically on restore.
@@ -160,15 +157,12 @@ type Platform struct {
 	// source, parallel to gens. Build attaches them; StallReport reads them.
 	stallTrackers []*telemetry.PortTracker
 
-	// resumedPS/resumedCycles mark the restore point (zero for a fresh
-	// Build). EnableSharding's pre-run guard and Result.ResumedFromCycle
-	// read them.
-	resumedPS     int64
+	// resumedCycles marks the restore point (zero for a fresh Build);
+	// Result.ResumedFromCycle reports it.
 	resumedCycles int64
 
 	// sharded-run state (nil/zero until EnableSharding).
 	shardKernels  []*sim.Kernel
-	shardCentral  []*sim.Clock // per-shard central clock (real or replica)
 	boundaryFifos []sim.DeferredCommitter
 	tailThreshold int64
 	sharded       bool
@@ -185,11 +179,6 @@ type centralReg struct {
 	unit string
 	comp sim.Clocked
 }
-
-// timelineUnit is the reserved journal unit of the EnableTimelines sampling
-// trigger. It is not a shard-assignment granule: sharded assembly skips it
-// when replaying the journal and installs one trigger per shard instead.
-const timelineUnit = "\x00timeline"
 
 // regCentral registers comp on the central clock and journals the
 // registration under the owning unit ("central" for the memory/interconnect
@@ -339,9 +328,8 @@ func (p *Platform) EnableTimelines(every int64, capSamples int) {
 	}
 	p.timelineEvery = every
 	p.timelineCap = capSamples
-	p.samplerClocks = append([]*sim.Clock(nil), clocks...)
 	p.timelineLeft = every
-	p.timelineTrigger = &sim.ClockedFunc{OnEval: func() {
+	p.CentralClk.Register(&sim.ClockedFunc{OnEval: func() {
 		p.timelineLeft--
 		if p.timelineLeft > 0 {
 			return
@@ -350,11 +338,7 @@ func (p *Platform) EnableTimelines(every int64, capSamples int) {
 		for i, s := range p.samplers {
 			s.Sample(clocks[i].Cycles())
 		}
-	}}
-	// Journaled under a reserved unit so sharded assembly can replace the
-	// single trigger with one per shard (each sampling only its home
-	// domains); see EnableSharding.
-	p.regCentral(timelineUnit, p.timelineTrigger)
+	}})
 }
 
 // attributable is the attribution-enable surface every concrete fabric

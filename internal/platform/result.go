@@ -148,7 +148,7 @@ func (p *Platform) runSerial(maxPS, stopAtCycle int64) (drained, stalled, paused
 // supported on a sharded platform.
 func (p *Platform) RunToCycle(cycle, maxPS int64) bool {
 	if p.sharded {
-		panic("platform: RunToCycle requires serial mode (checkpoint before EnableSharding)")
+		panic("platform: RunToCycle requires serial mode")
 	}
 	_, _, paused := p.runSerial(maxPS, cycle)
 	return paused

@@ -25,17 +25,18 @@ import (
 // and everything else journaled under it; it is pinned to shard 0.
 const centralUnit = "central"
 
-// EnableSharding partitions the platform into at most n shards for parallel
-// execution. Call after Build (and after EnableTimelines/EnableAttribution,
-// when used) but before Run. n is clamped to the number of partitionable
+// EnableSharding partitions a fresh platform into at most n shards for
+// parallel execution. Call after Build (and AttachCapture, when used) but
+// before Run; it refuses attribution, timelines, the CSV/VCD sampler and a
+// started or restored platform. n is clamped to the number of partitionable
 // units — the central domain plus one unit per additional clock domain — so
 // a collapsed single-clock topology degenerates to serial execution no matter
 // how many shards are requested. n == 1 (or an effective count of 1) leaves
 // the platform in serial mode; the serial kernel *is* the one-shard case.
 //
-// Sharded runs produce bit-identical Results, reports, captured traces and
-// attribution matrices to serial runs of the same spec; the conformance
-// matrix in shard_test.go enforces this property.
+// Sharded runs produce bit-identical Results, reports and captured traces to
+// serial runs of the same spec; the conformance matrix in shard_test.go
+// enforces this property.
 func (p *Platform) EnableSharding(n int) error {
 	if n < 1 {
 		return fmt.Errorf("platform: shard count must be >= 1, got %d", n)
@@ -43,8 +44,11 @@ func (p *Platform) EnableSharding(n int) error {
 	if p.sharded {
 		return fmt.Errorf("platform: sharding already enabled")
 	}
-	if p.Kernel.Now() != p.resumedPS || p.CentralClk.Cycles() != p.resumedCycles {
-		return fmt.Errorf("platform: EnableSharding must be called before the run starts")
+	if p.attrCol != nil || len(p.samplers) > 0 {
+		return fmt.Errorf("platform: sharded execution is incompatible with attribution and timelines")
+	}
+	if p.Kernel.Now() != 0 {
+		return fmt.Errorf("platform: EnableSharding needs a fresh platform (not started, not restored)")
 	}
 	if p.samplerAttached {
 		return fmt.Errorf("platform: sharded execution is incompatible with AttachSampler (the CSV/VCD sampler reads cross-domain state from a central-clock hook)")
@@ -64,9 +68,6 @@ func (p *Platform) EnableSharding(n int) error {
 		weight[c.Name()] += c.NumRegistered()
 	}
 	for _, reg := range p.centralRegs {
-		if reg.unit == timelineUnit {
-			continue
-		}
 		if _, ok := weight[reg.unit]; !ok {
 			return fmt.Errorf("platform: journal references unknown unit %q", reg.unit)
 		}
@@ -130,62 +131,12 @@ func (p *Platform) EnableSharding(n int) error {
 	kernels[0].AdoptClock(p.CentralClk)
 	for i := 1; i < eff; i++ {
 		central[i] = kernels[i].NewClockPeriodPS("central", p.CentralClk.PeriodPS())
-		// On a checkpoint-restored platform the real central clock is
-		// mid-run; replicas must agree on the completed-cycle count so all
-		// central domains keep ticking in lockstep.
-		central[i].SeedCycles(p.CentralClk.Cycles())
 	}
 	for _, c := range clocks[1:] {
 		kernels[shardOf[c.Name()]].AdoptClock(c)
 	}
 	for _, reg := range p.centralRegs {
-		if reg.unit == timelineUnit {
-			continue
-		}
 		central[shardOf[reg.unit]].Register(reg.comp)
-	}
-
-	// Timeline sampling: replace the single cross-domain trigger with one per
-	// shard, each sampling only its home domains' gauges on its own `left`
-	// countdown. The countdowns run in lockstep (every central clock ticks
-	// every edge), so the sampling instants — and the sampled values, read
-	// from shard-local components — are exactly the serial ones. Registered
-	// last on each shard's central clock, like the serial trigger.
-	if p.timelineTrigger != nil {
-		shardOfClock := func(c *sim.Clock) int {
-			if c == p.CentralClk {
-				return 0
-			}
-			return shardOf[c.Name()]
-		}
-		for s := 0; s < eff; s++ {
-			var idxs []int
-			for j, c := range p.samplerClocks {
-				if shardOfClock(c) == s {
-					idxs = append(idxs, j)
-				}
-			}
-			if len(idxs) == 0 {
-				continue
-			}
-			every := p.timelineEvery
-			// Seed each shard's countdown from the live serial countdown:
-			// p.timelineLeft is `every` for a fresh platform and the
-			// restored mid-window value after a checkpoint restore. All
-			// central clocks tick in lockstep, so the per-shard countdowns
-			// stay synchronized from that common seed.
-			left := p.timelineLeft
-			central[s].Register(&sim.ClockedFunc{OnEval: func() {
-				left--
-				if left > 0 {
-					return
-				}
-				left = every
-				for _, j := range idxs {
-					p.samplers[j].Sample(p.samplerClocks[j].Cycles())
-				}
-			}})
-		}
 	}
 
 	// Shard cuts. Every bridge whose initiator side landed outside shard 0 is
@@ -221,14 +172,10 @@ func (p *Platform) EnableSharding(n int) error {
 		p.boundaryFifos = append(p.boundaryFifos, ip.Req, ip.Resp)
 	}
 
-	// Shared services crossed by transaction lifecycles: the request pool
-	// (mutex-guarded; pointer identity is unobservable in results) and the
-	// attribution collector (mutex on Start/Finish; slot-keyed commutative
-	// folds keep the matrices bit-identical — see attr.Collector).
+	// The request pool is the one shared service transaction lifecycles
+	// cross between shards: it is mutex-guarded, and pointer identity is
+	// unobservable in results.
 	p.pool.SetShared(true)
-	if p.attrCol != nil {
-		p.attrCol.SetShared(true)
-	}
 
 	// tailThreshold bounds how many uncompleted transactions guarantee that a
 	// whole window cannot drain the workload: per window each initiator
@@ -242,7 +189,6 @@ func (p *Platform) EnableSharding(n int) error {
 	p.tailThreshold = thr
 
 	p.shardKernels = kernels
-	p.shardCentral = central
 	p.sharded = true
 	return nil
 }
@@ -272,8 +218,7 @@ func (p *Platform) newShardExec() *shardExec {
 		p:      p,
 		runner: sim.NewShardRunner(p.shardKernels),
 		period: p.CentralClk.PeriodPS(),
-		// The first barrier is the next central edge — period for a fresh
-		// platform, mid-run for a checkpoint-restored one.
+		// The first barrier is the first central edge.
 		next: p.CentralClk.NowPS(),
 	}
 }
@@ -348,12 +293,11 @@ func (p *Platform) runSharded(maxPS int64) Result {
 	}
 
 	// Identical watchdog to the serial Run, sharing the same Platform-field
-	// history (so a restored sharded run observes progress at the instants
-	// the uninterrupted serial run would). Its observation points — the
-	// first instants where the central cycle count crosses a 200k-cycle
-	// milestone — are central edges, i.e. exactly the window barriers, so
-	// the sharded watchdog samples progress at the same instants with the
-	// same values as the serial one.
+	// history. Its observation points — the first instants where the
+	// central cycle count crosses a 200k-cycle milestone — are central
+	// edges, i.e. exactly the window barriers, so the sharded watchdog
+	// samples progress at the same instants with the same values as the
+	// serial one.
 	done := true
 	stalled := false
 

@@ -21,29 +21,9 @@ func shardCounts() []int {
 	return counts
 }
 
-// shardVariants are the observability configurations the equivalence contract
-// covers. Each prepares a freshly built platform and returns the capture
-// session when one was attached (so the recorded trace bytes join the
-// comparison).
-var shardVariants = []struct {
-	name string
-	prep func(p *Platform) *tracecap.Capture
-}{
-	{"plain", func(p *Platform) *tracecap.Capture { return nil }},
-	{"attr", func(p *Platform) *tracecap.Capture {
-		p.EnableAttribution(0)
-		return nil
-	}},
-	{"timelines", func(p *Platform) *tracecap.Capture {
-		p.EnableTimelines(50, 0)
-		return nil
-	}},
-	{"capture", func(p *Platform) *tracecap.Capture {
-		c := tracecap.NewCapture(p.Spec.Name(), 0)
-		p.AttachCapture(c)
-		return c
-	}},
-}
+// shardVariants are the observability configurations the sharded
+// equivalence contract covers: the ones EnableSharding accepts.
+var shardVariants = obsVariants[:2]
 
 // shardRun builds spec, applies prep, shards the platform into n and runs it.
 // It returns the Result, the rendered JSON report and summary bytes, and the
@@ -80,10 +60,10 @@ func shardRun(t *testing.T, spec Spec, shards int, prep func(*Platform) *traceca
 }
 
 // TestShardedConformanceMatrix is the serial-equivalence contract: for every
-// golden configuration, every observability variant and every shard count,
-// the sharded run must be bit-identical to the serial run — the full Result
-// (every statistic, histogram, attribution matrix and monitor window), the
-// rendered JSON report and text summary, and the captured transaction trace.
+// golden configuration, every shardable observability variant and every
+// shard count, the sharded run must be bit-identical to the serial run — the
+// full Result (every statistic, histogram and monitor window), the rendered
+// JSON report and text summary, and the captured transaction trace.
 func TestShardedConformanceMatrix(t *testing.T) {
 	for name, spec := range goldenSpecs() {
 		for _, v := range shardVariants {
@@ -205,6 +185,34 @@ func TestShardedRandomTopologyProperty(t *testing.T) {
 // TestEnableShardingValidation pins the refusal cases and the degenerate
 // topologies of EnableSharding.
 func TestEnableShardingValidation(t *testing.T) {
+	t.Run("refuses-attr-timelines-restored", func(t *testing.T) {
+		spec := quick(STBus, Distributed, LMIDDR)
+		p := MustBuild(spec)
+		p.EnableAttribution(0)
+		if err := p.EnableSharding(2); err == nil {
+			t.Error("EnableSharding with attribution should fail")
+		}
+		p = MustBuild(spec)
+		p.EnableTimelines(50, 0)
+		if err := p.EnableSharding(2); err == nil {
+			t.Error("EnableSharding with timelines should fail")
+		}
+		p = MustBuild(spec)
+		if !p.RunToCycle(checkpointAt, 5e12) {
+			t.Fatal("drained before checkpoint")
+		}
+		var buf bytes.Buffer
+		if err := p.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rp, err := Restore(spec, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rp.EnableSharding(2); err == nil {
+			t.Error("EnableSharding on a restored platform should fail")
+		}
+	})
 	t.Run("bad-count", func(t *testing.T) {
 		p := MustBuild(quick(STBus, Distributed, LMIDDR))
 		if err := p.EnableSharding(0); err == nil {

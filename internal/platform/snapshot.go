@@ -21,8 +21,7 @@ import (
 // boundary; Restore rebuilds the topology from the spec (Build is
 // deterministic) and overwrites the mutable state in the same fixed
 // traversal order. Restore-then-run is bit-identical to the uninterrupted
-// run: reports, traces and attribution matrices match byte for byte, and a
-// restored platform may still EnableSharding for the remainder.
+// run: reports, traces and attribution matrices match byte for byte.
 
 // stateEncoder/stateDecoder are the per-subsystem section-codec surfaces.
 // Every stateful component implements them; the traversal below visits the
@@ -57,13 +56,12 @@ func (s Spec) Fingerprint() uint64 {
 // Snapshot writes a checkpoint of the platform's complete mutable state.
 // Call it only between steps (after Build, or when Run/RunToCycle has
 // returned) — that is an edge boundary, where every two-phase FIFO is
-// quiescent. Sharded platforms cannot snapshot (checkpoint before
-// EnableSharding; a restored platform can be re-sharded), and neither can a
-// platform with the CSV/VCD trace sampler attached (its closure state is not
+// quiescent. Sharded platforms cannot snapshot, and neither can a platform
+// with the CSV/VCD trace sampler attached (its closure state is not
 // serializable).
 func (p *Platform) Snapshot(w io.Writer) error {
 	if p.sharded {
-		return fmt.Errorf("platform: cannot snapshot a sharded platform (checkpoint before EnableSharding)")
+		return fmt.Errorf("platform: cannot snapshot a sharded platform")
 	}
 	if p.samplerAttached {
 		return fmt.Errorf("platform: cannot snapshot with AttachSampler installed (its closure state is not serializable)")
@@ -142,8 +140,7 @@ func (p *Platform) encodeComponents(e *snapshot.Encoder) {
 // from a checkpoint written by Snapshot. The spec must be the one the
 // checkpoint was taken from (the header fingerprint enforces it). The
 // returned platform is paused at the checkpoint instant: continue with Run
-// (optionally after EnableSharding) and the results are bit-identical to a
-// run that never checkpointed.
+// and the results are bit-identical to a run that never checkpointed.
 func Restore(spec Spec, r io.Reader) (*Platform, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -214,7 +211,6 @@ func Restore(spec Spec, r io.Reader) (*Platform, error) {
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	p.resumedPS = p.Kernel.Now()
 	p.resumedCycles = p.CentralClk.Cycles()
 	return p, nil
 }

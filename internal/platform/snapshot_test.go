@@ -17,34 +17,55 @@ import (
 // ~38k central cycles).
 const checkpointAt = 3000
 
-// checkpointRun builds spec, applies the observability variant, runs to the
-// checkpoint instant, snapshots, restores into a fresh platform (optionally
-// re-sharded) and finishes the run there. It returns the final Result with
-// ResumedFromCycle cleared — the one field that legitimately distinguishes a
-// restored run — plus the rendered report/summary bytes and the encoded
-// captured trace, shaped exactly like shardRun's returns so the two are
-// directly comparable.
-func checkpointRun(t *testing.T, spec Spec, shards int, prep func(*Platform) *tracecap.Capture) (Result, []byte, []byte) {
+// obsVariants are the observability configurations the equivalence
+// contracts cover. Each prepares a freshly built platform and returns the
+// capture session when one was attached (so the recorded trace bytes join
+// the comparison). The first two are the ones EnableSharding accepts.
+var obsVariants = []struct {
+	name string
+	prep func(p *Platform) *tracecap.Capture
+}{
+	{"plain", func(p *Platform) *tracecap.Capture { return nil }},
+	{"capture", func(p *Platform) *tracecap.Capture {
+		c := tracecap.NewCapture(p.Spec.Name(), 0)
+		p.AttachCapture(c)
+		return c
+	}},
+	{"attr", func(p *Platform) *tracecap.Capture {
+		p.EnableAttribution(0)
+		return nil
+	}},
+	{"timelines", func(p *Platform) *tracecap.Capture {
+		p.EnableTimelines(50, 0)
+		return nil
+	}},
+}
+
+// checkpointRun builds spec, applies the observability variant and, for each
+// checkpoint instant in turn, runs to it, snapshots, and restores into a
+// fresh platform that carries on from there; the last restored platform
+// finishes the run. It returns the final Result with ResumedFromCycle
+// cleared — the one field that legitimately distinguishes a restored run —
+// plus the rendered report/summary bytes and the encoded captured trace,
+// shaped exactly like shardRun's returns so the two are directly comparable.
+func checkpointRun(t *testing.T, spec Spec, prep func(*Platform) *tracecap.Capture, at ...int64) (Result, []byte, []byte) {
 	t.Helper()
-	p := MustBuild(spec)
-	prep(p)
-	if !p.RunToCycle(checkpointAt, 5e12) {
-		t.Fatalf("%s drained before checkpoint cycle %d", spec.Name(), checkpointAt)
-	}
-	var buf bytes.Buffer
-	if err := p.Snapshot(&buf); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	rp, err := Restore(spec, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if rp.ResumedCycles() < checkpointAt {
-		t.Fatalf("restored at cycle %d, want >= %d", rp.ResumedCycles(), checkpointAt)
-	}
-	if shards > 1 {
-		if err := rp.EnableSharding(shards); err != nil {
-			t.Fatalf("EnableSharding(%d) after Restore: %v", shards, err)
+	rp := MustBuild(spec)
+	prep(rp)
+	for _, c := range at {
+		if !rp.RunToCycle(c, 5e12) {
+			t.Fatalf("%s drained before checkpoint cycle %d", spec.Name(), c)
+		}
+		var buf bytes.Buffer
+		if err := rp.Snapshot(&buf); err != nil {
+			t.Fatalf("Snapshot at cycle %d: %v", c, err)
+		}
+		var err error
+		if rp, err = Restore(spec, bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("Restore at cycle %d: %v", c, err)
+		}
+		if rp.ResumedCycles() < c {
+			t.Fatalf("restored at cycle %d, want >= %d", rp.ResumedCycles(), c)
 		}
 	}
 	r := rp.Run(5e12)
@@ -81,10 +102,10 @@ func checkpointRun(t *testing.T, spec Spec, shards int, prep func(*Platform) *tr
 // JSON report and text summary, and the captured transaction trace.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	for name, spec := range goldenSpecs() {
-		for _, v := range shardVariants {
+		for _, v := range obsVariants {
 			ref, refRep, refTrace := shardRun(t, spec, 1, v.prep)
 			t.Run(fmt.Sprintf("%s/%s", name, v.name), func(t *testing.T) {
-				r, rep, tr := checkpointRun(t, spec, 1, v.prep)
+				r, rep, tr := checkpointRun(t, spec, v.prep, checkpointAt)
 				if !reflect.DeepEqual(r, ref) {
 					t.Errorf("restored Result differs from uninterrupted (cycles %d vs %d, issued %d vs %d)",
 						r.CentralCycles, ref.CentralCycles, r.Issued, ref.Issued)
@@ -100,28 +121,34 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoreShardedBitIdentical extends the PR-6 conformance
-// matrix across the restore boundary: a run checkpointed serially, restored
-// and re-sharded into 2 or 4 shards must still finish bit-identical to the
-// uninterrupted serial run.
-func TestCheckpointRestoreShardedBitIdentical(t *testing.T) {
-	for name, spec := range goldenSpecs() {
-		for _, v := range shardVariants {
-			ref, refRep, refTrace := shardRun(t, spec, 1, v.prep)
-			for _, n := range []int{2, 4} {
-				t.Run(fmt.Sprintf("%s/%s/shards=%d", name, v.name, n), func(t *testing.T) {
-					r, rep, tr := checkpointRun(t, spec, n, v.prep)
-					if !reflect.DeepEqual(r, ref) {
-						t.Errorf("restored sharded Result differs from uninterrupted serial (cycles %d vs %d)",
-							r.CentralCycles, ref.CentralCycles)
-					}
-					if !bytes.Equal(rep, refRep) {
-						t.Errorf("restored sharded report differs from uninterrupted serial")
-					}
-					if !bytes.Equal(tr, refTrace) {
-						t.Errorf("restored sharded captured trace differs from uninterrupted serial")
-					}
-				})
+// TestCheckpointRestoreChainedAcrossConfigs carries the checkpoint contract
+// to every protocol × topology × memory combination and every observability
+// variant, and across a chain of restores: the run is checkpointed at
+// checkpointAt/2, restored, checkpointed again at checkpointAt from the
+// restored platform, restored again and finished. That must still be
+// bit-identical to the uninterrupted run, so a restored platform has to
+// re-encode all of its state, not only the state a fresh platform holds.
+func TestCheckpointRestoreChainedAcrossConfigs(t *testing.T) {
+	for _, proto := range []Protocol{STBus, AHB, AXI} {
+		for _, topo := range []Topology{Distributed, Collapsed} {
+			for _, mem := range []MemoryKind{OnChip, LMIDDR} {
+				spec := quick(proto, topo, mem)
+				for _, v := range obsVariants {
+					t.Run(spec.Name()+"/"+v.name, func(t *testing.T) {
+						ref, refRep, refTrace := shardRun(t, spec, 1, v.prep)
+						r, rep, tr := checkpointRun(t, spec, v.prep, checkpointAt/2, checkpointAt)
+						if !reflect.DeepEqual(r, ref) {
+							t.Errorf("twice-restored Result differs from uninterrupted (cycles %d vs %d, issued %d vs %d)",
+								r.CentralCycles, ref.CentralCycles, r.Issued, ref.Issued)
+						}
+						if !bytes.Equal(rep, refRep) {
+							t.Errorf("twice-restored report/summary bytes differ from uninterrupted (%d vs %d bytes)", len(rep), len(refRep))
+						}
+						if !bytes.Equal(tr, refTrace) {
+							t.Errorf("twice-restored captured trace differs from uninterrupted (%d vs %d bytes)", len(tr), len(refTrace))
+						}
+					})
+				}
 			}
 		}
 	}

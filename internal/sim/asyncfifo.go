@@ -74,9 +74,8 @@ func (f *AsyncFifo[T]) Name() string { return f.name }
 // Shard assembly uses it when a bridge's destination clock is replaced by a
 // shard-local replica. The replacement must tick identically — same period
 // and same completed-cycle count — so maturity stamps already recorded
-// against the old clock stay exact; committed entries are therefore fine (a
-// checkpoint-restored platform shards with in-flight traffic), but staged
-// operations are not (the call must happen at an edge boundary).
+// against the old clock stay exact; committed entries are therefore fine,
+// but staged operations are not (the call must happen at an edge boundary).
 func (f *AsyncFifo[T]) SetReaderClock(clk *Clock) {
 	if len(f.pending) != 0 || f.npop != 0 {
 		panic(fmt.Sprintf("sim: SetReaderClock on async fifo %q with staged operations (pending=%d npop=%d)",

@@ -79,9 +79,6 @@ func (c *Clock) Name() string { return c.name }
 // PeriodPS returns the clock period in picoseconds.
 func (c *Clock) PeriodPS() int64 { return c.periodPS }
 
-// FreqMHz returns the clock frequency in MHz.
-func (c *Clock) FreqMHz() float64 { return 1e6 / float64(c.periodPS) }
-
 // Cycles returns the number of rising edges elapsed so far.
 func (c *Clock) Cycles() int64 { return c.cycle }
 
@@ -590,19 +587,6 @@ func (k *Kernel) PeekNextEdge() int64 { return k.peekNextEdge() }
 // are collected. Calling it on a kernel that is actively stepping corrupts
 // the time axis.
 func (k *Kernel) SetNow(ps int64) { k.nowPS = ps }
-
-// SeedCycles fast-forwards the clock to n completed cycles, as if it had
-// ticked continuously from phase 0. Shard assembly uses it on the per-shard
-// central-clock replicas of a checkpoint-restored platform, so every central
-// clock agrees on the cycle count (maturity stamps, timeline timestamps and
-// NowPS arithmetic all read it).
-func (c *Clock) SeedCycles(n int64) {
-	c.cycle = n
-	c.nextEdge = (n + 1) * c.periodPS
-	if c.kernel != nil {
-		c.kernel.invalidateSchedule()
-	}
-}
 
 // AdoptClock moves an existing clock (with its registered components and its
 // cycle/edge state) into this kernel, detaching it from the kernel that

@@ -288,9 +288,6 @@ func (d *Decoder) AddRef(obj any) {
 	d.objs = append(d.objs, obj)
 }
 
-// NextRef returns the index the next AddRef call will assign.
-func (d *Decoder) NextRef() uint64 { return uint64(len(d.objs)) }
-
 // Ref resolves a dense index to the decoded object.
 func (d *Decoder) Ref(idx uint64) any {
 	if d.err != nil {

@@ -50,7 +50,8 @@ func (n *Node) EncodeState(e *snapshot.Encoder) {
 
 // DecodeState restores a node serialized by EncodeState. The receiver must
 // have the same attached initiator/target counts (rebuilt from the spec);
-// every pointer, lock and window it restores must index them.
+// every pointer, lock, window and in-flight request source it restores must
+// index them.
 func (n *Node) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	d.Tag('S')
 	ni, nt := len(n.initiators), len(n.targets)
@@ -62,7 +63,7 @@ func (n *Node) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	}
 	for t := range n.reqCh {
 		ch := &n.reqCh[t]
-		ch.cur = bus.DecodeReqRef(d, col)
+		ch.cur = bus.DecodeInFlight(d, col, ni)
 		ch.beatsLeft = d.Int(0, math.MaxInt, "stbus %q target %d beats left", n.name, t)
 		ch.msgLock = d.Int(-1, ni-1, "stbus %q target %d message lock", n.name, t)
 		ch.rr = d.Int(0, max(ni-1, 0), "stbus %q target %d round-robin pointer", n.name, t)

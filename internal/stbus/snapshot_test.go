@@ -9,10 +9,10 @@ import (
 	"mpsocsim/internal/testutil"
 )
 
-// TestDecodeStateRejectsOutOfRange sets one restored pointer, lock, window
-// or count outside the range the node indexes with, and requires the decoder
-// to reject the snapshot as corrupt instead of handing Run a node that
-// panics on its next edge.
+// TestDecodeStateRejectsOutOfRange sets one restored pointer, lock, window,
+// count or in-flight request source outside the range the node indexes
+// with, and requires the decoder to reject the snapshot as corrupt instead
+// of handing Run a node that panics on its next edge.
 func TestDecodeStateRejectsOutOfRange(t *testing.T) {
 	const ni, nt = 3, 2
 	build := func() *Node {
@@ -40,6 +40,14 @@ func TestDecodeStateRejectsOutOfRange(t *testing.T) {
 		{"outstanding past limit", func(n *Node) { n.outstanding[0] = n.cfg.MaxOutstanding + 1 }},
 		{"window target past targets", func(n *Node) { n.outTarget[2] = nt }},
 		{"window target below none", func(n *Node) { n.outTarget[0] = -2 }},
+		{"channel source past initiators", func(n *Node) {
+			n.reqCh[1].cur = &bus.Request{Src: 9, Op: bus.OpWrite, Posted: true, Beats: 2}
+			n.reqCh[1].beatsLeft = 1
+		}},
+		{"channel source negative", func(n *Node) {
+			n.reqCh[0].cur = &bus.Request{Src: -1, Op: bus.OpRead, Beats: 1}
+			n.reqCh[0].beatsLeft = 1
+		}},
 	}
 	decode := func(n *Node) error {
 		e := snapshot.NewEncoder()
