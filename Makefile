@@ -7,7 +7,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test fmt vet race race-full verify benchpins bench benchquick fuzz-short cover diff-smoke loc
+.PHONY: build test fmt vet race race-full verify benchpins bench benchpair benchquick fuzz-short cover diff-smoke loc
 
 build:
 	$(GO) build ./...
@@ -115,6 +115,20 @@ BENCH_WORKLOADS = ref_lmi io_tail variant_sweep observe_replay
 
 bench:
 	for w in $(BENCH_WORKLOADS); do bash perfbench/run.sh --workload $$w --seconds 28 || exit 1; done
+
+# Paired comparison with a base revision: PAIRS alternating pairs of
+# SECONDS-long runs of workload W at traffic seed SEED, the base exported
+# into .benchpair/base (tools/benchpair.sh). It prints every run's
+# end-to-end metrics, then per metric both sides' median and quartiles, the
+# change of the medians and the pairs the working tree won.
+BASE ?= HEAD
+PAIRS ?= 10
+SECONDS ?= 28
+SEED ?= 1
+
+benchpair:
+	@test -n "$(W)" || { echo "usage: make benchpair BASE=<rev> W=<workload> [PAIRS=10 SECONDS=28 SEED=1]"; exit 2; }
+	bash tools/benchpair.sh $(BASE) $(W) $(PAIRS) $(SECONDS) $(SEED)
 
 benchquick:
 	$(GO) test -bench=. -benchtime=1x ./...

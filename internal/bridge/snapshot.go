@@ -88,6 +88,16 @@ func decodeCtxRef(d *snapshot.Decoder, col *attr.Collector) *reqCtx {
 	return ctx
 }
 
+// decodeQueuedCtx decodes a context reference held in one of the bridge's
+// lines or queues, where a context always exists.
+func (b *Bridge) decodeQueuedCtx(d *snapshot.Decoder, col *attr.Collector) *reqCtx {
+	ctx := decodeCtxRef(d, col)
+	if ctx == nil && d.Err() == nil {
+		d.Corrupt("bridge %q queues a missing context", b.name)
+	}
+	return ctx
+}
+
 // EncodeState serializes the bridge's mutable state: both bus-facing ports
 // (the bridge owns them), the emit queue, the crossing FIFOs, the
 // store-and-forward and latency lines, the ordering queues, the transaction
@@ -169,22 +179,22 @@ func (b *Bridge) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	nd := d.N(1 << 16)
 	b.delayLine = b.delayLine[:0]
 	for i := 0; i < nd; i++ {
-		ctx := decodeCtxRef(d, col)
+		ctx := b.decodeQueuedCtx(d, col)
 		ready := d.I()
 		b.delayLine = append(b.delayLine, delayedReq{ctx: ctx, ready: ready})
 	}
-	sim.DecodeAsyncFifoState(d, b.reqX, func(d *snapshot.Decoder) *reqCtx { return decodeCtxRef(d, col) })
+	sim.DecodeAsyncFifoState(d, b.reqX, func(d *snapshot.Decoder) *reqCtx { return b.decodeQueuedCtx(d, col) })
 	nh := d.N(1 << 16)
 	b.held = b.held[:0]
 	for i := 0; i < nh; i++ {
-		ctx := decodeCtxRef(d, col)
+		ctx := b.decodeQueuedCtx(d, col)
 		ready := d.I()
 		b.held = append(b.held, heldReq{ctx: ctx, ready: ready})
 	}
 	ng := d.N(1 << 16)
 	b.globalOrder = b.globalOrder[:0]
 	for i := 0; i < ng; i++ {
-		b.globalOrder = append(b.globalOrder, decodeCtxRef(d, col))
+		b.globalOrder = append(b.globalOrder, b.decodeQueuedCtx(d, col))
 	}
 	for src := range b.perSrc {
 		delete(b.perSrc, src)
@@ -195,7 +205,7 @@ func (b *Bridge) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 		cnt := d.N(1 << 16)
 		q := make([]*reqCtx, 0, cnt)
 		for j := 0; j < cnt; j++ {
-			q = append(q, decodeCtxRef(d, col))
+			q = append(q, b.decodeQueuedCtx(d, col))
 		}
 		if d.Err() != nil {
 			return

@@ -115,7 +115,7 @@ func (c *Core) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	for i := range c.regs {
 		c.regs[i] = d.I()
 	}
-	c.pc = d.I()
+	c.pc = int64(d.Int(0, len(c.prog.Bundles), "dspcore %q pc", c.cfg.Name))
 	c.halted = d.Bool()
 	decodeCacheState(d, c.icache)
 	decodeCacheState(d, c.dcache)
@@ -125,9 +125,9 @@ func (c *Core) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	for i := 0; i < nm; i++ {
 		var op pendingOp
 		op.instr.Kind = OpKind(d.U())
-		op.instr.Dst = uint8(d.I())
-		op.instr.Src1 = uint8(d.I())
-		op.instr.Src2 = uint8(d.I())
+		op.instr.Dst = uint8(d.Int(0, NumRegs-1, "dspcore %q memory op %d Dst", c.cfg.Name, i))
+		op.instr.Src1 = uint8(d.Int(0, NumRegs-1, "dspcore %q memory op %d Src1", c.cfg.Name, i))
+		op.instr.Src2 = uint8(d.Int(0, NumRegs-1, "dspcore %q memory op %d Src2", c.cfg.Name, i))
 		op.instr.Imm = d.I()
 		op.addr = d.U()
 		if d.Err() != nil {

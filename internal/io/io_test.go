@@ -2,6 +2,7 @@ package io
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"mpsocsim/internal/bus"
@@ -456,4 +457,38 @@ func TestSnapshotDecodeRejectsCorruptKinds(t *testing.T) {
 		// Must not panic; an error (or silent value change) is fine.
 		b.in.(*Engine).DecodeState(d, nil)
 	}
+}
+
+// TestDecodeStateRejectsOutOfRange restores an allocator whose malloc is in
+// progress while every live slot is taken — finishing it would store the
+// block past the live table — and requires DecodeState to reject the
+// snapshot. A full table between ops is valid: the next op is a free.
+func TestDecodeStateRejectsOutOfRange(t *testing.T) {
+	build := func() *Allocator {
+		return newRig(t, func(clk *sim.Clock, ids *bus.IDSource) (initiator, error) {
+			return NewAllocator(allocCfg(), clk, ids, 9)
+		}).in.(*Allocator)
+	}
+	decode := func(h *Allocator) error {
+		e := snapshot.NewEncoder()
+		h.EncodeState(e)
+		d, err := snapshot.NewDecoder(e.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		build().DecodeState(d, nil)
+		return d.Finish()
+	}
+	h := build()
+	h.live = len(h.liveAddr)
+	if err := decode(h); err != nil {
+		t.Fatalf("a full live table between ops does not round-trip: %v", err)
+	}
+	t.Run("malloc in progress with the live table full", func(t *testing.T) {
+		h := build()
+		h.live, h.step, h.opFree, h.opSize = len(h.liveAddr), hsBodyReady, false, 64
+		if err := decode(h); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("decode returned %v, want %v", err, snapshot.ErrCorrupt)
+		}
+	})
 }

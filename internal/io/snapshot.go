@@ -224,6 +224,10 @@ func (h *Allocator) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	if d.Err() != nil {
 		return
 	}
+	if nl == len(h.liveAddr) && h.step != hsIdle && !h.opFree {
+		d.Corrupt("io halloc %q has a malloc in progress with all %d live slots taken", h.cfg.Name, nl)
+		return
+	}
 	h.live = nl
 	for i := 0; i < nl; i++ {
 		h.liveAddr[i] = d.U()

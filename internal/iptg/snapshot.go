@@ -68,8 +68,8 @@ func (g *Generator) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 		d.Corrupt("iptg %q agent count %d does not match platform's %d", g.cfg.Name, na, len(g.agents))
 		return
 	}
-	for _, a := range g.agents {
-		a.phase = int(d.I())
+	for i, a := range g.agents {
+		a.phase = d.Int(0, len(a.cfg.Phases), "iptg %q agent %d phase", g.cfg.Name, i)
 		a.inPhase = d.I()
 		a.issued = d.I()
 		a.completed = d.I()
@@ -99,7 +99,7 @@ func (g *Generator) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 		}
 		g.byReqID[id] = g.agents[idx]
 	}
-	g.rr = int(d.I())
+	g.rr = d.Int(0, len(g.agents)-1, "iptg %q round-robin pointer", g.cfg.Name)
 	g.issuedTotal = d.I()
 	g.completedTotal = d.I()
 }

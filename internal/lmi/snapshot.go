@@ -68,6 +68,10 @@ func (c *Controller) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 		if d.Err() != nil {
 			return
 		}
+		if s.req == nil {
+			d.Corrupt("lmi %q response stream %d has no request", c.name, i)
+			return
+		}
 		c.streams = append(c.streams, s)
 	}
 	c.dev.DecodeState(d)

@@ -135,15 +135,23 @@ func (a *Activity) Poke() {
 }
 
 // wake ends a sleep in the middle of the current edge's Eval phase (or
-// between steps) and books the skipped edges. When the owner's clock fires
-// at this edge and the sweep has not reached the owner yet — a later slot on
-// the same clock, or a clock later in the edge group — the owner takes this
-// edge's Eval, since full evaluation would show it the change at once.
-// Otherwise this edge's Eval already went by as idle and is booked so, while
-// its Update still runs to commit the change that woke it.
+// between steps) and books the skipped edges. A parked clock is unparked
+// first, and joins the group being fired when this edge is one of its own.
+// When the owner's clock fires at this edge and the sweep has not reached
+// the owner yet — a later slot on the same clock, or a clock later in the
+// edge group — the owner takes this edge's Eval, since full evaluation
+// would show it the change at once. Otherwise this edge's Eval already went
+// by as idle and is booked so, while its Update still runs to commit the
+// change that woke it.
 func (a *Activity) wake() {
 	c := a.clk
 	now := c.kernel.nowPS
+	if c.parked {
+		c.kernel.unpark(c)
+		if c.nextEdge == now {
+			c.kernel.join(c)
+		}
+	}
 	n := c.cycle - a.since
 	a.asleep = false
 	c.sleepers--
@@ -218,6 +226,7 @@ func (k *Kernel) Settle() {
 	if k.fullEval {
 		return // nothing sleeps
 	}
+	k.catchUpAll()
 	for _, c := range k.clocks {
 		if c.sleepers == 0 {
 			continue
@@ -235,6 +244,7 @@ func (k *Kernel) Settle() {
 // woken (their skipped edges booked) and further sleep requests are ignored.
 // Sharded runs and equivalence tests use it; call it between steps.
 func (k *Kernel) SetFullEval(on bool) {
+	k.unparkAll()
 	k.fullEval = on
 	for _, c := range k.clocks {
 		for _, s := range c.slots {
@@ -254,4 +264,7 @@ func (k *Kernel) SetFullEval(on bool) {
 // skipped since it was created: each registered component counts once per
 // edge of its clock, as evaluated when its Eval ran and as skipped when it
 // slept.
-func (k *Kernel) EvalCounts() (evaluated, skipped int64) { return k.evaluated, k.skipped }
+func (k *Kernel) EvalCounts() (evaluated, skipped int64) {
+	k.catchUpAll()
+	return k.evaluated, k.skipped
+}

@@ -69,8 +69,8 @@ func (k *sink) CreditIdle(n int64) {
 	k.countdown -= min(k.countdown, n)
 }
 
-// busy is an ungated component on a second clock, there only to select the
-// kernel's dispatch tier.
+// busy is an ungated component on a second clock, there only to move the
+// kernel off its single-clock path.
 type busy struct{ n int }
 
 func (b *busy) Eval()   { b.n++ }
@@ -95,7 +95,9 @@ func gatedRig(periodA, periodB int64, full bool) (*Kernel, *Clock, *sink) {
 }
 
 // TestGatingMatchesFullEvaluation steps a gated kernel and a full-evaluation
-// kernel side by side on every dispatch tier and requires identical sink
+// kernel side by side on one clock and beside a second clock whose edges
+// coincide often ("hyperperiod") or almost never ("generic"), and requires
+// identical sink
 // state (counters, countdown, FIFO statistics, event instants) after every
 // step, with the sleeper's skipped edges settled before each comparison.
 func TestGatingMatchesFullEvaluation(t *testing.T) {

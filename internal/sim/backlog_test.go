@@ -8,8 +8,8 @@ import (
 // Sleeping with queued work (DESIGN.md §20): a gated component may sleep
 // while its FIFOs hold committed entries; the other side's push or pop wakes
 // it, a wake takes the current edge's Eval when the sleeper's turn has not
-// come, and the kernel ticks edge groups in which everything sleeps without
-// running a component.
+// come, and Advance steps over edge groups in which everything sleeps
+// without running a component.
 
 // producer is a gated pusher with a random gap between pushes: it sleeps
 // through each gap — with its FIFO empty, part-filled or full — and, once
@@ -170,7 +170,8 @@ func (w *watcher) CreditIdle(n int64)  { w.cycles += n }
 // woken watcher takes this edge's Eval when its slot comes later in the
 // sweep — later on the same clock, or on a clock later in the edge group —
 // and sees the change one edge later when its turn has passed, exactly as
-// under full evaluation, on every dispatch tier.
+// under full evaluation, on one clock's single-clock path and beside a
+// 7519 ps clock that moves Step onto the scan.
 func TestWakeTakesEvalBeforeItsTurn(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -288,10 +289,12 @@ func idleRig(periodA, periodPace int64, full bool) (*Kernel, *Clock, []*timer) {
 }
 
 // TestIdleGroupsMatchFullEvaluation drives a gated kernel with Advance and a
-// full-evaluation twin with Step to the same instants, on every dispatch
-// tier, and requires equal time, cycle counts, component-edge totals and
-// timer state wherever Advance returns — including at a budget that falls
-// inside a run of idle groups.
+// full-evaluation twin with Step to the same instants — timers alone, and
+// beside a busy pace clock whose edges coincide with theirs often
+// ("hyperperiod") or almost never ("generic") — and requires equal time,
+// cycle counts, component-edge totals and timer state wherever Advance
+// returns, including at a budget that falls while the timers' clock is
+// parked.
 func TestIdleGroupsMatchFullEvaluation(t *testing.T) {
 	tiers := []struct {
 		name             string
@@ -335,7 +338,7 @@ func TestIdleGroupsMatchFullEvaluation(t *testing.T) {
 				t.Fatal("timers fired at different cycles")
 			}
 			if jumps == 0 {
-				t.Fatal("Advance never ticked an idle group")
+				t.Fatal("Advance never stepped over an idle group")
 			}
 		})
 	}
@@ -393,7 +396,7 @@ func TestAdvanceStopsAtBudget(t *testing.T) {
 }
 
 // TestBacklogStepZeroAlloc extends the kernel's zero-allocation guarantee to
-// pops waking a pusher and to Advance ticking idle groups.
+// pops waking a pusher and to Advance parking and unparking clocks.
 func TestBacklogStepZeroAlloc(t *testing.T) {
 	k, _, _ := producerRig(false)
 	k.RunCycles(k.Clocks()[0], 1000)

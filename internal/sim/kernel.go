@@ -55,6 +55,10 @@ func (c *ClockedFunc) Update() {
 type Clock struct {
 	name     string
 	periodPS int64
+	// nextEdge is the instant of the clock's next edge and cycle the edges
+	// it has completed. While the clock is parked both fall behind: cycle
+	// is then caught up on demand, and nextEdge is the instant the edge
+	// scan next visits the clock (see park).
 	nextEdge int64
 	cycle    int64
 	slots    []slot
@@ -71,6 +75,10 @@ type Clock struct {
 	// this instant takes the edge's Eval only if its slot lies ahead.
 	sweepPS int64
 	pos     int
+	// parked marks a clock Advance leaves out of its edge groups; rank is
+	// the clock's place in name order.
+	parked bool
+	rank   int
 }
 
 // Name returns the clock's name.
@@ -80,7 +88,12 @@ func (c *Clock) Name() string { return c.name }
 func (c *Clock) PeriodPS() int64 { return c.periodPS }
 
 // Cycles returns the number of rising edges elapsed so far.
-func (c *Clock) Cycles() int64 { return c.cycle }
+func (c *Clock) Cycles() int64 {
+	if c.parked {
+		return c.kernel.edgesDone(c)
+	}
+	return c.cycle
+}
 
 // NowPS returns the absolute simulated time of the edge currently being
 // processed, in picoseconds. Cycles() counts *completed* edges (it advances
@@ -88,7 +101,7 @@ func (c *Clock) Cycles() int64 { return c.cycle }
 // current edge sits at (Cycles()+1) * PeriodPS. Every clock domain's NowPS
 // agrees with kernel time at its own edges, giving cross-domain stamps (e.g.
 // latency attribution) one shared monotonic axis.
-func (c *Clock) NowPS() int64 { return (c.cycle + 1) * c.periodPS }
+func (c *Clock) NowPS() int64 { return (c.Cycles() + 1) * c.periodPS }
 
 // Register adds a component to this clock domain. Components are evaluated
 // in registration order; because all communication is through two-phase
@@ -96,6 +109,9 @@ func (c *Clock) NowPS() int64 { return (c.cycle + 1) * c.periodPS }
 // component, never cross-component value propagation. A Gated component's
 // Activity is bound to this clock.
 func (c *Clock) Register(comp Clocked) {
+	if c.kernel != nil {
+		c.kernel.unparkAll()
+	}
 	act := awake
 	if g, ok := comp.(Gated); ok {
 		act = g.Activity()
@@ -114,23 +130,21 @@ func (c *Clock) NumRegistered() int { return len(c.slots) }
 
 // Kernel owns simulated time and all clock domains.
 //
-// The edge scheduler is precomputed: clock periods are fixed integers, so
-// the firing pattern repeats with the hyperperiod (LCM of all periods). The
-// kernel lazily builds one of three dispatch tiers on the first Step after a
-// clock or component is added:
+// Every step fires the next edge group: the clocks due at the earliest
+// instant, in a deterministic order (stable sort by name), first every
+// clock's Eval sweep, then every clock's Update sweep. The kernel lazily
+// rebuilds its name-sorted clock list on the first step after a clock or
+// component is added, and dispatches one of two ways:
 //
-//  1. single-clock fast path — no min-scan, no grouping at all;
-//  2. hyperperiod schedule — the distinct firing offsets within one
-//     hyperperiod, each with its pre-sorted clock group, stepped by index;
-//  3. generic path — when the hyperperiod would be too long to tabulate
-//     (co-prime periods such as 7519 ps for a quantized 133 MHz clock), a
-//     single min-scan over clocks pre-sorted by name into a reusable
-//     firing buffer.
+//  1. single-clock fast path (Step only) — no scan, no grouping at all;
+//  2. name-sorted scan — one pass over the sorted clocks finds the earliest
+//     edge and collects the firing group into a reusable buffer.
 //
-// All three tiers fire the exact same edges in the exact same order as a
-// naive per-step min-scan + stable name sort, and none of them allocates in
-// steady state. Every tier skips sleeping gated components (see Activity),
-// and Advance ticks whole edge groups in which every component sleeps.
+// Both fire the exact same edges in the exact same order as a naive
+// per-step min-scan + stable name sort, and neither allocates in steady
+// state. Every step skips sleeping gated components (see Activity), and
+// Advance parks the clocks whose components all sleep, so its scan visits
+// only edge groups in which a component runs.
 type Kernel struct {
 	nowPS  int64
 	clocks []*Clock
@@ -143,34 +157,25 @@ type Kernel struct {
 
 	// --- lazily built edge schedule (see buildSchedule) ---
 	schedValid bool
-	single     *Clock      // tier 1: the only clock, or nil
-	groups     []edgeGroup // tier 2: hyperperiod schedule, or empty
-	hyper      int64       // hyperperiod in ps (tier 2)
-	base       int64       // absolute time of the current hyperperiod start
-	gidx       int         // next group to fire within the hyperperiod
-	sorted     []*Clock    // tier 3: clocks stably sorted by name
-	firing     []*Clock    // tier 3: reusable buffer of clocks firing next
-	// scanned marks firing and firingPS as the next group, found by a
-	// tickIdle that left it to Step.
-	scanned  bool
-	firingPS int64
+	single     *Clock   // the only clock, or nil
+	sorted     []*Clock // clocks stably sorted by name
+	firing     []*Clock // reusable buffer of the group being fired
+	// parked counts the parked clocks.
+	parked int
+	// phase and at locate the kernel inside the group being fired: the
+	// sweep under way and the index in firing of the clock it is sweeping.
+	phase phase
+	at    int
 }
 
-// edgeGroup is one distinct firing instant within the hyperperiod: the
-// clocks due at base+offset in their deterministic (name-sorted) order. The
-// group is swept clock by clock, so each clock records how far its sweep
-// has got (Activity.wake needs it), and the per-clock cycle counters advance
-// between clock segments of the Update phase exactly as in the generic path
-// (a component's Update may observe another domain's Cycles()).
-type edgeGroup struct {
-	offset int64 // firing time relative to the hyperperiod start, in (0, hyper]
-	clocks []*Clock
-}
+// phase is the part of an edge group the kernel is in.
+type phase uint8
 
-// maxHyperEdges bounds the tabulated schedule size; hyperperiods with more
-// distinct edges (or that overflow int64 during the LCM computation) fall
-// back to the generic min-scan path.
-const maxHyperEdges = 4096
+const (
+	betweenSteps phase = iota
+	evalPhase
+	updatePhase
+)
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel { return &Kernel{} }
@@ -218,6 +223,7 @@ func (k *Kernel) NewClockPeriodPS(name string, periodPS int64) *Clock {
 	if periodPS <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %d for clock %q", periodPS, name))
 	}
+	k.unparkAll()
 	c := &Clock{name: name, periodPS: periodPS, nextEdge: periodPS, kernel: k, wakeMin: math.MaxInt64}
 	k.clocks = append(k.clocks, c)
 	k.invalidateSchedule()
@@ -226,110 +232,26 @@ func (k *Kernel) NewClockPeriodPS(name string, periodPS int64) *Clock {
 
 // invalidateSchedule forces a rebuild on the next Step; called whenever the
 // clock set or a component list changes.
-func (k *Kernel) invalidateSchedule() { k.schedValid, k.scanned = false, false }
+func (k *Kernel) invalidateSchedule() { k.schedValid = false }
 
-// buildSchedule selects and constructs the dispatch tier. Runs once per
-// topology change, never in steady state.
+// buildSchedule sorts the clocks by name and selects the dispatch path. Runs
+// once per topology change, never in steady state.
 func (k *Kernel) buildSchedule() {
 	k.schedValid = true
-	k.single = nil
-	k.groups = k.groups[:0]
-	if len(k.clocks) == 0 {
-		return
-	}
-	if len(k.clocks) == 1 {
-		k.single = k.clocks[0]
-		return
-	}
 	// Deterministic firing order: stable sort by name (registration order
 	// breaks ties), matching the per-step sort the kernel historically did.
 	k.sorted = append(k.sorted[:0], k.clocks...)
 	sort.SliceStable(k.sorted, func(i, j int) bool { return k.sorted[i].name < k.sorted[j].name })
-	k.buildHyperperiod()
-}
-
-// buildHyperperiod tabulates the firing groups of one hyperperiod, or leaves
-// k.groups empty to select the generic path.
-func (k *Kernel) buildHyperperiod() {
-	hyper := int64(1)
-	for _, c := range k.clocks {
-		g := gcd64(hyper, c.periodPS)
-		quot := hyper / g
-		if quot > math.MaxInt64/c.periodPS {
-			return // LCM overflow: generic path
-		}
-		hyper = quot * c.periodPS
+	for i, c := range k.sorted {
+		c.rank = i
 	}
-	var edges int64
-	for _, c := range k.clocks {
-		edges += hyper / c.periodPS
+	if cap(k.firing) < len(k.sorted) {
+		k.firing = make([]*Clock, 0, len(k.sorted))
 	}
-	if edges > maxHyperEdges {
-		return // schedule too large to be worth tabulating
+	k.single = nil
+	if len(k.clocks) == 1 {
+		k.single = k.clocks[0]
 	}
-	// Distinct firing offsets within (0, hyper].
-	offs := make([]int64, 0, edges)
-	for _, c := range k.sorted {
-		for t := c.periodPS; t <= hyper; t += c.periodPS {
-			offs = append(offs, t)
-		}
-	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	groups := make([]edgeGroup, 0, len(offs))
-	for _, off := range offs {
-		if n := len(groups); n > 0 && groups[n-1].offset == off {
-			continue
-		}
-		g := edgeGroup{offset: off}
-		for _, c := range k.sorted {
-			if off%c.periodPS != 0 {
-				continue
-			}
-			g.clocks = append(g.clocks, c)
-		}
-		groups = append(groups, g)
-	}
-	// Position the schedule at the kernel's current state. All clocks tick
-	// continuously from phase 0 (nextEdge is always (cycle+1)*period), so
-	// the next due edge determines base and gidx; if any clock's state is
-	// inconsistent with the periodic pattern (e.g. a clock created mid-run
-	// with edges in the simulated past), fall back to the generic path,
-	// which reproduces the historical behaviour exactly.
-	next := k.clocks[0].nextEdge
-	for _, c := range k.clocks[1:] {
-		if c.nextEdge < next {
-			next = c.nextEdge
-		}
-	}
-	base := (next - 1) / hyper * hyper
-	gidx := -1
-	for i := range groups {
-		if base+groups[i].offset == next {
-			gidx = i
-			break
-		}
-	}
-	if gidx < 0 {
-		return
-	}
-	pos := base + groups[gidx].offset
-	for _, c := range k.clocks {
-		due := (pos + c.periodPS - 1) / c.periodPS * c.periodPS
-		if due != c.nextEdge {
-			return
-		}
-	}
-	k.groups = groups
-	k.hyper = hyper
-	k.base = base
-	k.gidx = gidx
-}
-
-func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 // Step advances simulated time to the next clock edge (or group of
@@ -337,23 +259,52 @@ func gcd64(a, b int64) int64 {
 // when there are no clocks registered.
 func (k *Kernel) Step() bool { return k.stepBounded(math.MaxInt64) }
 
-// Advance ticks the edge groups in which every component sleeps —
-// advancing time and cycle counts without running any component — up to the
-// next group that would run a component or fire pace, and fires that group
-// like Step. It stops early, right after an idle group, once time reaches
-// budgetPS. A run loop that checks a time budget, pace's cycle count and
-// component state between steps therefore sees exactly what it would see
-// stepping group by group: a group nobody runs in changes none of them. It
-// returns false when there are no clocks registered. With a nil pace and an
-// unbounded budget, Advance does not return once every component sleeps
-// without a timer.
+// Advance fires the next edge group like Step, except that it leaves parked
+// clocks out: after each group, every clock it fired other than pace whose
+// components all sleep parks until its earliest timed wake-up, or until a
+// poke wakes one of its components, and a parked clock's cycle count is
+// computed only when something reads it. A parked clock's edges run no
+// component and change nothing a run loop reads — a time budget, pace's
+// cycle count, component state — so the loop sees exactly what it would
+// see stepping group by group, and pace still returns control at every one
+// of its edges. When the next group lies past budgetPS, Advance may stop
+// without firing anything, at the first edge of a parked clock at or after
+// both budgetPS and the instant after Now(): the first instant a loop
+// stepping group by group would reach at or past the budget. It returns
+// false when there are no clocks registered, and when no clock has an edge
+// to fire and no parked clock one at which to stop.
 func (k *Kernel) Advance(pace *Clock, budgetPS int64) bool {
-	for k.tickIdle(pace) {
-		if k.nowPS >= budgetPS {
+	if !k.schedValid {
+		k.buildSchedule()
+	}
+	if pace != nil && pace.parked {
+		k.unpark(pace)
+	}
+	next := k.scanFiring()
+	if next > budgetPS {
+		if stop := k.parkedEdge(max(budgetPS, k.nowPS+1)); stop < next {
+			k.nowPS = stop
 			return true
 		}
 	}
-	return k.Step()
+	if next == math.MaxInt64 {
+		return false
+	}
+	// A parked clock that comes due catches up to the edge before the
+	// group, and fires like any other.
+	k.nowPS, k.phase = next, evalPhase
+	for _, c := range k.firing {
+		if c.parked {
+			k.unpark(c)
+		}
+	}
+	k.fire(next)
+	for _, c := range k.firing {
+		if c != pace && c.sleepers == len(c.slots) {
+			k.park(c)
+		}
+	}
+	return true
 }
 
 // stepBounded fires the next edge group if it is due at or before maxPS and
@@ -363,9 +314,10 @@ func (k *Kernel) stepBounded(maxPS int64) bool {
 	if !k.schedValid {
 		k.buildSchedule()
 	}
-	switch {
-	case k.single != nil:
-		c := k.single
+	if k.parked > 0 {
+		k.unparkAll()
+	}
+	if c := k.single; c != nil {
 		now := c.nextEdge
 		if now > maxPS {
 			return false
@@ -374,58 +326,36 @@ func (k *Kernel) stepBounded(maxPS int64) bool {
 		k.evalClock(c, now)
 		updateClock(c, now)
 		return true
-	case len(k.groups) > 0:
-		g := &k.groups[k.gidx]
-		now := k.base + g.offset
-		if now > maxPS {
-			return false
-		}
-		k.nowPS = now
-		k.fire(g.clocks, now)
-		k.nextGroup()
-		return true
-	case len(k.clocks) == 0:
-		return false
 	}
 	next := k.scanFiring()
-	if next > maxPS {
+	if next > maxPS || len(k.firing) == 0 {
 		return false
 	}
-	k.scanned = false
-	k.nowPS = next
-	k.fire(k.firing, next)
+	k.fire(next)
 	return true
 }
 
-// fire ticks one edge group synchronously: every clock's Eval sweep, then
-// every clock's Update sweep, so simultaneous edges across domains behave
-// like a single wider domain.
-func (k *Kernel) fire(clocks []*Clock, now int64) {
-	for _, c := range clocks {
-		k.evalClock(c, now)
+// fire ticks the edge group in firing synchronously: every clock's Eval
+// sweep, then every clock's Update sweep, so simultaneous edges across
+// domains behave like a single wider domain. A woken parked clock may join
+// the group while it fires (see join).
+func (k *Kernel) fire(now int64) {
+	k.nowPS = now
+	k.phase = evalPhase
+	for k.at = 0; k.at < len(k.firing); k.at++ {
+		k.evalClock(k.firing[k.at], now)
 	}
-	for _, c := range clocks {
-		updateClock(c, now)
+	k.phase = updatePhase
+	for k.at = 0; k.at < len(k.firing); k.at++ {
+		updateClock(k.firing[k.at], now)
 	}
+	k.phase = betweenSteps
 }
 
-// nextGroup moves the tabulated schedule on by one group.
-func (k *Kernel) nextGroup() {
-	k.gidx++
-	if k.gidx == len(k.groups) {
-		k.gidx = 0
-		k.base += k.hyper
-	}
-}
-
-// scanFiring is the generic tier's edge search: one scan over the
-// name-sorted clocks finds the minimum edge and collects the firing group
-// into a reusable buffer, already in deterministic order. A group tickIdle
-// found and did not tick is reused as is.
+// scanFiring is the edge search: one scan over the name-sorted clocks finds
+// the minimum edge and collects the firing group into a reusable buffer,
+// already in deterministic order.
 func (k *Kernel) scanFiring() int64 {
-	if k.scanned {
-		return k.firingPS
-	}
 	next := int64(math.MaxInt64)
 	k.firing = k.firing[:0]
 	for _, c := range k.sorted {
@@ -437,57 +367,112 @@ func (k *Kernel) scanFiring() int64 {
 			k.firing = append(k.firing, c)
 		}
 	}
-	k.firingPS = next
 	return next
 }
 
-// tickIdle ticks the next edge group without running a single component
-// when every component it would tick sleeps past it and pace does not fire
-// in it, and reports whether it did.
-func (k *Kernel) tickIdle(pace *Clock) bool {
-	if !k.schedValid {
-		k.buildSchedule()
-	}
-	var clocks []*Clock
-	var now int64
-	switch {
-	case k.single != nil:
-		clocks, now = k.clocks, k.single.nextEdge
-	case len(k.groups) > 0:
-		g := &k.groups[k.gidx]
-		clocks, now = g.clocks, k.base+g.offset
-	case len(k.clocks) == 0:
-		return false
-	default:
-		now = k.scanFiring()
-		clocks = k.firing
-		k.scanned = true
-	}
-	for _, c := range clocks {
-		if c == pace || !c.idleAt(now) {
-			return false
-		}
-	}
-	k.scanned = false
-	k.nowPS = now
-	for _, c := range clocks {
-		c.skipEdge()
-	}
-	if len(k.groups) > 0 {
-		k.nextGroup()
-	}
-	return true
+// park takes a clock whose components all sleep out of Advance's edge
+// groups. The scan next visits it at its first edge at or after its
+// earliest timed wake-up. wakeMin is only a lower bound, so the clock may
+// then find no sleeper due; its Eval sweep refreshes wakeMin, and it parks
+// again.
+func (k *Kernel) park(c *Clock) {
+	c.parked = true
+	k.parked++
+	c.nextEdge = max(c.nextEdge, ceilEdge(c.wakeMin, c.periodPS))
 }
 
-// idleAt reports whether every component of the clock sleeps past the edge
-// at now.
-func (c *Clock) idleAt(now int64) bool { return c.sleepers == len(c.slots) && c.wakeMin > now }
+// ceilEdge returns the first multiple of period at or after t, or
+// math.MaxInt64 when it would overflow.
+func ceilEdge(t, period int64) int64 {
+	if t > math.MaxInt64-period {
+		return math.MaxInt64
+	}
+	return (t + period - 1) / period * period
+}
 
-// skipEdge completes an edge at which every component sleeps.
-func (c *Clock) skipEdge() {
-	c.kernel.skipped += int64(len(c.slots))
-	c.cycle++
-	c.nextEdge += c.periodPS
+// parkedEdge returns the first edge of a parked clock at or after t, or
+// math.MaxInt64 when there is none.
+func (k *Kernel) parkedEdge(t int64) int64 {
+	edge := int64(math.MaxInt64)
+	for _, c := range k.sorted {
+		if c.parked {
+			edge = min(edge, ceilEdge(t, c.periodPS))
+		}
+	}
+	return edge
+}
+
+// edgesDone returns the edges of a parked clock that stepping group by
+// group would have completed by now: between steps every edge up to Now();
+// in an Eval sweep only those before it; in an Update sweep also the edge
+// at Now(), once the sweep has passed the clock's place in name order.
+func (k *Kernel) edgesDone(c *Clock) int64 {
+	n := k.nowPS / c.periodPS
+	if n*c.periodPS == k.nowPS && (k.phase == evalPhase || k.phase == updatePhase && c.rank > k.firing[k.at].rank) {
+		n--
+	}
+	return n
+}
+
+// catchUp books a parked clock's edges since it was last caught up as
+// skipped component-edges, leaving it parked.
+func (k *Kernel) catchUp(c *Clock) {
+	n := k.edgesDone(c)
+	k.skipped += (n - c.cycle) * int64(len(c.slots))
+	c.cycle = n
+}
+
+// catchUpAll catches every parked clock up.
+func (k *Kernel) catchUpAll() {
+	if k.parked == 0 {
+		return
+	}
+	for _, c := range k.clocks {
+		if c.parked {
+			k.catchUp(c)
+		}
+	}
+}
+
+// unpark catches a parked clock up and returns it to the edge scan.
+func (k *Kernel) unpark(c *Clock) {
+	k.catchUp(c)
+	c.parked = false
+	k.parked--
+	c.nextEdge = (c.cycle + 1) * c.periodPS
+}
+
+// unparkAll unparks every parked clock.
+func (k *Kernel) unparkAll() {
+	if k.parked == 0 {
+		return
+	}
+	for _, c := range k.clocks {
+		if c.parked {
+			k.unpark(c)
+		}
+	}
+}
+
+// join inserts a clock unparked at one of its own edges into the group
+// being fired, at its place in name order. When that place comes before
+// the clock being swept, the joining clock's Eval sweep has passed, and all
+// its components count as skipped at this edge, as evalClock books an idle
+// clock.
+func (k *Kernel) join(c *Clock) {
+	i := len(k.firing)
+	k.firing = append(k.firing, c)
+	for ; i > 0 && k.firing[i-1].rank > c.rank; i-- {
+		k.firing[i] = k.firing[i-1]
+	}
+	k.firing[i] = c
+	if k.phase == updatePhase || i <= k.at {
+		c.sweepPS, c.pos = k.nowPS, len(c.slots)
+		k.skipped += int64(len(c.slots))
+	}
+	if k.phase == evalPhase && i <= k.at {
+		k.at++
+	}
 }
 
 // evalClock runs the clock's Eval sweep at now: Eval on every awake
@@ -522,6 +507,10 @@ func (k *Kernel) evalClock(c *Clock, now int64) {
 	k.evaluated += int64(len(c.slots) - skipped)
 }
 
+// idleAt reports whether every component of the clock sleeps past the edge
+// at now.
+func (c *Clock) idleAt(now int64) bool { return c.sleepers == len(c.slots) && c.wakeMin > now }
+
 // updateClock calls Update on every component of the clock whose Update is
 // not gated off at this edge, then completes the clock's cycle.
 func updateClock(c *Clock, now int64) {
@@ -552,6 +541,7 @@ func (k *Kernel) RunUntil(ps int64) {
 // needed) or until Stop.
 func (k *Kernel) RunCycles(c *Clock, n int64) {
 	defer k.Settle()
+	k.unparkAll()
 	target := c.cycle + n
 	for !k.stopped && c.cycle < target {
 		if !k.Step() {
@@ -579,7 +569,17 @@ func (k *Kernel) RunWhile(cond func() bool, maxPS int64) bool {
 // PeekNextEdge returns the absolute time of the next due clock edge without
 // executing it, or -1 when the kernel has no clocks. Shard coordinators use
 // it to walk several kernels through a shared global instant order.
-func (k *Kernel) PeekNextEdge() int64 { return k.peekNextEdge() }
+func (k *Kernel) PeekNextEdge() int64 {
+	k.unparkAll()
+	if len(k.clocks) == 0 {
+		return -1
+	}
+	next := int64(math.MaxInt64)
+	for _, c := range k.clocks {
+		next = min(next, c.nextEdge)
+	}
+	return next
+}
 
 // SetNow forces the kernel's notion of current simulated time. It exists for
 // shard assembly only: after a sharded run the platform kernel itself never
@@ -622,25 +622,4 @@ func (c *Clock) TakeComponents() []Clocked {
 		c.kernel.invalidateSchedule()
 	}
 	return comps
-}
-
-func (k *Kernel) peekNextEdge() int64 {
-	if !k.schedValid {
-		k.buildSchedule()
-	}
-	switch {
-	case k.single != nil:
-		return k.single.nextEdge
-	case len(k.groups) > 0:
-		return k.base + k.groups[k.gidx].offset
-	case len(k.clocks) == 0:
-		return -1
-	}
-	next := int64(math.MaxInt64)
-	for _, c := range k.clocks {
-		if c.nextEdge < next {
-			next = c.nextEdge
-		}
-	}
-	return next
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // recorder appends "<name>@<cycles-after-update>" markers so tests can compare
-// the exact firing order across kernel dispatch tiers.
+// the exact firing order across clock sets and dispatch paths.
 type recorder struct {
 	clk  *Clock
 	name string
@@ -60,22 +60,22 @@ func runRecorded(periods []int64, names []string, steps int) []string {
 	return log
 }
 
-// TestScheduleTiersFireIdenticalEdges pins the tentpole invariant: the
-// tabulated hyperperiod schedule (small LCM) and the generic min-scan path
-// (huge LCM from the 7519 ps quantized-133 MHz period) both reproduce the
-// brute-force edge sequence exactly.
+// TestScheduleTiersFireIdenticalEdges pins the scheduling invariant: the
+// name-sorted scan reproduces the brute-force edge sequence exactly, for
+// clock sets with a short hyperperiod (the subtests named "schedule", once
+// served by a tabulated schedule) and with a huge one from the 7519 ps
+// quantized-133 MHz period ("generic").
 func TestScheduleTiersFireIdenticalEdges(t *testing.T) {
 	cases := []struct {
 		label   string
 		names   []string
 		periods []int64
 	}{
-		// LCM 20000 ps, 14 edges/hyperperiod: tier-2 schedule.
+		// LCM 20000 ps, 14 edges per hyperperiod.
 		{"schedule", []string{"a", "b"}, []int64{2500, 4000}},
 		// Simultaneous edges every 5000 ps plus an offset domain.
 		{"schedule-simultaneous", []string{"a", "b", "c"}, []int64{2500, 5000, 4000}},
-		// 7519 is co-prime enough that the hyperperiod exceeds maxHyperEdges:
-		// tier-3 generic.
+		// 7519 is co-prime with both: no edges coincide for ~113 s.
 		{"generic", []string{"a", "b", "c"}, []int64{2500, 4000, 7519}},
 	}
 	for _, tc := range cases {
@@ -165,11 +165,11 @@ func TestMidRunTopologyChangeInvalidatesSchedule(t *testing.T) {
 	a := k.NewClockPeriodPS("a", 2500)
 	aTicks := 0
 	a.Register(&ClockedFunc{OnEval: func() { aTicks++ }})
-	k.RunCycles(a, 8) // schedule built on the single-clock tier
+	k.RunCycles(a, 8) // schedule built on the single-clock path
 
 	// New domain mid-run: its first edge is one period after *time zero*,
 	// i.e. already in the simulated past, so it catches up deterministically
-	// through the generic path (the tabulated tiers refuse the state).
+	// through the scan.
 	b := k.NewClockPeriodPS("b", 4000)
 	bTicks := 0
 	b.Register(&ClockedFunc{OnEval: func() { bTicks++ }})
@@ -193,7 +193,8 @@ func TestMidRunTopologyChangeInvalidatesSchedule(t *testing.T) {
 }
 
 // TestKernelStepZeroAlloc guards the zero-allocation invariant at the kernel
-// level for all three dispatch tiers.
+// level for the single-clock path and the scan, with and without
+// coinciding edges (subtests "schedule" and "generic").
 func TestKernelStepZeroAlloc(t *testing.T) {
 	tiers := []struct {
 		label   string
@@ -217,7 +218,7 @@ func TestKernelStepZeroAlloc(t *testing.T) {
 			}
 			allocs := testing.AllocsPerRun(1000, func() { k.Step() })
 			if allocs != 0 {
-				t.Fatalf("Step allocates on the %s tier: %.2f allocs/step", tc.label, allocs)
+				t.Fatalf("Step allocates on the %s clock set: %.2f allocs/step", tc.label, allocs)
 			}
 		})
 	}

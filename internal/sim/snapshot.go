@@ -25,6 +25,7 @@ func (r *Rand) SetState(s uint64) { r.state = s }
 // is not serialized — it is a pure cache, lazily rebuilt from the clock
 // state after restore.
 func (k *Kernel) EncodeState(e *snapshot.Encoder) {
+	k.catchUpAll()
 	e.Tag('K')
 	e.I(k.nowPS)
 	e.U(uint64(len(k.clocks)))
@@ -37,6 +38,7 @@ func (k *Kernel) EncodeState(e *snapshot.Encoder) {
 // platform rebuilds topology from the spec before decoding, so clock count
 // and creation order match by construction).
 func (k *Kernel) DecodeState(d *snapshot.Decoder) {
+	k.unparkAll()
 	d.Tag('K')
 	now := d.I()
 	n := d.N(1 << 10)
