@@ -32,12 +32,12 @@ vet:
 race:
 	$(GO) test -race -short ./...
 
-# Full-suite race pass (CI's race-full job): the sharded engine's tests put
-# shard goroutines on shared boundary FIFOs, the internal/runner worker pool
-# runs simulations concurrently, and the -live server and the experiments
-# hub read the telemetry collector from other goroutines, so the conformance
-# matrix, the SPSC stress tests and the long regeneration tests that -short
-# skips all run under the detector.
+# Full-suite race pass (CI's race-full job): the internal/runner worker pool
+# runs simulations concurrently, the -live server and the experiments hub
+# read the telemetry collector from other goroutines, and the AsyncFifo SPSC
+# stress test hands a CDC FIFO's two sides between goroutines, so those
+# tests and the long regeneration tests that -short skips all run under the
+# detector.
 race-full:
 	$(GO) test -race ./...
 

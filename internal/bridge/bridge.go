@@ -287,18 +287,6 @@ func (b *Bridge) Name() string { return b.name }
 // them into) the given pool. Call before simulation starts.
 func (b *Bridge) UseRequestPool(p *bus.RequestPool) { b.pool = p }
 
-// RehomeDestination re-points the bridge's destination domain at a different
-// clock. Sharded assembly calls it when the bridge's home shard is not the
-// shard owning the real destination clock: the initiator side is then
-// registered on a shard-local replica (same name and period, so cycle counts
-// are identical), keeping every clock the bridge reads — including the
-// request crossing FIFO's reader clock — inside its own shard. Call before
-// simulation starts, on an idle bridge.
-func (b *Bridge) RehomeDestination(clk *sim.Clock) {
-	b.dstClk = clk
-	b.reqX.SetReaderClock(clk)
-}
-
 // EnableAttribution makes the bridge stamp latency-attribution phases on
 // crossing transactions: PhaseBridgeSF at acceptance (store-and-forward +
 // conversion), PhaseBridgeCDC entering the clock-domain-crossing FIFO,
@@ -787,6 +775,11 @@ func (b *Bridge) collectDownstream() {
 		b.iport.Resp.Pop()
 		if ctx := b.byDown[beat.Req]; ctx != nil {
 			b.retireWrite(ctx, false)
+		} else if beat.Last {
+			// The ack of a copy retired at forward time as posted, which a
+			// non-posting fabric (AHB) turned into a non-posted write:
+			// this beat is its last reference.
+			b.pool.Put(beat.Req)
 		}
 		return
 	}

@@ -8,8 +8,9 @@ package bus
 // never for order or density, and no ID ever reaches a result, report or
 // captured trace. The platform builder therefore gives each initiator its
 // own source seeded into a disjoint range — IDs stay globally unique with no
-// cross-initiator coordination, which keeps sharded execution free of a
-// shared hot counter (and of the data race one would be).
+// cross-initiator coordination. The ranges are part of every initiator's
+// snapshot state, so merging them into one source would change snapshot
+// bytes.
 type IDSource struct {
 	next uint64
 }

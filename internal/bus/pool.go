@@ -1,7 +1,5 @@
 package bus
 
-import "sync"
-
 // RequestPool recycles Request objects so the steady-state hot path of a
 // platform allocates nothing per transaction. One pool is shared by every
 // component of a platform instance (the platform builder wires it in), and
@@ -14,34 +12,23 @@ import "sync"
 //     write out of circulation puts it back: the final target for the copy
 //     it consumed, the bridge for the upstream original it retired at
 //     forward time;
+//   - a non-posting fabric (AHB) turns a posted write into an acknowledged
+//     one, but its issuer already counted it complete and tracks it no
+//     more: whoever receives that untracked final beat puts it back;
 //   - fabrics never own requests and never put.
 //
 // A nil *RequestPool is valid everywhere: Get falls back to plain allocation
 // and Put is a no-op, so components built outside a platform (unit tests,
 // examples) keep their original behaviour.
 //
-// The pool is not safe for concurrent use by default — a serial platform is
-// single-threaded by construction, and the parallel experiment runner gives
-// each worker its own platform (and therefore its own pool). Sharded
-// execution keeps the single platform-wide pool (per-shard pools would drain
-// systematically across shard cuts and allocate per transaction forever) and
-// switches it into shared mode instead: SetShared(true) guards Get/Put with
-// a mutex. Which shard's Get receives which recycled pointer then depends on
-// scheduling, but request identity is unobservable — Put scrubs every field,
-// and nothing keyed on request pointers is ever iterated — so results stay
-// bit-identical to serial runs.
+// The pool is not safe for concurrent use: a platform is single-threaded by
+// construction, and the parallel experiment runner gives each worker its own
+// platform (and therefore its own pool).
 type RequestPool struct {
-	free   []*Request
-	gets   int64
-	news   int64
-	shared bool
-	mu     sync.Mutex
+	free []*Request
+	gets int64
+	news int64
 }
-
-// SetShared toggles mutex protection of Get/Put for sharded execution. Call
-// before simulation starts; the serial hot path keeps a single predictable
-// branch.
-func (p *RequestPool) SetShared(on bool) { p.shared = on }
 
 // Get returns a scrubbed Request, recycling a previously Put one when
 // available.
@@ -49,25 +36,16 @@ func (p *RequestPool) Get() *Request {
 	if p == nil {
 		return &Request{}
 	}
-	if p.shared {
-		p.mu.Lock()
-	}
-	var r *Request
 	p.gets++
-	if n := len(p.free) - 1; n >= 0 {
-		r = p.free[n]
-		p.free[n] = nil
-		p.free = p.free[:n]
-		r.pooled = false
-	} else {
+	n := len(p.free) - 1
+	if n < 0 {
 		p.news++
-	}
-	if p.shared {
-		p.mu.Unlock()
-	}
-	if r == nil {
 		return &Request{}
 	}
+	r := p.free[n]
+	p.free[n] = nil
+	p.free = p.free[:n]
+	r.pooled = false
 	return r
 }
 
@@ -83,12 +61,6 @@ func (p *RequestPool) Put(r *Request) {
 		panic("bus: request returned to pool twice")
 	}
 	*r = Request{pooled: true}
-	if p.shared {
-		p.mu.Lock()
-		p.free = append(p.free, r)
-		p.mu.Unlock()
-		return
-	}
 	p.free = append(p.free, r)
 }
 
@@ -99,4 +71,14 @@ func (p *RequestPool) Recycled() (recycled, allocated int64) {
 		return 0, 0
 	}
 	return p.gets - p.news, p.news
+}
+
+// Free returns how many requests sit in the free list. Once every
+// transaction has drained, each request the pool minted must be back there
+// (for tests and diagnostics).
+func (p *RequestPool) Free() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.free)
 }

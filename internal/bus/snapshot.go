@@ -109,10 +109,15 @@ func EncodeBeat(e *snapshot.Encoder, b Beat) {
 	e.Bool(b.Last)
 }
 
-// DecodeBeat restores a beat serialized by EncodeBeat.
+// DecodeBeat restores a beat serialized by EncodeBeat. Every encoded beat
+// is live, so a beat without a request is corrupt: its consumer would
+// dereference the nil request.
 func DecodeBeat(d *snapshot.Decoder, col *attr.Collector) Beat {
 	var b Beat
 	b.Req = DecodeReqRef(d, col)
+	if b.Req == nil && d.Err() == nil {
+		d.Corrupt("response beat without a request")
+	}
 	b.Idx = int(d.I())
 	b.Last = d.Bool()
 	return b

@@ -2,7 +2,6 @@ package diff
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"mpsocsim/internal/config"
@@ -116,12 +115,10 @@ func TestBisectMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestBisectAgreesWithShardedTelemetry cross-checks the bisection cycle
-// against per-cycle telemetry streams of full runs, serial and sharded:
-// with cadence-1 collection, the first record pair that disagrees must sit
-// at exactly diverged_at, for shards 1 and 2 alike (records are
-// byte-identical across shard counts by the telemetry contract).
-func TestBisectAgreesWithShardedTelemetry(t *testing.T) {
+// TestBisectAgreesWithTelemetry cross-checks the bisection cycle against
+// per-cycle telemetry streams of full runs: with cadence-1 collection, the
+// first record pair that disagrees must sit at exactly diverged_at.
+func TestBisectAgreesWithTelemetry(t *testing.T) {
 	for _, g := range goldens {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
@@ -134,45 +131,35 @@ func TestBisectAgreesWithShardedTelemetry(t *testing.T) {
 			if div <= 0 {
 				t.Fatalf("no divergence: %+v", res)
 			}
-			for _, shards := range []int{1, 2} {
-				recA := teleRecords(t, sa, shards, div)
-				recB := teleRecords(t, sb, shards, div)
-				d := Streams(
-					&telemetry.Stream{Records: recA},
-					&telemetry.Stream{Records: recB},
-					fmt.Sprintf("A/shards=%d", shards), fmt.Sprintf("B/shards=%d", shards),
-				)
-				if d.DivergedAt == nil {
-					t.Fatalf("shards=%d: telemetry streams never diverged", shards)
-				}
-				if d.DivergedAt.CycleA != div {
-					t.Fatalf("shards=%d: telemetry diverges at cycle %d, bisect says %d",
-						shards, d.DivergedAt.CycleA, div)
-				}
-				if len(d.DivergedAt.Counters) == 0 && len(d.DivergedAt.Gauges) == 0 &&
-					len(d.DivergedAt.Initiators) == 0 && len(d.DivergedAt.Fields) == 0 {
-					t.Fatalf("shards=%d: divergence record carries no deltas", shards)
-				}
+			d := Streams(
+				&telemetry.Stream{Records: teleRecords(t, sa, div)},
+				&telemetry.Stream{Records: teleRecords(t, sb, div)},
+				"A", "B",
+			)
+			if d.DivergedAt == nil {
+				t.Fatal("telemetry streams never diverged")
+			}
+			if d.DivergedAt.CycleA != div {
+				t.Fatalf("telemetry diverges at cycle %d, bisect says %d", d.DivergedAt.CycleA, div)
+			}
+			if len(d.DivergedAt.Counters) == 0 && len(d.DivergedAt.Gauges) == 0 &&
+				len(d.DivergedAt.Initiators) == 0 && len(d.DivergedAt.Fields) == 0 {
+				t.Fatal("divergence record carries no deltas")
 			}
 		})
 	}
 }
 
-// teleRecords runs spec with cadence-1 telemetry under the given shard
-// count, cutting the run just past the divergence cycle via the simulated
-// budget, and drains the collected records.
-func teleRecords(t *testing.T, spec platform.Spec, shards int, div int64) []telemetry.Record {
+// teleRecords runs spec with cadence-1 telemetry, cutting the run just past
+// the divergence cycle via the simulated budget, and drains the collected
+// records.
+func teleRecords(t *testing.T, spec platform.Spec, div int64) []telemetry.Record {
 	t.Helper()
 	p, err := platform.Build(spec)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
 	col := p.EnableTelemetry(1, int(div)+128)
-	if shards > 1 {
-		if err := p.EnableSharding(shards); err != nil {
-			t.Fatalf("EnableSharding(%d): %v", shards, err)
-		}
-	}
 	p.Run((div + 64) * p.CentralClk.PeriodPS())
 	recs, _ := col.Drain(0)
 	return recs

@@ -234,20 +234,24 @@ func (c *Core) CreditIdle(n int64) {
 }
 
 // collectRefill consumes response beats; the refill completes on Last.
+// Every other final beat acks one of the core's writes, which it posts and
+// never tracks, turned into a non-posted write by a non-posting fabric
+// (AHB). A final beat is the request's last reference either way, so both
+// are recycled.
 func (c *Core) collectRefill() {
 	for c.port.Resp.CanPop() {
 		beat := c.port.Resp.Pop()
-		if beat.Last && beat.Req.ID == c.refillID {
+		if !beat.Last {
+			continue
+		}
+		if beat.Req.ID == c.refillID {
 			c.refillWait = false
 			c.refillID = 0
-			// The refill we issued is fully delivered: recycle it. Write
-			// acks (un-posted downstream) are left to the GC — the core
-			// cannot prove it still owns them.
 			if rec := beat.Req.Attr; rec != nil && c.attrCol != nil {
 				c.attrCol.Finish(rec, c.clk.NowPS())
 			}
-			c.pool.Put(beat.Req)
 		}
+		c.pool.Put(beat.Req)
 	}
 }
 

@@ -3,6 +3,7 @@ package dspcore
 import (
 	"testing"
 
+	"mpsocsim/internal/ahb"
 	"mpsocsim/internal/bus"
 	"mpsocsim/internal/mem"
 	"mpsocsim/internal/sim"
@@ -134,6 +135,52 @@ func TestWriteThroughVariant(t *testing.T) {
 	}
 	if s.Stores != 100 {
 		t.Fatalf("stores = %d", s.Stores)
+	}
+}
+
+// TestWriteAcksReturnToPool wires the core straight to an AHB layer, which
+// turns every posted write into an acknowledged one: the core never tracks
+// its writes, so the ack's final beat is the request's last reference and
+// must go back to the pool along with every refill. The program ends with a
+// load miss, whose refill the single memory serves after every earlier
+// write, so no ack is still in flight at HALT.
+func TestWriteAcksReturnToPool(t *testing.T) {
+	cfg := DefaultConfig("c")
+	cfg.WriteThrough = true
+	prog := MustAssemble(`
+.base 0x9000000
+        alu r1, r0, r0, 100
+        alu r3, r0, r0, 0x200000
+        alu r2, r0, r0, 0x400000
+loop:   st  r3, 0 | alu r3, r3, r0, 8 | alu r1, r1, r0, -1
+        br  r1, loop
+        ld  r4, r2, 0
+        halt
+`)
+	k := sim.NewKernel()
+	clk := k.NewClock("cpu", 400)
+	core, err := New(cfg, prog, clk, &bus.IDSource{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool bus.RequestPool
+	core.UseRequestPool(&pool)
+	layer := ahb.New("ahb", ahb.Config{BytesPerBeat: cfg.BytesPerBeat}, bus.Single(0))
+	m := mem.New("mem", mem.Config{WaitStates: 1, ReqDepth: 2, RespDepth: 4})
+	m.UseRequestPool(&pool)
+	layer.AttachInitiator(core.Port())
+	layer.AttachTarget(m.Port())
+	clk.Register(core)
+	clk.Register(layer)
+	clk.Register(m)
+	if !k.RunWhile(func() bool { return !core.Halted() }, 1e11) {
+		t.Fatalf("core did not halt: %s", core.Stats())
+	}
+	if core.Stats().Stores != 100 {
+		t.Fatalf("stores = %d", core.Stats().Stores)
+	}
+	if _, minted := pool.Recycled(); int64(pool.Free()) != minted {
+		t.Fatalf("pool minted %d requests but holds %d once settled", minted, pool.Free())
 	}
 }
 

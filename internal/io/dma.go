@@ -195,46 +195,6 @@ func (en *Engine) Completed() int64 { return en.completedTotal }
 // burstBytes is the payload carried by one full programmed burst.
 func (en *Engine) burstBytes() int { return en.cfg.BurstBeats * en.cfg.BytesPerBeat }
 
-// minChunks lower-bounds the payload transactions of an undecoded
-// descriptor: the smallest payload still needs this many gather reads (and
-// as many scatter writes).
-func (en *Engine) minChunks() int {
-	n := ceilDiv(en.cfg.MinBytes, en.burstBytes())
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Unfinished lower-bounds the transactions not yet completed (to-issue plus
-// in flight). Descriptors not yet decoded contribute their guaranteed
-// minimum (fetch + MinBytes-worth of moves + writeback); the current decoded
-// descriptor contributes its exact remainder. A lower bound is what the
-// sharded run coordinator needs: it proves the run cannot drain inside a
-// window while Unfinished exceeds the per-window completion bound.
-func (en *Engine) Unfinished() int64 {
-	var n int64 = int64(en.inFlight)
-	if en.desc >= en.cfg.Descriptors {
-		return n
-	}
-	minPerDesc := int64(2 + 2*en.minChunks())
-	// Current descriptor.
-	switch {
-	case !en.fetchIssued:
-		n += minPerDesc
-	case !en.fetchDone:
-		n += int64(1 + 2*en.minChunks())
-	default:
-		n += int64(en.chunksTotal-en.readsIssued) + int64(en.chunksTotal-en.writesIssued)
-		if !en.wbIssued {
-			n++
-		}
-	}
-	// Descriptors still linked behind it.
-	n += int64(en.cfg.Descriptors-en.desc-1) * minPerDesc
-	return n
-}
-
 // MaxConcurrent bounds the engine's simultaneously in-flight transactions.
 func (en *Engine) MaxConcurrent() int64 {
 	if en.cfg.Outstanding > 1 {
@@ -283,6 +243,10 @@ func (en *Engine) collect() {
 		}
 		kind, ok := en.byReqID[beat.Req.ID]
 		if !ok {
+			// An ack for a write that completed at issue as posted and
+			// that a non-posting fabric (AHB) turned into a non-posted
+			// one: nobody tracks it, and this beat is its last reference.
+			en.pool.Put(beat.Req)
 			continue
 		}
 		delete(en.byReqID, beat.Req.ID)

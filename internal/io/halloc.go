@@ -185,12 +185,6 @@ func (h *Allocator) Issued() int64 { return h.issuedTotal }
 // Completed returns the total completed transactions.
 func (h *Allocator) Completed() int64 { return h.completedTotal }
 
-// Unfinished returns exactly the transactions not yet completed: every op is
-// exactly two tracked transactions.
-func (h *Allocator) Unfinished() int64 {
-	return 2*int64(h.cfg.Ops) - h.completedTotal
-}
-
 // MaxConcurrent bounds the allocator's in-flight transactions: the metadata
 // dependency chain serializes them, so at most one.
 func (h *Allocator) MaxConcurrent() int64 { return 1 }

@@ -13,8 +13,8 @@
 // cycle through an owned bus.InitiatorPort, recycle requests through the
 // platform pool, stamp IssuePS for latency attribution and close records at
 // final-beat consumption, and carry full snapshot section codecs — so they
-// compose with every fabric, capture/replay, attribution, metrics, sharding
-// and checkpoint/restore like any other initiator (DESIGN.md §17).
+// compose with every fabric, capture/replay, attribution, metrics and
+// checkpoint/restore like any other initiator (DESIGN.md §17).
 package io
 
 import "mpsocsim/internal/stats"

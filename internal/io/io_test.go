@@ -19,7 +19,6 @@ type initiator interface {
 	Done() bool
 	Issued() int64
 	Completed() int64
-	Unfinished() int64
 }
 
 // rig wires one io initiator to a memory through an STBus node.
@@ -83,8 +82,8 @@ func TestDMAChainCompletes(t *testing.T) {
 	if en.Issued() != en.Completed() {
 		t.Fatalf("issued %d != completed %d", en.Issued(), en.Completed())
 	}
-	if en.Unfinished() != 0 {
-		t.Fatalf("unfinished = %d after drain", en.Unfinished())
+	if !en.Done() {
+		t.Fatal("not done after drain")
 	}
 	// Payload is drawn in [256,512] per descriptor, moved as whole beats.
 	bb := int64(4 * 8)
@@ -113,28 +112,6 @@ func TestDMAPostedWritesCompleteAtIssue(t *testing.T) {
 	}
 	if r.in.(*Engine).DescriptorsFetched() != 4 {
 		t.Fatal("chain did not complete")
-	}
-}
-
-// The sharded-run coordinator needs Unfinished to never overestimate the
-// transactions still coming: sample it through the run and check every
-// sample against the completions that actually followed.
-func TestDMAUnfinishedIsLowerBound(t *testing.T) {
-	r := newRig(t, func(clk *sim.Clock, ids *bus.IDSource) (initiator, error) {
-		return NewDMA(dmaCfg(), clk, ids, 5)
-	})
-	type sample struct{ unfinished, completed int64 }
-	var samples []sample
-	r.clk.Register(&sim.ClockedFunc{OnEval: func() {
-		samples = append(samples, sample{r.in.Unfinished(), r.in.Completed()})
-	}})
-	r.run(t)
-	final := r.in.Completed()
-	for i, s := range samples {
-		if s.unfinished > final-s.completed {
-			t.Fatalf("sample %d: Unfinished()=%d overestimates remaining %d",
-				i, s.unfinished, final-s.completed)
-		}
 	}
 }
 
@@ -182,8 +159,8 @@ func TestIRQAllDeadlinesMetWhenLoose(t *testing.T) {
 	if ds.MeanSvcCycles <= 0 || ds.MaxSvcCycles < ds.MinSvcCycles {
 		t.Fatalf("service latency stats malformed: %+v", ds)
 	}
-	if r.in.Unfinished() != 0 {
-		t.Fatalf("unfinished = %d after drain", r.in.Unfinished())
+	if !r.in.Done() || r.in.Issued() != r.in.Completed() {
+		t.Fatalf("after drain: done=%v issued=%d completed=%d", r.in.Done(), r.in.Issued(), r.in.Completed())
 	}
 }
 
@@ -259,8 +236,8 @@ func TestAllocatorCompletes(t *testing.T) {
 	if h.Issued() != 80 || h.Completed() != 80 {
 		t.Fatalf("issued/completed = %d/%d, want 80/80", h.Issued(), h.Completed())
 	}
-	if h.Unfinished() != 0 {
-		t.Fatalf("unfinished = %d after drain", h.Unfinished())
+	if !h.Done() {
+		t.Fatal("not done after drain")
 	}
 	if h.live > allocCfg().LiveCap {
 		t.Fatalf("live blocks %d exceed cap", h.live)
@@ -358,7 +335,8 @@ func TestSnapshotRoundTripMidFlight(t *testing.T) {
 		if !bytes.Equal(e.Bytes(), e2.Bytes()) {
 			t.Fatal("re-encoded DMA state differs")
 		}
-		if en2.inFlight != en.inFlight || en2.desc != en.desc || en2.Unfinished() != en.Unfinished() {
+		if en2.inFlight != en.inFlight || en2.desc != en.desc || en2.chunksTotal != en.chunksTotal ||
+			en2.readsIssued != en.readsIssued || en2.writesIssued != en.writesIssued {
 			t.Fatal("decoded DMA state differs from original")
 		}
 	})

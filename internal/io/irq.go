@@ -198,13 +198,6 @@ func (d *Device) Issued() int64 { return d.issuedTotal }
 // Completed returns the total completed service transactions.
 func (d *Device) Completed() int64 { return d.completedTotal }
 
-// Unfinished returns exactly the service transactions not yet completed
-// across the device's whole lifetime (every service transaction is tracked,
-// so the remaining count is known in closed form).
-func (d *Device) Unfinished() int64 {
-	return int64(d.cfg.Events)*int64(d.cfg.Bursts) - d.completedTotal
-}
-
 // MaxConcurrent bounds the device's simultaneously in-flight transactions.
 func (d *Device) MaxConcurrent() int64 { return int64(d.cfg.Outstanding) }
 

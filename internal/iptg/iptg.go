@@ -225,9 +225,9 @@ type Generator struct {
 	completedTotal int64
 }
 
-// New builds a generator. The IDSource must be shared platform-wide so
-// request IDs stay unique across bridges; origin identifies this IP in
-// end-to-end statistics.
+// New builds a generator. ids must hand out request IDs no other initiator
+// of the platform uses, so they stay unique across bridges; origin
+// identifies this IP in end-to-end statistics.
 func New(cfg Config, clk *sim.Clock, ids *bus.IDSource, origin int) (*Generator, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -293,22 +293,6 @@ func (g *Generator) Done() bool {
 		}
 	}
 	return true
-}
-
-// Unfinished returns the transactions not yet completed: those still to be
-// issued plus those in flight. It hits zero exactly when Done flips true —
-// the sharded run coordinator uses it to decide how long parallel windows
-// are provably safe (the run cannot drain inside a window while Unfinished
-// exceeds the per-window completion bound).
-func (g *Generator) Unfinished() int64 {
-	var n int64
-	for _, a := range g.agents {
-		if left := a.total - a.issued; left > 0 {
-			n += left
-		}
-		n += int64(a.inFlight)
-	}
-	return n
 }
 
 // MaxConcurrent returns an upper bound on this generator's simultaneously
@@ -378,6 +362,10 @@ func (g *Generator) collect() {
 		}
 		a := g.byReqID[beat.Req.ID]
 		if a == nil {
+			// An ack for a write that completed at issue as posted and
+			// that a non-posting fabric (AHB) turned into a non-posted
+			// one: nobody tracks it, and this beat is its last reference.
+			g.pool.Put(beat.Req)
 			continue
 		}
 		delete(g.byReqID, beat.Req.ID)

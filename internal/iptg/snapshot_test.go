@@ -4,13 +4,14 @@ import (
 	"errors"
 	"testing"
 
+	"mpsocsim/internal/bus"
 	"mpsocsim/internal/snapshot"
 )
 
 // TestDecodeStateRejectsOutOfRange corrupts each index the generator acts on
 // after a restore — the round-robin pointer over agents and an agent's
-// phase — and requires DecodeState to reject the snapshot instead of
-// letting Run index with it.
+// phase — and a response beat it would dereference, and requires
+// DecodeState to reject the snapshot instead of letting Run index with it.
 func TestDecodeStateRejectsOutOfRange(t *testing.T) {
 	cfg := Config{
 		Name: "ip0",
@@ -29,6 +30,10 @@ func TestDecodeStateRejectsOutOfRange(t *testing.T) {
 		{"rr past agents", func(g *Generator) { g.rr = len(g.agents) }},
 		{"phase negative", func(g *Generator) { g.agents[1].phase = -1 }},
 		{"phase past phases", func(g *Generator) { g.agents[0].phase = 3 }},
+		{"response beat without a request", func(g *Generator) {
+			g.port.Resp.Push(bus.Beat{Last: true})
+			g.port.Resp.Update()
+		}},
 	}
 	decode := func(g *Generator) error {
 		e := snapshot.NewEncoder()

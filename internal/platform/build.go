@@ -42,11 +42,8 @@ type Initiator interface {
 	Done() bool
 	Issued() int64
 	Completed() int64
-	// Unfinished counts transactions not yet completed (to-issue plus in
-	// flight); MaxConcurrent bounds the simultaneously in-flight count.
-	// The sharded run coordinator combines them to prove how long parallel
-	// windows cannot drain the workload (see shard.go).
-	Unfinished() int64
+	// MaxConcurrent bounds the simultaneously in-flight count; the stall
+	// trackers size their depth from it.
 	MaxConcurrent() int64
 	Stats() []iptg.AgentStats
 	UseRequestPool(*bus.RequestPool)
@@ -95,18 +92,12 @@ type Platform struct {
 	attrCol *attr.Collector
 
 	// idSrcs holds one request-ID source per initiator (traffic generators,
-	// replayers, DSP core), each seeded into a disjoint range. Per-initiator
-	// sources keep IDs globally unique without a shared counter, which a
-	// sharded run would race on; IDs are correlation-only and never reach a
-	// result or trace, so serial results are unchanged.
+	// replayers, DSP core), each seeded into a disjoint range, which keeps
+	// IDs globally unique without a shared counter. Each source's position is
+	// snapshot state, so merging them would change snapshot bytes; IDs are
+	// correlation-only and never reach a result or trace.
 	idSrcs []*bus.IDSource
 	pool   bus.RequestPool
-
-	// centralRegs journals every component registered on the central clock,
-	// tagged with the platform unit it belongs to, in registration order.
-	// Sharded assembly replays the journal onto per-shard central clocks
-	// (see shard.go); serial runs never read it.
-	centralRegs []centralReg
 
 	// timelineEvery and timelineCap are the EnableTimelines parameters, and
 	// timelineLeft is the live countdown to the next sampling instant. All
@@ -125,11 +116,11 @@ type Platform struct {
 	// called); retained so snapshots can carry the recorded streams.
 	capture *tracecap.Capture
 
-	// Progress-watchdog state, shared by the serial and sharded run loops.
-	// Fields (not run-loop locals) so a checkpointed run resumes with the
-	// same observation history — stall detection after restore fires at
-	// exactly the instants an uninterrupted run would. Build initializes
-	// wdLastProg to -1 (no observation yet).
+	// Progress-watchdog state of the run loop. Fields (not run-loop
+	// locals) so a checkpointed run resumes with the same observation
+	// history — stall detection after restore fires at exactly the instants
+	// an uninterrupted run would. Build initializes wdLastProg to -1 (no
+	// observation yet).
 	wdLastProg  int64
 	wdLastCheck int64
 	// wdCounters holds the counter baseline copied at the last watchdog
@@ -161,32 +152,10 @@ type Platform struct {
 	// Result.ResumedFromCycle reports it.
 	resumedCycles int64
 
-	// sharded-run state (nil/zero until EnableSharding).
-	shardKernels  []*sim.Kernel
-	boundaryFifos []sim.DeferredCommitter
-	tailThreshold int64
-	sharded       bool
-	shards        int
 	// samplerAttached marks that the CSV/VCD tracing sampler (AttachSampler
-	// in tracing.go) was installed; it reads cross-domain state from a
-	// central-clock hook and is incompatible with sharded execution.
+	// in tracing.go) was installed; Snapshot refuses it, because its state
+	// lives in a closure the snapshot cannot carry.
 	samplerAttached bool
-}
-
-// centralReg is one journaled central-clock registration: the component and
-// the platform unit (shard-assignment granule) that owns it.
-type centralReg struct {
-	unit string
-	comp sim.Clocked
-}
-
-// regCentral registers comp on the central clock and journals the
-// registration under the owning unit ("central" for the memory/interconnect
-// core, a cluster name for that cluster's bridge initiator side, "cpu" for
-// the DSP converter's initiator side).
-func (p *Platform) regCentral(unit string, comp sim.Clocked) {
-	p.CentralClk.Register(comp)
-	p.centralRegs = append(p.centralRegs, centralReg{unit: unit, comp: comp})
 }
 
 // newIDSource mints the per-initiator request-ID source for the given
@@ -246,12 +215,12 @@ func Build(spec Spec) (*Platform, error) {
 	// have been registered (registration order within a clock is the
 	// deterministic evaluation order; correctness is order-independent
 	// thanks to two-phase FIFOs).
-	p.regCentral("central", p.centralFab)
+	p.CentralClk.Register(p.centralFab)
 	if p.onchip != nil {
-		p.regCentral("central", p.onchip)
+		p.CentralClk.Register(p.onchip)
 	}
 	if p.ctrl != nil {
-		p.regCentral("central", p.ctrl)
+		p.CentralClk.Register(p.ctrl)
 	}
 	p.wirePool()
 	p.registerMetrics()
@@ -315,9 +284,6 @@ func (p *Platform) EnableTimelines(every int64, capSamples int) {
 	if len(p.samplers) > 0 {
 		return
 	}
-	if p.sharded {
-		panic("platform: EnableTimelines must be called before EnableSharding")
-	}
 	if every <= 0 {
 		every = metrics.DefaultSampleEvery
 	}
@@ -365,9 +331,6 @@ type attributable interface {
 func (p *Platform) EnableAttribution(retain int) *attr.Collector {
 	if p.attrCol != nil {
 		return p.attrCol
-	}
-	if p.sharded {
-		panic("platform: EnableAttribution must be called before EnableSharding")
 	}
 	col := attr.NewCollector(0)
 	for _, g := range p.gens {
@@ -530,9 +493,9 @@ func (p *Platform) buildMemory() error {
 		p.centralFab.AttachTarget(br.TargetPort())
 		lmiNode.AttachInitiator(br.InitiatorPort())
 		lmiNode.AttachTarget(p.ctrl.Port())
-		p.regCentral("central", br.TargetSide)
-		p.regCentral("central", br.InitiatorSide)
-		p.regCentral("central", lmiNode)
+		p.CentralClk.Register(br.TargetSide)
+		p.CentralClk.Register(br.InitiatorSide)
+		p.CentralClk.Register(lmiNode)
 		return nil
 	default:
 		return fmt.Errorf("platform: unknown memory kind %d", p.Spec.Memory)
@@ -555,7 +518,7 @@ func (p *Platform) buildClusters() error {
 				}
 				origin++
 				p.centralFab.AttachInitiator(gen.Port())
-				p.regCentral("central", gen)
+				p.CentralClk.Register(gen)
 				p.gens = append(p.gens, gen)
 				p.genCluster = append(p.genCluster, cl.name)
 				p.genClk = append(p.genClk, p.CentralClk)
@@ -588,7 +551,7 @@ func (p *Platform) buildClusters() error {
 			}
 			clk.Register(fab)
 			clk.Register(br.TargetSide)
-			p.regCentral(cl.name, br.InitiatorSide)
+			p.CentralClk.Register(br.InitiatorSide)
 			p.clusterFab = append(p.clusterFab, fab)
 		}
 	default:
@@ -690,7 +653,7 @@ func (p *Platform) buildDSP() error {
 	p.CPUClk.Register(p.core)
 	p.CPUClk.Register(link)
 	p.CPUClk.Register(conv.TargetSide)
-	p.regCentral("cpu", conv.InitiatorSide)
+	p.CentralClk.Register(conv.InitiatorSide)
 	return nil
 }
 

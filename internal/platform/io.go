@@ -74,7 +74,7 @@ func (p *Platform) buildIO() error {
 		if distributed {
 			clk.Register(gen)
 		} else {
-			p.regCentral("central", gen)
+			p.CentralClk.Register(gen)
 		}
 		p.gens = append(p.gens, gen)
 		p.genCluster = append(p.genCluster, unit)
@@ -172,7 +172,7 @@ func (p *Platform) buildIO() error {
 	if distributed {
 		clk.Register(fab)
 		clk.Register(br.TargetSide)
-		p.regCentral(unit, br.InitiatorSide)
+		p.CentralClk.Register(br.InitiatorSide)
 		p.clusterFab = append(p.clusterFab, fab)
 	}
 	return nil

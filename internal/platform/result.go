@@ -74,10 +74,7 @@ func (p *Platform) Run(maxPS int64) Result {
 	if p.tele != nil {
 		p.tele.SetBudgetPS(maxPS)
 	}
-	if p.sharded {
-		return p.runSharded(maxPS)
-	}
-	drained, stalled, _ := p.runSerial(maxPS, -1)
+	drained, stalled, _ := p.run(maxPS, -1)
 	p.finishTelemetry()
 	r := p.collect(drained)
 	r.Stalled = stalled
@@ -89,7 +86,7 @@ func (p *Platform) Run(maxPS int64) Result {
 // least one transaction every few thousand central cycles.
 const stallWindow = 200_000
 
-// runSerial is the serial run loop, shared by Run and RunToCycle. It steps
+// run is the platform's one run loop, shared by Run and RunToCycle. It steps
 // the kernel until the workload drains (completion is defined by the IP
 // traffic draining; the DSP is background interference and never gates the
 // run), maxPS elapses, the watchdog detects a stall, or — when stopAtCycle
@@ -97,7 +94,7 @@ const stallWindow = 200_000
 // instant; paused reports that exit). The watchdog history lives in Platform
 // fields, so a run split across checkpoint/restore observes progress at
 // exactly the instants an uninterrupted run would.
-func (p *Platform) runSerial(maxPS, stopAtCycle int64) (drained, stalled, paused bool) {
+func (p *Platform) run(maxPS, stopAtCycle int64) (drained, stalled, paused bool) {
 	progress := func() int64 {
 		var n int64
 		for _, g := range p.gens {
@@ -140,17 +137,13 @@ func (p *Platform) runSerial(maxPS, stopAtCycle int64) (drained, stalled, paused
 	}
 }
 
-// RunToCycle steps the serial platform until the central clock completes at
+// RunToCycle steps the platform until the central clock completes at
 // least `cycle` cycles, pausing at the first edge boundary past it — the
 // quiescent instant to call Snapshot at. It returns true when the run paused
 // with work remaining; false means the workload drained, the budget ran out
-// or the watchdog fired before the checkpoint instant (finish with Run). Not
-// supported on a sharded platform.
+// or the watchdog fired before the checkpoint instant (finish with Run).
 func (p *Platform) RunToCycle(cycle, maxPS int64) bool {
-	if p.sharded {
-		panic("platform: RunToCycle requires serial mode")
-	}
-	_, _, paused := p.runSerial(maxPS, cycle)
+	_, _, paused := p.run(maxPS, cycle)
 	return paused
 }
 

@@ -56,13 +56,9 @@ func (s Spec) Fingerprint() uint64 {
 // Snapshot writes a checkpoint of the platform's complete mutable state.
 // Call it only between steps (after Build, or when Run/RunToCycle has
 // returned) — that is an edge boundary, where every two-phase FIFO is
-// quiescent. Sharded platforms cannot snapshot, and neither can a platform
-// with the CSV/VCD trace sampler attached (its closure state is not
-// serializable).
+// quiescent. A platform with the CSV/VCD trace sampler attached cannot
+// snapshot (its closure state is not serializable).
 func (p *Platform) Snapshot(w io.Writer) error {
-	if p.sharded {
-		return fmt.Errorf("platform: cannot snapshot a sharded platform")
-	}
 	if p.samplerAttached {
 		return fmt.Errorf("platform: cannot snapshot with AttachSampler installed (its closure state is not serializable)")
 	}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mpsocsim/internal/replay"
 	"mpsocsim/internal/snapshot"
 	"mpsocsim/internal/tracecap"
 )
@@ -20,7 +21,7 @@ const checkpointAt = 3000
 // obsVariants are the observability configurations the equivalence
 // contracts cover. Each prepares a freshly built platform and returns the
 // capture session when one was attached (so the recorded trace bytes join
-// the comparison). The first two are the ones EnableSharding accepts.
+// the comparison).
 var obsVariants = []struct {
 	name string
 	prep func(p *Platform) *tracecap.Capture
@@ -41,13 +42,44 @@ var obsVariants = []struct {
 	}},
 }
 
+// uninterruptedRun builds spec, applies prep and runs it to the end. It
+// returns the Result, the rendered JSON report and summary bytes, and the
+// encoded captured trace (nil when the variant doesn't capture): the
+// reference the checkpoint tests compare restored runs against.
+func uninterruptedRun(t *testing.T, spec Spec, prep func(*Platform) *tracecap.Capture) (Result, []byte, []byte) {
+	t.Helper()
+	p := MustBuild(spec)
+	c := prep(p)
+	r := p.Run(5e12)
+	if !r.Done {
+		t.Fatalf("%s did not drain (issued=%d completed=%d)", spec.Name(), r.Issued, r.Completed)
+	}
+	var rep bytes.Buffer
+	if err := r.WriteJSON(&rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteSummary(&rep); err != nil {
+		t.Fatal(err)
+	}
+	var tb []byte
+	if c != nil {
+		var buf bytes.Buffer
+		if _, err := c.Trace().WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		tb = buf.Bytes()
+	}
+	return r, rep.Bytes(), tb
+}
+
 // checkpointRun builds spec, applies the observability variant and, for each
 // checkpoint instant in turn, runs to it, snapshots, and restores into a
 // fresh platform that carries on from there; the last restored platform
 // finishes the run. It returns the final Result with ResumedFromCycle
 // cleared — the one field that legitimately distinguishes a restored run —
 // plus the rendered report/summary bytes and the encoded captured trace,
-// shaped exactly like shardRun's returns so the two are directly comparable.
+// shaped exactly like uninterruptedRun's returns so the two are directly
+// comparable.
 func checkpointRun(t *testing.T, spec Spec, prep func(*Platform) *tracecap.Capture, at ...int64) (Result, []byte, []byte) {
 	t.Helper()
 	rp := MustBuild(spec)
@@ -103,7 +135,7 @@ func checkpointRun(t *testing.T, spec Spec, prep func(*Platform) *tracecap.Captu
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	for name, spec := range goldenSpecs() {
 		for _, v := range obsVariants {
-			ref, refRep, refTrace := shardRun(t, spec, 1, v.prep)
+			ref, refRep, refTrace := uninterruptedRun(t, spec, v.prep)
 			t.Run(fmt.Sprintf("%s/%s", name, v.name), func(t *testing.T) {
 				r, rep, tr := checkpointRun(t, spec, v.prep, checkpointAt)
 				if !reflect.DeepEqual(r, ref) {
@@ -135,7 +167,7 @@ func TestCheckpointRestoreChainedAcrossConfigs(t *testing.T) {
 				spec := quick(proto, topo, mem)
 				for _, v := range obsVariants {
 					t.Run(spec.Name()+"/"+v.name, func(t *testing.T) {
-						ref, refRep, refTrace := shardRun(t, spec, 1, v.prep)
+						ref, refRep, refTrace := uninterruptedRun(t, spec, v.prep)
 						r, rep, tr := checkpointRun(t, spec, v.prep, checkpointAt/2, checkpointAt)
 						if !reflect.DeepEqual(r, ref) {
 							t.Errorf("twice-restored Result differs from uninterrupted (cycles %d vs %d, issued %d vs %d)",
@@ -149,6 +181,66 @@ func TestCheckpointRestoreChainedAcrossConfigs(t *testing.T) {
 						}
 					})
 				}
+			}
+		}
+	}
+}
+
+// TestCheckpointRestoreReplayAcrossConfigs carries the chained checkpoint
+// contract to trace-driven platforms: every protocol × topology × memory
+// combination replays its own capture, timed and elastic, and a replay
+// restored at checkpointAt/2 and again at checkpointAt must finish
+// bit-identical to the uninterrupted replay — Result and report bytes.
+func TestCheckpointRestoreReplayAcrossConfigs(t *testing.T) {
+	plain := obsVariants[0].prep
+	for _, proto := range []Protocol{STBus, AHB, AXI} {
+		for _, topo := range []Topology{Distributed, Collapsed} {
+			for _, mem := range []MemoryKind{OnChip, LMIDDR} {
+				base := quick(proto, topo, mem)
+				var tr *tracecap.Trace
+				for _, mode := range []replay.Mode{replay.Timed, replay.Elastic} {
+					t.Run(base.Name()+"/"+mode.String(), func(t *testing.T) {
+						if tr == nil {
+							_, tr = captureRun(t, base)
+						}
+						spec := base
+						spec.Replay, spec.ReplayMode = tr, mode
+						ref, refRep, _ := uninterruptedRun(t, spec, plain)
+						r, rep, _ := checkpointRun(t, spec, plain, checkpointAt/2, checkpointAt)
+						if !reflect.DeepEqual(r, ref) {
+							t.Errorf("twice-restored replay Result differs from uninterrupted (cycles %d vs %d, issued %d vs %d)",
+								r.CentralCycles, ref.CentralCycles, r.Issued, ref.Issued)
+						}
+						if !bytes.Equal(rep, refRep) {
+							t.Errorf("twice-restored replay report/summary bytes differ from uninterrupted (%d vs %d bytes)", len(rep), len(refRep))
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestCheckpointRestoreIOAcrossConfigs does the same for platforms with the
+// I/O subsystem attached (DMA engine, IRQ agents, heap allocator) on every
+// protocol × topology × memory combination.
+func TestCheckpointRestoreIOAcrossConfigs(t *testing.T) {
+	plain := obsVariants[0].prep
+	for _, proto := range []Protocol{STBus, AHB, AXI} {
+		for _, topo := range []Topology{Distributed, Collapsed} {
+			for _, mem := range []MemoryKind{OnChip, LMIDDR} {
+				spec := quickIO(proto, topo, mem)
+				t.Run(spec.Name(), func(t *testing.T) {
+					ref, refRep, _ := uninterruptedRun(t, spec, plain)
+					r, rep, _ := checkpointRun(t, spec, plain, checkpointAt/2, checkpointAt)
+					if !reflect.DeepEqual(r, ref) {
+						t.Errorf("twice-restored I/O Result differs from uninterrupted (cycles %d vs %d, issued %d vs %d)",
+							r.CentralCycles, ref.CentralCycles, r.Issued, ref.Issued)
+					}
+					if !bytes.Equal(rep, refRep) {
+						t.Errorf("twice-restored I/O report/summary bytes differ from uninterrupted (%d vs %d bytes)", len(rep), len(refRep))
+					}
+				})
 			}
 		}
 	}
@@ -189,21 +281,12 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotValidation pins the refusal cases: sharded platforms and
-// platforms with the CSV/VCD sampler cannot snapshot; restores reject a
+// TestSnapshotValidation pins the refusal cases: platforms with the CSV/VCD
+// sampler cannot snapshot; restores reject a
 // different spec, truncation and corruption with the sentinel errors.
 func TestSnapshotValidation(t *testing.T) {
 	spec := quick(STBus, Distributed, LMIDDR)
 
-	t.Run("sharded-refuses", func(t *testing.T) {
-		p := MustBuild(spec)
-		if err := p.EnableSharding(2); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Snapshot(&bytes.Buffer{}); err == nil {
-			t.Fatal("Snapshot of a sharded platform should fail")
-		}
-	})
 	t.Run("csv-sampler-refuses", func(t *testing.T) {
 		p := MustBuild(spec)
 		p.samplerAttached = true

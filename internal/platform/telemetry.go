@@ -19,8 +19,7 @@ const DefaultTelemetryEvery = 1024
 // counts into the collector's preallocated ring (DefaultTelemetryEvery when
 // every <= 0, telemetry.DefaultRingCap rows when ringCap <= 0). Snapshots
 // are taken at safe boundaries only — after a fully committed central-clock
-// instant serially, after the window barrier when sharded — so the record
-// stream of a sharded run is byte-identical to the serial one. Call after
+// instant — so two runs of the same spec stream identical records. Call after
 // Build (or Restore: collectors are not part of a checkpoint) and before
 // Run; idempotent, returning the existing collector on a second call.
 func (p *Platform) EnableTelemetry(every int64, ringCap int) *telemetry.Collector {
@@ -51,8 +50,7 @@ func (p *Platform) Telemetry() *telemetry.Collector { return p.tele }
 // when telemetry is off, one compare when on; allocation-free either way
 // (Collect writes into preallocated ring rows). The snapshot instant is the
 // central edge of cycle teleNext, whose absolute time is exactly
-// cycle*period — p.Kernel.Now() is not used because the platform kernel's
-// clock is stale during a sharded run.
+// cycle*period.
 func (p *Platform) pollTelemetry() {
 	if p.tele == nil {
 		return
@@ -68,8 +66,7 @@ func (p *Platform) pollTelemetry() {
 // finishTelemetry emits the final snapshot (the run's end state, at the last
 // stepped instant — collected only if the cadence did not already sample
 // this cycle) and marks the collector done. Called by Run once the run loop
-// exits, after a sharded run has stamped its final instant back onto the
-// platform kernel.
+// exits.
 func (p *Platform) finishTelemetry() {
 	if p.tele == nil {
 		return
@@ -201,9 +198,8 @@ func (p *Platform) StallReport(reason string, topFifos int) *telemetry.StallRepo
 		rep.Initiators = append(rep.Initiators, row)
 	}
 
-	// Per-clock-domain last progress, from the platform's own clock fields:
-	// the kernel's clock list is rearranged by sharded adoption, but the
-	// clock objects themselves keep counting.
+	// Per-clock-domain last progress: the central clock, each initiator
+	// clock in first-use order, then the CPU clock.
 	clocks := []*sim.Clock{p.CentralClk}
 	seen := map[*sim.Clock]bool{p.CentralClk: true}
 	for _, clk := range p.genClk {

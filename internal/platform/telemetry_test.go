@@ -83,45 +83,34 @@ func TestZeroAllocSteadyStateWithTelemetry(t *testing.T) {
 	}
 }
 
-// TestTelemetryShardedConformance proves the determinism contract of the
-// record stream: the NDJSON telemetry of a sharded run is byte-identical to
-// the serial one at every shard count, because snapshots are only taken at
-// window barriers — instants where the sharded state equals the serial
-// state by the bit-identical-execution contract.
-func TestTelemetryShardedConformance(t *testing.T) {
+// TestTelemetryStreamDeterministic proves the determinism contract of the
+// record stream: two runs of the same spec stream byte-identical NDJSON,
+// because records carry simulated time and counts only, never wall-clock
+// time.
+func TestTelemetryStreamDeterministic(t *testing.T) {
 	spec := DefaultSpec()
 	spec.WorkloadScale = 0.3
 
-	var want []byte
-	for _, shards := range []int{1, 2, 4} {
+	run := func() []byte {
 		p := MustBuild(spec)
 		col := p.EnableTelemetry(256, 1<<14)
-		if shards > 1 {
-			if err := p.EnableSharding(shards); err != nil {
-				t.Fatalf("EnableSharding(%d): %v", shards, err)
+		if r := p.Run(5e12); !r.Done {
+			t.Fatalf("run did not drain (stalled=%v)", r.Stalled)
+		}
+		return drainNDJSON(t, col)
+	}
+	want, got := run(), run()
+	if len(want) == 0 {
+		t.Fatal("run produced no telemetry records")
+	}
+	if !bytes.Equal(want, got) {
+		wl, gl := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+		for i := range wl {
+			if i >= len(gl) || wl[i] != gl[i] {
+				t.Fatalf("record %d differs\nfirst:  %.200s\nsecond: %.200s", i, wl[i], gl[i])
 			}
 		}
-		r := p.Run(5e12)
-		if !r.Done {
-			t.Fatalf("shards=%d did not drain (stalled=%v)", shards, r.Stalled)
-		}
-		got := drainNDJSON(t, col)
-		if shards == 1 {
-			want = got
-			if len(want) == 0 {
-				t.Fatal("serial run produced no telemetry records")
-			}
-			continue
-		}
-		if !bytes.Equal(want, got) {
-			wl, gl := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
-			for i := range wl {
-				if i >= len(gl) || wl[i] != gl[i] {
-					t.Fatalf("shards=%d: record %d differs\nserial:  %.200s\nsharded: %.200s", shards, i, wl[i], gl[i])
-				}
-			}
-			t.Fatalf("shards=%d: NDJSON differs from serial (%d vs %d bytes)", shards, len(want), len(got))
-		}
+		t.Fatalf("NDJSON differs between runs (%d vs %d bytes)", len(want), len(got))
 	}
 }
 

@@ -11,12 +11,8 @@ import (
 // otherwise), the total completed transactions, and each bridge's in-flight
 // count. Call before Run; dump the sampler with trace.Sampler.WriteCSV.
 func (p *Platform) AttachSampler(s *trace.Sampler, periodCycles int64) {
-	if p.sharded {
-		panic("platform: AttachSampler is incompatible with sharded execution")
-	}
-	// The closure reads generator and bridge state across every clock domain
-	// from a central-clock hook, which sharded execution cannot allow;
-	// EnableSharding refuses a platform with this sampler attached.
+	// Snapshot refuses the platform from here on: the sampler's state lives
+	// in the closure below.
 	p.samplerAttached = true
 	if periodCycles <= 0 {
 		periodCycles = 100

@@ -226,7 +226,11 @@ func (in *Initiator) collect() {
 			continue
 		}
 		if _, ok := in.byReqID[beat.Req.ID]; !ok {
-			continue // untracked (e.g. an ack for a posted write)
+			// An ack for a write that completed at issue as posted and
+			// that a non-posting fabric (AHB) turned into a non-posted
+			// one: nobody tracks it, and this beat is its last reference.
+			in.pool.Put(beat.Req)
+			continue
 		}
 		delete(in.byReqID, beat.Req.ID)
 		// The transaction was tracked, so this request is ours and this
@@ -318,13 +322,6 @@ func (in *Initiator) Completed() int64 { return in.completed }
 
 // Remaining returns the recorded events not yet issued.
 func (in *Initiator) Remaining() int { return len(in.events) - in.next }
-
-// Unfinished returns the transactions not yet completed: events still to be
-// issued plus those in flight. Zero exactly when Done is true; see
-// iptg.Generator.Unfinished for how the sharded coordinator uses it.
-func (in *Initiator) Unfinished() int64 {
-	return int64(len(in.events)-in.next) + int64(in.inFlight)
-}
 
 // MaxConcurrent returns the initiator's outstanding-transaction cap.
 func (in *Initiator) MaxConcurrent() int64 { return int64(in.cfg.Outstanding) }

@@ -242,7 +242,7 @@ func (k *Kernel) Settle() {
 // SetFullEval switches full evaluation on or off. With it on, every
 // component is evaluated at every edge, as if none were gated: sleepers are
 // woken (their skipped edges booked) and further sleep requests are ignored.
-// Sharded runs and equivalence tests use it; call it between steps.
+// Equivalence tests use it as their oracle; call it between steps.
 func (k *Kernel) SetFullEval(on bool) {
 	k.unparkAll()
 	k.fullEval = on

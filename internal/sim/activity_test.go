@@ -216,7 +216,7 @@ func TestSleepRequestsRefused(t *testing.T) {
 
 // TestFifoWatchers checks the pusher/popper bookkeeping: declaring a side
 // twice is harmless, a second component on a side is a wiring bug, an owner
-// must be one of the sides, and deferred commit drops both links.
+// must be one of the sides.
 func TestFifoWatchers(t *testing.T) {
 	mustPanic := func(what string, f func()) {
 		t.Helper()
@@ -236,10 +236,6 @@ func TestFifoWatchers(t *testing.T) {
 	mustPanic("a second pusher", func() { f.PushedBy(&third) })
 	mustPanic("a second popper", func() { f.PoppedBy(&third) })
 	mustPanic("an owner on neither side", func() { f.OwnedBy(&third) })
-	f.MarkDeferred()
-	if f.pusher != nil || f.popper != nil {
-		t.Fatal("MarkDeferred kept the pusher or popper link")
-	}
 }
 
 // TestGatedKernelStepZeroAlloc extends the kernel's zero-allocation

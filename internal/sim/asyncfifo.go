@@ -20,15 +20,12 @@ import (
 // exactly one component stages pushes (Push/CanPush/WriterUpdate) and
 // exactly one stages pops (Pop/Peek/CanPop/ReaderUpdate). The two sides may
 // run on different goroutines only when every access of one side
-// happens-before the conflicting accesses of the other — in this codebase
-// that means both sides of a crossing live inside the same shard, stepped by
-// one goroutine. WriterUpdate reads the reader clock's cycle counter and
-// appends to the shared entry slice, so splitting the two sides across
-// concurrently-running shards is a data race by construction; the sharded
-// platform assembly therefore keeps each bridge (owner of both sides) whole
-// in a single shard and places the shard cut at the bridge's initiator-port
-// bus FIFOs instead (see Fifo.MarkDeferred and DESIGN.md §15). The contract
-// is enforced by TestAsyncFifoSPSCStress under the race detector.
+// happens-before the conflicting accesses of the other: WriterUpdate reads
+// the reader clock's cycle counter and appends to the shared entry slice, so
+// two concurrently-running writer and reader goroutines are a data race by
+// construction. Every platform steps both sides of a crossing on its one
+// kernel goroutine. The contract is enforced by TestAsyncFifoSPSCStress under
+// the race detector.
 type AsyncFifo[T any] struct {
 	name       string
 	depth      int
@@ -69,24 +66,6 @@ func NewAsyncFifo[T any](name string, depth, syncCycles int, readerClk *Clock) *
 
 // Name returns the FIFO's name.
 func (f *AsyncFifo[T]) Name() string { return f.name }
-
-// SetReaderClock re-points the FIFO at a different reader clock domain.
-// Shard assembly uses it when a bridge's destination clock is replaced by a
-// shard-local replica. The replacement must tick identically — same period
-// and same completed-cycle count — so maturity stamps already recorded
-// against the old clock stay exact; committed entries are therefore fine,
-// but staged operations are not (the call must happen at an edge boundary).
-func (f *AsyncFifo[T]) SetReaderClock(clk *Clock) {
-	if len(f.pending) != 0 || f.npop != 0 {
-		panic(fmt.Sprintf("sim: SetReaderClock on async fifo %q with staged operations (pending=%d npop=%d)",
-			f.name, len(f.pending), f.npop))
-	}
-	if clk.PeriodPS() != f.readerClk.PeriodPS() || clk.Cycles() != f.readerClk.Cycles() {
-		panic(fmt.Sprintf("sim: SetReaderClock mismatch on async fifo %q (%d ps/cycle %d -> %d ps/cycle %d)",
-			f.name, f.readerClk.PeriodPS(), f.readerClk.Cycles(), clk.PeriodPS(), clk.Cycles()))
-	}
-	f.readerClk = clk
-}
 
 // Depth returns capacity.
 func (f *AsyncFifo[T]) Depth() int { return f.depth }

@@ -137,3 +137,82 @@ func TestAsyncFifoBackpressure(t *testing.T) {
 		t.Fatalf("len = %d, want 2 (never exceed depth)", f.Len())
 	}
 }
+
+// TestAsyncFifoSPSCStress enforces the single-producer/single-consumer
+// contract documented on AsyncFifo: the writer side and the reader side may
+// live on different goroutines only under strict alternation with
+// happens-before handoffs. This test runs each side on its own goroutine with
+// a channel token ping-pong — the legal pattern — and must stay clean under
+// the race detector; note that WriterUpdate reads the reader clock's cycle
+// counter, so dropping the handoff (running the sides concurrently) is a
+// data race by construction.
+func TestAsyncFifoSPSCStress(t *testing.T) {
+	iters := 50000
+	if testing.Short() {
+		iters = 5000
+	}
+
+	k := NewKernel()
+	r := k.NewClock("r", 100)
+	f := NewAsyncFifo[int]("cdc", 8, 2, r)
+
+	var got []int
+	r.Register(&ClockedFunc{
+		OnEval: func() {
+			for f.CanPop() {
+				got = append(got, f.Pop())
+			}
+		},
+		OnUpdate: f.ReaderUpdate,
+	})
+
+	toWriter := make(chan struct{})
+	toReader := make(chan struct{})
+	done := make(chan int)
+
+	go func() { // writer side: Push / CanPush / WriterUpdate only
+		next := 0
+		for range toWriter {
+			if next%3 != 2 && f.CanPush() {
+				f.Push(next)
+				next++
+			}
+			f.WriterUpdate()
+			toReader <- struct{}{}
+		}
+		done <- next
+	}()
+	go func() { // reader side: steps the reader clock (Pop / ReaderUpdate)
+		for range toReader {
+			k.RunCycles(r, 1)
+			toWriter <- struct{}{}
+		}
+		close(done)
+	}()
+
+	toWriter <- struct{}{}
+	var pushed int
+	for i := 0; i < iters; i++ {
+		<-toWriter
+		if i == iters-1 {
+			close(toWriter)
+			pushed = <-done
+			close(toReader)
+			<-done
+		} else {
+			toWriter <- struct{}{}
+		}
+	}
+
+	if pushed == 0 {
+		t.Fatal("writer pushed nothing")
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("entry %d crossed the CDC out of order (got %d)", i, v)
+		}
+	}
+	if len(got) < pushed-f.Depth() {
+		t.Fatalf("only %d of %d pushed entries crossed", len(got), pushed)
+	}
+}

@@ -21,22 +21,8 @@ import "fmt"
 // counter bump with no copying and no allocation. Popped slots are zeroed at
 // Update so removed entries drop their references for the GC.
 //
-// # Concurrent use in sharded runs
-//
 // A Fifo is single-producer/single-consumer: at most one component stages
-// pushes and at most one stages pops. In the sharded execution mode the two
-// sides may live on different shards (goroutines). That is safe *without*
-// atomics only under the deferred-commit discipline (MarkDeferred):
-//
-//   - the pusher touches only npush and the ring slots at index >= n;
-//   - the popper touches only npop and the ring slots at index < n;
-//   - n and head stay frozen for the whole synchronization window, because
-//     Update becomes a no-op and the commit is performed by the window
-//     coordinator (CommitDeferred) between windows, when both shards are
-//     parked at the barrier (which establishes the happens-before edges).
-//
-// RemoveAt breaks the field partition (it rewrites n and shifts committed
-// slots during Eval) and therefore panics on a deferred FIFO.
+// pushes and at most one stages pops.
 type Fifo[T any] struct {
 	name  string
 	depth int
@@ -45,10 +31,6 @@ type Fifo[T any] struct {
 	n     int // committed entries (still counting pops staged this cycle)
 	npush int // pushes staged this cycle, stored after the committed region
 	npop  int // pops staged this cycle
-
-	// deferred routes the owner's per-cycle Update to the external
-	// CommitDeferred call of a shard coordinator (see MarkDeferred).
-	deferred bool
 
 	// pusher and popper are the gated components on either side (nil for
 	// an ungated one): a push pokes the popper, a pop or RemoveAt the
@@ -199,9 +181,6 @@ func (f *Fifo[T]) PeekAt(i int) T {
 // one RemoveAt with i>0 per cycle is supported (sufficient for the LMI
 // optimizer, which issues one command per cycle).
 func (f *Fifo[T]) RemoveAt(i int) T {
-	if f.deferred {
-		panic(fmt.Sprintf("sim: removeAt on deferred-commit fifo %q (breaks the SPSC field partition)", f.name))
-	}
 	if i == 0 {
 		return f.Pop()
 	}
@@ -240,53 +219,8 @@ func (f *Fifo[T]) Pop() T {
 }
 
 // Update commits staged pushes and pops and samples occupancy statistics.
-// Call exactly once per cycle of the owning clock domain. On a
-// deferred-commit FIFO (MarkDeferred) it is a no-op: the shard coordinator
-// commits via CommitDeferred at the window barrier instead, exactly once per
-// owning-clock cycle, so committed visibility and the per-cycle occupancy
-// statistics stay bit-identical to a serial run.
+// Call exactly once per cycle of the owning clock domain.
 func (f *Fifo[T]) Update() {
-	if f.deferred {
-		return
-	}
-	f.commit()
-}
-
-// MarkDeferred switches the FIFO into deferred-commit mode for sharded
-// execution, dropping its pusher and popper links: the owner's Update
-// becomes a no-op and the coordinator must call CommitDeferred once per
-// owning-clock cycle, between synchronization windows. The FIFO must be
-// quiescent — no staged pushes or pops, i.e. the call happens at an edge
-// boundary, not mid-cycle — because a staged operation at the mode switch
-// would tear the SPSC field partition documented on the type. Committed
-// entries are fine: n and head are frozen for whole windows either way, so
-// a checkpoint-restored platform (whose boundary FIFOs legitimately hold
-// in-flight traffic) shards safely.
-func (f *Fifo[T]) MarkDeferred() {
-	if f.npush != 0 || f.npop != 0 {
-		panic(fmt.Sprintf("sim: MarkDeferred on fifo %q with staged operations (npush=%d npop=%d)", f.name, f.npush, f.npop))
-	}
-	f.deferred = true
-	// Sharded runs evaluate every component at every edge, and a poke
-	// from one shard would write the other shard's state.
-	f.pusher, f.popper = nil, nil
-}
-
-// Deferred reports whether the FIFO is in deferred-commit mode.
-func (f *Fifo[T]) Deferred() bool { return f.deferred }
-
-// CommitDeferred performs the commit the owner's Update skipped. Only the
-// shard coordinator may call it, single-threaded, while every shard is
-// parked at the window barrier; it panics on a FIFO that was never
-// MarkDeferred.
-func (f *Fifo[T]) CommitDeferred() {
-	if !f.deferred {
-		panic(fmt.Sprintf("sim: CommitDeferred on non-deferred fifo %q", f.name))
-	}
-	f.commit()
-}
-
-func (f *Fifo[T]) commit() {
 	if f.npop > 0 {
 		var zero T
 		for i := 0; i < f.npop; i++ {

@@ -123,11 +123,6 @@ func (c *Clock) Register(comp Clocked) {
 	}
 }
 
-// NumRegistered returns the number of components currently registered on the
-// clock. Shard assembly uses it to weigh clock domains when balancing units
-// across shards.
-func (c *Clock) NumRegistered() int { return len(c.slots) }
-
 // Kernel owns simulated time and all clock domains.
 //
 // Every step fires the next edge group: the clocks due at the earliest
@@ -564,62 +559,4 @@ func (k *Kernel) RunWhile(cond func() bool, maxPS int64) bool {
 		}
 	}
 	return true
-}
-
-// PeekNextEdge returns the absolute time of the next due clock edge without
-// executing it, or -1 when the kernel has no clocks. Shard coordinators use
-// it to walk several kernels through a shared global instant order.
-func (k *Kernel) PeekNextEdge() int64 {
-	k.unparkAll()
-	if len(k.clocks) == 0 {
-		return -1
-	}
-	next := int64(math.MaxInt64)
-	for _, c := range k.clocks {
-		next = min(next, c.nextEdge)
-	}
-	return next
-}
-
-// SetNow forces the kernel's notion of current simulated time. It exists for
-// shard assembly only: after a sharded run the platform kernel itself never
-// stepped, so the coordinator stamps the final instant back before results
-// are collected. Calling it on a kernel that is actively stepping corrupts
-// the time axis.
-func (k *Kernel) SetNow(ps int64) { k.nowPS = ps }
-
-// AdoptClock moves an existing clock (with its registered components and its
-// cycle/edge state) into this kernel, detaching it from the kernel that
-// created it. Shard assembly uses it to hand whole clock domains to per-shard
-// kernels while every component keeps its original *Clock pointer. Both
-// kernels' edge schedules are invalidated.
-func (k *Kernel) AdoptClock(c *Clock) {
-	if old := c.kernel; old != nil {
-		for i, oc := range old.clocks {
-			if oc == c {
-				old.clocks = append(old.clocks[:i], old.clocks[i+1:]...)
-				break
-			}
-		}
-		old.invalidateSchedule()
-	}
-	c.kernel = k
-	k.clocks = append(k.clocks, c)
-	k.invalidateSchedule()
-}
-
-// TakeComponents removes and returns the clock's registered components in
-// registration order. Shard assembly uses it on a clock whose components are
-// split across shards (the central domain): the journal of registrations is
-// then replayed onto the per-shard clocks, preserving relative order.
-func (c *Clock) TakeComponents() []Clocked {
-	comps := make([]Clocked, len(c.slots))
-	for i, s := range c.slots {
-		comps[i] = s.comp
-	}
-	c.slots = nil
-	if c.kernel != nil {
-		c.kernel.invalidateSchedule()
-	}
-	return comps
 }

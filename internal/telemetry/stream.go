@@ -11,8 +11,8 @@ import (
 // schema mpsocsim.telemetry/1, in sequence order. It runs on its own
 // goroutine (woken by the collector's notify channel), so JSON encoding —
 // which allocates — never lands on the simulation hot path. The stream is
-// fully deterministic: byte-identical for serial and sharded runs of the
-// same spec and cadence.
+// fully deterministic: byte-identical for every run of the same spec and
+// cadence.
 type Streamer struct {
 	col *Collector
 	w   *bufio.Writer

@@ -1,7 +1,7 @@
 // Package telemetry is the live observability layer: periodic in-run
 // snapshots of the platform's metrics registry, collected at safe boundaries
-// of the run loop (after a fully committed central-clock instant serially,
-// after the window barrier when sharded) into a preallocated ring, and
+// of the run loop (after a fully committed central-clock instant) into a
+// preallocated ring, and
 // exported as an NDJSON stream (stream.go), a live HTTP endpoint with
 // Prometheus exposition, SSE events and a JSON progress document
 // (server.go), a multi-job aggregation hub for experiment sweeps (hub.go)
@@ -15,9 +15,9 @@
 //     the ring under its mutex and may allocate freely.
 //  2. Deterministic records. A Record carries only simulated state (cycle,
 //     simulated time, per-initiator and instrument values in registration
-//     order) — never wall-clock time, shard counts or rates — so the NDJSON
-//     stream of a sharded run is byte-identical to the serial one, and a
-//     telemetry-enabled run leaves the run report untouched. Wall-clock
+//     order) — never wall-clock time or rates — so two runs of the same spec
+//     stream byte-identical NDJSON, and a telemetry-enabled run leaves the
+//     run report untouched. Wall-clock
 //     derived figures (cycles/s, ETA) live only in the live progress
 //     document, which is explicitly non-deterministic.
 //  3. The run itself is never observable through telemetry: the collector
@@ -76,7 +76,7 @@ type InitiatorRecord struct {
 }
 
 // Record is one exported telemetry snapshot. Every field is simulated state:
-// two runs of the same spec — serial or sharded, streamed or not — produce
+// two runs of the same spec — streamed or not — produce
 // byte-identical record sequences. WallNS (the wall-clock offset the live
 // endpoint derives rates from) is deliberately excluded from the JSON form.
 type Record struct {
@@ -173,8 +173,8 @@ func (c *Collector) SetPublish(fn func(cycle, ps int64)) {
 
 // Collect takes one snapshot at the given central cycle and simulated time.
 // Called from the simulation run loop at safe boundaries only — after a
-// fully committed instant — so every value it reads is exactly the state a
-// serial run would show at that cycle. Allocation-free.
+// fully committed instant — so every value it reads is the committed state
+// at that cycle. Allocation-free.
 func (c *Collector) Collect(cycle, ps int64) {
 	c.mu.Lock()
 	r := &c.rows[c.head]
