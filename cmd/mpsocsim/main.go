@@ -59,6 +59,19 @@
 //	mpsocsim -telemetry run.ndjson -telemetry-every 512
 //	mpsocsim -live 127.0.0.1:9100 & curl localhost:9100/progress
 //
+// Waveforms are two more encodings of the same record stream, written while
+// the run executes: -trace writes CSV (header cycle,time_ps,issued,completed
+// and then every gauge in registration order, such as lmi.lmi.queue_depth,
+// mem.shmem.queue_depth or bridge.n5_dma_br.outstanding) and -vcd a Value
+// Change Dump stamped in picoseconds, for GTKWave and other waveform viewers.
+// Each record is the committed state at a -telemetry-every multiple, plus a
+// final one at the run's end. All three outputs compose with checkpoints: a
+// -checkpoint run's files cover the whole run, and a -restore run's cover
+// the resumed suffix, equal to the uninterrupted run's records past the
+// checkpoint cycle:
+//
+//	mpsocsim -trace run.csv -vcd run.vcd -telemetry-every 256
+//
 // Differential observability compares two runs. `mpsocsim diff A B` diffs
 // two report/2 JSON documents (or, with -stream, two telemetry NDJSON
 // streams) into a schema-versioned mpsocsim.diff/1 document: counter/gauge/
@@ -111,7 +124,6 @@ import (
 	"mpsocsim/internal/replay"
 	"mpsocsim/internal/stats"
 	"mpsocsim/internal/telemetry"
-	"mpsocsim/internal/trace"
 	"mpsocsim/internal/tracecap"
 )
 
@@ -140,15 +152,14 @@ func main() {
 	splitLMI := flag.Bool("split-lmi-bridge", false, "split-capable LMI conversion bridge")
 	noDSP := flag.Bool("no-dsp", false, "omit the ST220 core")
 	budgetMS := flag.Float64("budget", 50, "simulated-time budget in ms")
-	traceFile := flag.String("trace", "", "write waveform-style CSV samples to this file")
-	vcdFile := flag.String("vcd", "", "write a VCD waveform dump to this file")
-	tracePeriod := flag.Int64("trace-period", 100, "sampling period in central cycles")
+	traceFile := flag.String("trace", "", "write the telemetry records as CSV to this file, one row per -telemetry-every cadence instant: cycle, time_ps, issued, completed and every gauge")
+	vcdFile := flag.String("vcd", "", "write the telemetry records as a VCD waveform (1 ps timescale) to this file: issued, completed and every gauge at each -telemetry-every cadence instant")
 	captureFile := flag.String("capture", "", "record the per-initiator transaction trace to this file")
 	replayFile := flag.String("replay", "", "replace the IP traffic generators with trace-driven replay from this file")
 	replayMode := flag.String("replay-mode", "timed", "replay scheduling: timed|elastic")
 	reportFile := flag.String("report", "", "write the JSON run report (full metrics snapshot) to this file")
 	chromeFile := flag.String("chrome-trace", "", "write a Chrome trace-event/Perfetto file to this file")
-	sampleEvery := flag.Int64("sample-every", metrics.DefaultSampleEvery, "gauge sampling window in domain cycles (for -report/-chrome-trace timelines)")
+	sampleEvery := flag.Int64("sample-every", metrics.DefaultSampleEvery, "gauge sampling window in central cycles (for -report/-chrome-trace timelines)")
 	attrOn := flag.Bool("attr", false, "enable per-transaction latency attribution (adds the report's attribution section and the Chrome-trace phase sub-slices)")
 	attrTop := flag.Int("attr-top", 0, "print the top-N initiators by attributed latency, with their dominant phase, to stderr (implies -attr)")
 	checkpointFile := flag.String("checkpoint", "", "write a full-state checkpoint to this file at -checkpoint-at, then finish the run")
@@ -163,7 +174,7 @@ func main() {
 	ioIRQEvents := flag.Int("io-irq-events", 0, "events per device agent (0 = default, scaled by -scale; needs -io)")
 	ioAllocOps := flag.Int("io-alloc-ops", 0, "heap-allocator malloc/free operations (0 = default, negative disables it; needs -io)")
 	telemetryFile := flag.String("telemetry", "", "stream NDJSON telemetry records (schema mpsocsim.telemetry/1) to this file while the run executes")
-	telemetryEvery := flag.Int64("telemetry-every", platform.DefaultTelemetryEvery, "telemetry snapshot cadence in central cycles (for -telemetry/-live)")
+	telemetryEvery := flag.Int64("telemetry-every", platform.DefaultTelemetryEvery, "telemetry snapshot cadence in central cycles (for -telemetry/-trace/-vcd/-live)")
 	liveAddr := flag.String("live", "", "serve live run telemetry over HTTP on this address (/metrics Prometheus text, /events SSE, /progress JSON)")
 	diffFile := flag.String("diff", "", "after the run, diff its report against the baseline report/2 JSON in this file and write the mpsocsim.diff/1 document to stdout instead of the text summary")
 	diffStreamFile := flag.String("diff-stream", "", "after the run, diff its -telemetry NDJSON stream against the baseline stream in this file and write the mpsocsim.diff/1 document to stdout instead of the text summary")
@@ -300,20 +311,13 @@ func main() {
 			}
 		}
 	}
-	// The CSV/VCD waveform sampler's state cannot be checkpointed, so it
-	// combines with neither side of a checkpoint.
-	waveform := *traceFile != "" || *vcdFile != ""
 	switch {
 	case *restoreFile != "" && (*checkpointFile != "" || *checkpointAt != 0):
 		usagef("-restore is mutually exclusive with -checkpoint/-checkpoint-at: checkpoint the run that -restore resumes from instead")
-	case *restoreFile != "" && waveform:
-		usagef("-restore is incompatible with -trace/-vcd: the waveform sampler cannot checkpoint")
 	case *checkpointFile != "" && *checkpointAt <= 0:
 		usagef("-checkpoint needs -checkpoint-at N (> 0): the central-clock cycle to snapshot at")
 	case *checkpointAt != 0 && *checkpointFile == "":
 		usagef("-checkpoint-at needs -checkpoint FILE: the file to write the snapshot to")
-	case *checkpointFile != "" && waveform:
-		usagef("-checkpoint is incompatible with -trace/-vcd: the waveform sampler cannot checkpoint")
 	}
 
 	if *replayFile != "" {
@@ -361,7 +365,6 @@ func main() {
 		return
 	}
 	var p *platform.Platform
-	var sampler *trace.Sampler
 	var capture *tracecap.Capture
 	if *restoreFile != "" {
 		// The checkpoint carries the observability configuration: Restore
@@ -386,10 +389,6 @@ func main() {
 		p, err = platform.Build(spec)
 		if err != nil {
 			fatalf("build: %v", err)
-		}
-		if *traceFile != "" || *vcdFile != "" {
-			sampler = trace.NewSampler(1 << 22)
-			p.AttachSampler(sampler, *tracePeriod)
 		}
 		if *captureFile != "" || *chromeFile != "" {
 			capture = tracecap.NewCapture(spec.Name(), 0)
@@ -416,19 +415,32 @@ func main() {
 	// Telemetry attaches on both the fresh-build and restore paths: the
 	// collector is not part of a checkpoint (it observes, never simulates),
 	// so a restored run re-enables it here and snapshots at exactly the
-	// cadence instants the uninterrupted run would.
-	var streamer *telemetry.Streamer
-	var teleOut *os.File
-	if *telemetryFile != "" || *liveAddr != "" {
+	// cadence instants the uninterrupted run would. Each output flag
+	// streams the same records in its own encoding.
+	type stream struct {
+		flag, path string
+		enc        telemetry.Encoding
+		f          *os.File
+		s          *telemetry.Streamer
+	}
+	streams := []*stream{
+		{flag: "telemetry", path: *telemetryFile, enc: telemetry.NDJSON},
+		{flag: "trace", path: *traceFile, enc: telemetry.CSV},
+		{flag: "vcd", path: *vcdFile, enc: telemetry.VCD},
+	}
+	if *telemetryFile != "" || *traceFile != "" || *vcdFile != "" || *liveAddr != "" {
 		col := p.EnableTelemetry(*telemetryEvery, 0)
-		if *telemetryFile != "" {
-			f, err := os.Create(*telemetryFile)
-			if err != nil {
-				fatalf("telemetry: %v", err)
+		for _, st := range streams {
+			if st.path == "" {
+				continue
 			}
-			teleOut = f
-			streamer = telemetry.NewStreamer(f, col)
-			streamer.Start()
+			f, err := os.Create(st.path)
+			if err != nil {
+				fatalf("%s: %v", st.flag, err)
+			}
+			st.f = f
+			st.s = telemetry.NewStreamer(f, col, st.enc)
+			st.s.Start()
 		}
 		if *liveAddr != "" {
 			ln, err := net.Listen("tcp", *liveAddr)
@@ -458,18 +470,21 @@ func main() {
 		}
 	}
 	r := p.Run(budget)
-	if streamer != nil {
-		if err := streamer.Close(); err != nil {
-			fatalf("telemetry: %v", err)
+	for _, st := range streams {
+		if st.s == nil {
+			continue
 		}
-		if n := streamer.Skipped(); n > 0 {
+		if err := st.s.Close(); err != nil {
+			fatalf("%s: %v", st.flag, err)
+		}
+		if n := st.s.Skipped(); n > 0 {
 			fmt.Fprintf(os.Stderr,
-				"mpsocsim: warning: telemetry ring overflowed, %d oldest records lost — raise -telemetry-every\n", n)
+				"mpsocsim: warning: telemetry ring overflowed, %d oldest records lost from %s — raise -telemetry-every\n", n, st.path)
 		}
-		if err := teleOut.Close(); err != nil {
-			fatalf("telemetry: %v", err)
+		if err := st.f.Close(); err != nil {
+			fatalf("%s: %v", st.flag, err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s: %d telemetry records\n", *telemetryFile, streamer.Written())
+		fmt.Fprintf(os.Stderr, "wrote %s: %d telemetry records\n", st.path, st.s.Written())
 	}
 	switch {
 	case *diffFile != "":
@@ -502,23 +517,12 @@ func main() {
 			fatalf("attr-top: %v", err)
 		}
 	}
-	for _, s := range p.Samplers() {
-		if d := s.Dropped(); d > 0 {
+	for _, tl := range r.Metrics.Timelines {
+		if tl.Dropped > 0 {
 			fmt.Fprintf(os.Stderr,
 				"mpsocsim: warning: %s timeline ring overflowed, %d oldest samples dropped — raise -sample-every to keep the whole run\n",
-				s.Clock(), d)
+				tl.Clock, tl.Dropped)
 		}
-	}
-	if sampler != nil && *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fatalf("trace: %v", err)
-		}
-		defer f.Close()
-		if err := sampler.WriteCSV(f); err != nil {
-			fatalf("trace: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *traceFile)
 	}
 	if capture != nil && *captureFile != "" {
 		tr := capture.Trace()
@@ -531,17 +535,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s: %d events across %d initiators%s\n",
 			*captureFile, tr.Events(), len(tr.Streams), msg)
-	}
-	if sampler != nil && *vcdFile != "" {
-		f, err := os.Create(*vcdFile)
-		if err != nil {
-			fatalf("vcd: %v", err)
-		}
-		defer f.Close()
-		if err := sampler.WriteVCD(f, "platform"); err != nil {
-			fatalf("vcd: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *vcdFile)
 	}
 	if *reportFile != "" {
 		f, err := os.Create(*reportFile)

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -129,6 +132,118 @@ func TestTelemetryFlagWritesNDJSON(t *testing.T) {
 	}
 }
 
+// TestWaveformFlagsWriteCSVAndVCD runs -trace and -vcd together on both
+// memory variants: the CSV header and the VCD declarations carry the
+// completed total, the memory input-queue depth and a bridge's outstanding
+// count, the VCD is stamped in picoseconds, and both hold one entry per
+// telemetry record.
+func TestWaveformFlagsWriteCSVAndVCD(t *testing.T) {
+	for _, tc := range []struct{ memory, queue string }{
+		{"lmi", "lmi.lmi.queue_depth"},
+		{"onchip", "mem.shmem.queue_depth"},
+	} {
+		t.Run(tc.memory, func(t *testing.T) {
+			dir := t.TempDir()
+			csvPath, vcdPath := filepath.Join(dir, "run.csv"), filepath.Join(dir, "run.vcd")
+			_, stderr, code := runCLI(t, "-scale", "0.2", "-memory", tc.memory,
+				"-trace", csvPath, "-vcd", vcdPath, "-telemetry-every", "256")
+			if code != 0 {
+				t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, stderr)
+			}
+			rows := readCSV(t, csvPath)
+			header := strings.Join(rows[0], ",")
+			if !strings.HasPrefix(header, "cycle,time_ps,issued,completed,") {
+				t.Fatalf("CSV header = %q", header)
+			}
+			vcd, err := os.ReadFile(vcdPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(vcd, []byte("$timescale 1ps $end\n")) {
+				t.Fatalf("VCD does not open with a 1 ps timescale:\n%.200s", vcd)
+			}
+			for _, col := range []string{"completed", tc.queue, "bridge.n5_dma_br.outstanding"} {
+				if !strings.Contains(","+header+",", ","+col+",") {
+					t.Errorf("CSV header lacks %q: %s", col, header)
+				}
+				if !bytes.Contains(vcd, []byte(" "+col+" $end\n")) {
+					t.Errorf("VCD declares no %q variable", col)
+				}
+			}
+			for i, row := range rows[1:] {
+				if len(row) != len(rows[0]) {
+					t.Fatalf("CSV row %d has %d fields, the header %d", i, len(row), len(rows[0]))
+				}
+			}
+			if stamps := bytes.Count(vcd, []byte("\n#")); stamps != len(rows)-1 {
+				t.Fatalf("VCD has %d time stamps, the CSV %d rows", stamps, len(rows)-1)
+			}
+		})
+	}
+}
+
+// TestWaveformAcrossCheckpointRestore: -trace composes with both sides of a
+// checkpoint. The checkpointing run's CSV covers the whole run, byte for
+// byte the uninterrupted run's, and the restored run's CSV holds exactly the
+// uninterrupted rows past the checkpoint cycle.
+func TestWaveformAcrossCheckpointRestore(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	for _, args := range [][]string{
+		{"-trace", path("plain.csv")},
+		{"-trace", path("cold.csv"), "-checkpoint-at", "3000", "-checkpoint", path("run.ckpt")},
+		{"-trace", path("warm.csv"), "-vcd", path("warm.vcd"), "-restore", path("run.ckpt")},
+	} {
+		args = append([]string{"-scale", "0.2", "-telemetry-every", "100"}, args...)
+		if _, stderr, code := runCLI(t, args...); code != 0 {
+			t.Fatalf("%v: exit code = %d, want 0\nstderr:\n%s", args, code, stderr)
+		}
+	}
+	plain, err := os.ReadFile(path("plain.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := os.ReadFile(path("cold.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain, cold) {
+		t.Fatal("the checkpointing run's CSV differs from the uninterrupted run's")
+	}
+	coldRows, warmRows := readCSV(t, path("cold.csv")), readCSV(t, path("warm.csv"))
+	want := [][]string{coldRows[0]}
+	for _, row := range coldRows[1:] {
+		cycle, err := strconv.ParseInt(row[0], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cycle > 3000 {
+			want = append(want, row)
+		}
+	}
+	if len(want) < 2 || !reflect.DeepEqual(warmRows, want) {
+		t.Fatalf("restored CSV has %d rows, the uninterrupted run %d past cycle 3000 (or they differ)", len(warmRows)-1, len(want)-1)
+	}
+}
+
+// readCSV reads a -trace file and requires a header and at least one row.
+func readCSV(t *testing.T, path string) [][]string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if len(rows) < 2 {
+		t.Fatalf("%s holds %d lines, want a header and rows", path, len(rows))
+	}
+	return rows
+}
+
 // TestFlagConflictsExitUsage pins the exit-2 contract for contradictory
 // flag combinations: each must be rejected with the usage-error prefix
 // before any file is opened or any cycle simulated.
@@ -174,15 +289,9 @@ func TestFlagConflictsExitUsage(t *testing.T) {
 		{"checkpoint-at without checkpoint",
 			[]string{"-checkpoint-at", "3000"},
 			"-checkpoint-at needs -checkpoint"},
-		{"checkpoint with trace",
-			[]string{"-checkpoint", "run.ckpt", "-checkpoint-at", "3000", "-trace", "run.csv"},
-			"-checkpoint is incompatible with -trace/-vcd"},
 		{"restore with checkpoint",
 			[]string{"-restore", "warm.ckpt", "-checkpoint", "run.ckpt", "-checkpoint-at", "3000"},
 			"-restore is mutually exclusive with -checkpoint"},
-		{"restore with vcd",
-			[]string{"-restore", "warm.ckpt", "-vcd", "run.vcd"},
-			"-restore is incompatible with -trace/-vcd"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -165,13 +165,14 @@ func (c *Core) Halted() bool { return c.halted }
 // Reg returns an architectural register (for tests).
 func (c *Core) Reg(i int) int64 { return c.regs[i] }
 
-// Eval advances the core one cycle.
+// Eval advances the core one cycle. A halted core still collects response
+// beats: the acks of its last writes return their requests to the pool.
 func (c *Core) Eval() {
+	c.collectRefill()
 	if c.halted {
 		return
 	}
 	c.cycles++
-	c.collectRefill()
 	if c.refillWait {
 		c.stallCycles++
 		return

@@ -184,6 +184,50 @@ loop:   st  r3, 0 | alu r3, r3, r0, 8 | alu r1, r1, r0, -1
 	}
 }
 
+// TestWriteAcksAfterHaltReturnToPool is TestWriteAcksReturnToPool with a
+// program that halts right after its last store, so the AHB layer acks most
+// of the stores after HALT: the halted core must still collect those acks
+// and put their requests back.
+func TestWriteAcksAfterHaltReturnToPool(t *testing.T) {
+	cfg := DefaultConfig("c")
+	cfg.WriteThrough = true
+	prog := MustAssemble(`
+.base 0x9000000
+        alu r1, r0, r0, 100
+        alu r3, r0, r0, 0x200000
+loop:   st  r3, 0 | alu r3, r3, r0, 8 | alu r1, r1, r0, -1
+        br  r1, loop
+        halt
+`)
+	k := sim.NewKernel()
+	clk := k.NewClock("cpu", 400)
+	core, err := New(cfg, prog, clk, &bus.IDSource{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool bus.RequestPool
+	core.UseRequestPool(&pool)
+	layer := ahb.New("ahb", ahb.Config{BytesPerBeat: cfg.BytesPerBeat}, bus.Single(0))
+	m := mem.New("mem", mem.Config{WaitStates: 1, ReqDepth: 2, RespDepth: 4})
+	m.UseRequestPool(&pool)
+	layer.AttachInitiator(core.Port())
+	layer.AttachTarget(m.Port())
+	clk.Register(core)
+	clk.Register(layer)
+	clk.Register(m)
+	if !k.RunWhile(func() bool { return !core.Halted() }, 1e11) {
+		t.Fatalf("core did not halt: %s", core.Stats())
+	}
+	if core.Stats().Stores != 100 {
+		t.Fatalf("stores = %d", core.Stats().Stores)
+	}
+	k.RunCycles(clk, 1000)
+	if _, minted := pool.Recycled(); int64(pool.Free()) != minted {
+		t.Fatalf("pool minted %d requests but holds %d after HALT (%d beats left in the response FIFO)",
+			minted, pool.Free(), core.Port().Resp.Len())
+	}
+}
+
 func TestPointerChaseHighMissRate(t *testing.T) {
 	prog := PointerChaseKernel(0x100000, 300, 1<<20)
 	r := newRig(t, DefaultConfig("c"), prog)

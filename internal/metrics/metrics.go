@@ -160,9 +160,6 @@ func (r *Registry) Counters() []*Counter { return r.counters }
 // Gauges returns the registered gauges in registration order.
 func (r *Registry) Gauges() []*Gauge { return r.gauges }
 
-// Samplers returns the attached samplers in attachment order.
-func (r *Registry) Samplers() []*Sampler { return r.samplers }
-
 // CounterValue is one counter's snapshot.
 type CounterValue struct {
 	Name  string `json:"name"`

@@ -65,20 +65,6 @@ func (r *Registry) NewSampler(clock string, periodPS, every int64, capSamples in
 // Tracks returns the number of gauges the sampler records.
 func (s *Sampler) Tracks() int { return len(s.gauges) }
 
-// Clock returns the name of the clock domain the sampler records.
-func (s *Sampler) Clock() string { return s.clock }
-
-// Dropped returns the number of samples overwritten after the ring filled
-// (zero while the ring still has room). A non-zero value means the exported
-// timeline covers only the tail of the run — callers should either raise the
-// ring capacity or widen the sampling window.
-func (s *Sampler) Dropped() int64 {
-	if s.n > int64(s.cap) {
-		return s.n - int64(s.cap)
-	}
-	return 0
-}
-
 // Eval advances the self-clocked cycle count and records one sample at each
 // window boundary (a comparison, not a modulo — this runs every cycle when
 // the sampler is clock-registered). Zero allocations: the ring storage is
@@ -114,10 +100,14 @@ func (s *Sampler) Sample(cycle int64) {
 // Timeline is the exported contents of one sampler ring: parallel tracks of
 // gauge levels sampled on a common cycle axis of one clock domain.
 type Timeline struct {
-	Clock    string   `json:"clock"`
-	PeriodPS int64    `json:"period_ps"`
-	Every    int64    `json:"every_cycles"`
-	Tracks   []string `json:"tracks"`
+	Clock    string `json:"clock"`
+	PeriodPS int64  `json:"period_ps"`
+	// Every is the sampling window in cycles of the driving clock, not of
+	// this domain: Platform.EnableTimelines samples every domain together,
+	// every Every central cycles, so a faster or slower domain's Cycles step
+	// by Every scaled to its own clock.
+	Every  int64    `json:"every_cycles"`
+	Tracks []string `json:"tracks"`
 	// Cycles holds the sample timestamps in domain cycles, oldest first.
 	Cycles []int64 `json:"cycles"`
 	// Values holds one row per sample, one column per track.

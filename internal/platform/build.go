@@ -151,11 +151,6 @@ type Platform struct {
 	// resumedCycles marks the restore point (zero for a fresh Build);
 	// Result.ResumedFromCycle reports it.
 	resumedCycles int64
-
-	// samplerAttached marks that the CSV/VCD tracing sampler (AttachSampler
-	// in tracing.go) was installed; Snapshot refuses it, because its state
-	// lives in a closure the snapshot cannot carry.
-	samplerAttached bool
 }
 
 // newIDSource mints the per-initiator request-ID source for the given
@@ -375,10 +370,6 @@ func (p *Platform) EnableAttribution(retain int) *attr.Collector {
 // Attribution returns the latency-attribution collector (nil unless
 // EnableAttribution was called).
 func (p *Platform) Attribution() *attr.Collector { return p.attrCol }
-
-// Samplers returns the per-domain gauge samplers (empty unless
-// EnableTimelines was called).
-func (p *Platform) Samplers() []*metrics.Sampler { return p.samplers }
 
 // wirePool hands every component the platform-wide request pool so steady
 // state mints no new bus.Request values. A platform is stepped from a single
@@ -660,10 +651,6 @@ func (p *Platform) buildDSP() error {
 // Initiators returns the platform's traffic sources (live generators or
 // trace-driven replayers), in attachment order.
 func (p *Platform) Initiators() []Initiator { return p.gens }
-
-// Generators returns the platform's traffic sources. Deprecated alias of
-// Initiators, kept for callers predating trace replay.
-func (p *Platform) Generators() []Initiator { return p.gens }
 
 // Core returns the DSP core (nil when WithDSP is false).
 func (p *Platform) Core() *dspcore.Core { return p.core }

@@ -46,7 +46,7 @@ func gatedArtifacts(p *Platform, r Result) ([]byte, error) {
 		return nil, err
 	}
 	if col := p.Telemetry(); col != nil {
-		if err := telemetry.NewStreamer(&buf, col).Close(); err != nil {
+		if err := telemetry.NewStreamer(&buf, col, telemetry.NDJSON).Close(); err != nil {
 			return nil, err
 		}
 	}

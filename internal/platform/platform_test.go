@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mpsocsim/internal/lmi"
-	"mpsocsim/internal/trace"
 )
 
 // quick returns a small-scale spec for fast tests.
@@ -366,35 +365,6 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func TestAttachSampler(t *testing.T) {
-	p := MustBuild(quick(STBus, Distributed, LMIDDR))
-	s := trace.NewSampler(1 << 16)
-	p.AttachSampler(s, 50)
-	r := p.Run(5e12)
-	if !r.Done {
-		t.Fatal("run did not drain")
-	}
-	signals := s.Signals()
-	want := map[string]bool{"lmi_fifo": false, "completed": false, "out_n5_dma_br": false}
-	for _, sig := range signals {
-		if _, ok := want[sig]; ok {
-			want[sig] = true
-		}
-	}
-	for sig, seen := range want {
-		if !seen {
-			t.Errorf("signal %q not sampled (got %v)", sig, signals)
-		}
-	}
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(sb.String(), "time,") {
-		t.Fatal("CSV header missing")
-	}
-}
-
 func TestPlatformAccessors(t *testing.T) {
 	p := MustBuild(quick(STBus, Distributed, LMIDDR))
 	if p.Controller() == nil || p.OnChipMemory() != nil {
@@ -406,7 +376,7 @@ func TestPlatformAccessors(t *testing.T) {
 	if p.CentralFabric() == nil {
 		t.Fatal("central fabric missing")
 	}
-	if len(p.Generators()) == 0 {
+	if len(p.Initiators()) == 0 {
 		t.Fatal("no generators")
 	}
 	if p.Bridge("n5_dma_br") == nil {

@@ -56,12 +56,8 @@ func (s Spec) Fingerprint() uint64 {
 // Snapshot writes a checkpoint of the platform's complete mutable state.
 // Call it only between steps (after Build, or when Run/RunToCycle has
 // returned) — that is an edge boundary, where every two-phase FIFO is
-// quiescent. A platform with the CSV/VCD trace sampler attached cannot
-// snapshot (its closure state is not serializable).
+// quiescent.
 func (p *Platform) Snapshot(w io.Writer) error {
-	if p.samplerAttached {
-		return fmt.Errorf("platform: cannot snapshot with AttachSampler installed (its closure state is not serializable)")
-	}
 	p.Kernel.Settle()
 	e := snapshot.NewEncoder()
 	e.Tag('W')

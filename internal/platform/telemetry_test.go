@@ -3,6 +3,7 @@ package platform
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func drainNDJSON(t *testing.T, col *telemetry.Collector) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	s := telemetry.NewStreamer(&buf, col)
+	s := telemetry.NewStreamer(&buf, col, telemetry.NDJSON)
 	if err := s.Close(); err != nil {
 		t.Fatalf("streamer: %v", err)
 	}
@@ -148,6 +149,63 @@ func TestTelemetryRecordSchema(t *testing.T) {
 		if _, leaked := m["WallNS"]; leaked {
 			t.Fatalf("record %d leaks the wall-clock offset", i)
 		}
+	}
+}
+
+// TestTelemetryResumesAfterRestore holds EnableTelemetry's restore
+// contract on every golden spec: a collector enabled on a restored platform
+// records exactly the uninterrupted run's records past the restore cycle.
+// Only Seq differs, because it counts from the collector's own start. The
+// cadence does not divide checkpointAt, so the first restored snapshot must
+// land on the next cadence multiple, not one cadence after the restore.
+func TestTelemetryResumesAfterRestore(t *testing.T) {
+	const every = 128
+	records := func(p *Platform) []telemetry.Record {
+		col := p.EnableTelemetry(every, 0)
+		if r := p.Run(5e12); !r.Done {
+			t.Fatalf("%s did not drain (stalled=%v)", p.Spec.Name(), r.Stalled)
+		}
+		if n := col.Dropped(); n != 0 {
+			t.Fatalf("telemetry ring overflowed: %d records lost", n)
+		}
+		recs, _ := col.Drain(0)
+		for i := range recs {
+			recs[i].Seq, recs[i].WallNS = 0, 0
+		}
+		return recs
+	}
+	for name, spec := range goldenSpecs() {
+		t.Run(name, func(t *testing.T) {
+			cold := records(MustBuild(spec))
+			p := MustBuild(spec)
+			if !p.RunToCycle(checkpointAt, 5e12) {
+				t.Fatal("drained before the checkpoint")
+			}
+			var buf bytes.Buffer
+			if err := p.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			rp, err := Restore(spec, bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := rp.ResumedCycles()
+			warm := records(rp)
+			var want []telemetry.Record
+			for _, rec := range cold {
+				if rec.Cycle > at {
+					want = append(want, rec)
+				}
+			}
+			if len(warm) != len(want) || len(want) == 0 {
+				t.Fatalf("restored run recorded %d records, the uninterrupted run %d past cycle %d", len(warm), len(want), at)
+			}
+			for i := range want {
+				if !reflect.DeepEqual(warm[i], want[i]) {
+					t.Fatalf("record %d (cycle %d) differs from the uninterrupted run's (cycle %d)", i, warm[i].Cycle, want[i].Cycle)
+				}
+			}
+		})
 	}
 }
 

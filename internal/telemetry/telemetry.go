@@ -1,11 +1,11 @@
 // Package telemetry is the live observability layer: periodic in-run
 // snapshots of the platform's metrics registry, collected at safe boundaries
 // of the run loop (after a fully committed central-clock instant) into a
-// preallocated ring, and
-// exported as an NDJSON stream (stream.go), a live HTTP endpoint with
-// Prometheus exposition, SSE events and a JSON progress document
-// (server.go), a multi-job aggregation hub for experiment sweeps (hub.go)
-// and the post-mortem stall forensics of a wedged run (forensics.go).
+// preallocated ring, and exported as NDJSON, CSV or VCD streams
+// (stream.go), a live HTTP endpoint with Prometheus exposition, SSE events
+// and a JSON progress document (server.go), a multi-job aggregation hub for
+// experiment sweeps (hub.go) and the post-mortem stall forensics of a wedged
+// run (forensics.go).
 //
 // Design constraints, in priority order (mirroring internal/metrics):
 //

@@ -141,7 +141,7 @@ func TestCollectorPublishHook(t *testing.T) {
 func TestStreamerNDJSON(t *testing.T) {
 	col, ctr, _, _ := testCollector(16)
 	var buf bytes.Buffer
-	s := NewStreamer(&buf, col)
+	s := NewStreamer(&buf, col, NDJSON)
 	s.Start()
 	for i := int64(0); i < 5; i++ {
 		ctr.Inc()
@@ -169,6 +169,95 @@ func TestStreamerNDJSON(t *testing.T) {
 		if strings.Contains(line, "WallNS") || strings.Contains(line, "wall") {
 			t.Fatalf("line %d leaks wall-clock state: %s", i, line)
 		}
+	}
+}
+
+// TestStreamerCSV pins the CSV encoding: the header names cycle, time_ps,
+// issued, completed and every gauge in registration order, then one row per
+// record.
+func TestStreamerCSV(t *testing.T) {
+	col, _, a, _ := testCollector(16)
+	var buf bytes.Buffer
+	s := NewStreamer(&buf, col, CSV)
+	for i := int64(1); i <= 3; i++ {
+		a.issued, a.completed = i*2, i
+		col.Collect(i*100, i*400_000)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := "cycle,time_ps,issued,completed,queue.depth\n" +
+		"100,400000,2,1,3\n" +
+		"200,800000,4,2,3\n" +
+		"300,1200000,6,3,3\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("CSV =\n%s\nwant\n%s", got, want)
+	}
+	if s.Written() != 3 || s.Skipped() != 0 {
+		t.Fatalf("written=%d skipped=%d", s.Written(), s.Skipped())
+	}
+}
+
+// TestStreamerVCD pins the VCD encoding: a 1 ps timescale, one 64-bit
+// integer variable per CSV column after time_ps, every value at the first
+// record and only the changed ones after it.
+func TestStreamerVCD(t *testing.T) {
+	reg := metrics.NewRegistry()
+	var depth int64
+	reg.GaugeFunc("fifo", "central", func() int64 { return depth })
+	a := &fakeInit{name: "video"}
+	col := NewCollector(reg, []InitiatorSource{a}, 16)
+	var buf bytes.Buffer
+	s := NewStreamer(&buf, col, VCD)
+	col.Collect(0, 0)
+	a.issued, depth = 2, 3
+	col.Collect(1, 4000)
+	col.Collect(2, 8000) // nothing changed: a bare time stamp
+	a.completed = 2
+	col.Collect(3, 12000)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := "$timescale 1ps $end\n" +
+		"$scope module mpsocsim $end\n" +
+		"$var integer 64 ! issued $end\n" +
+		"$var integer 64 \" completed $end\n" +
+		"$var integer 64 # fifo $end\n" +
+		"$upscope $end\n" +
+		"$enddefinitions $end\n" +
+		"#0\nb0 !\nb0 \"\nb0 #\n" +
+		"#4000\nb10 !\nb11 #\n" +
+		"#8000\n" +
+		"#12000\nb10 \"\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("VCD =\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestStreamerWaveformNoRecords: a run that collected nothing leaves both
+// waveform files empty, without a header.
+func TestStreamerWaveformNoRecords(t *testing.T) {
+	for _, enc := range []Encoding{CSV, VCD} {
+		col, _, _, _ := testCollector(16)
+		var buf bytes.Buffer
+		s := NewStreamer(&buf, col, enc)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != 0 || s.Written() != 0 {
+			t.Fatalf("encoding %d wrote %d bytes, %d records from no records", enc, buf.Len(), s.Written())
+		}
+	}
+}
+
+func TestVCDIDsUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for i := 0; i < 500; i++ {
+		id := vcdID(i)
+		if seen[id] {
+			t.Fatalf("duplicate VCD id %q at %d", id, i)
+		}
+		seen[id] = true
 	}
 }
 
