@@ -7,7 +7,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test fmt vet race race-full verify benchpins bench benchpair benchquick fuzz-short cover diff-smoke loc
+.PHONY: build test fmt vet inlinecheck race race-full verify benchpins bench benchpair benchquick fuzz-short cover diff-smoke loc
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,18 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# Inlining guard: the FIFO reads of every arbiter scan (Fifo.Peek, CanPop,
+# CanPush) must inline at their call sites, the largest share of the cost
+# cut described in DESIGN.md §20 ("The cost of an awake edge"). A check
+# that formats a panic message inside one of them pushes it over the
+# compiler's inlining budget, and this target then fails.
+inlinecheck:
+	@out=$$($(GO) build -gcflags=-m ./internal/stbus ./internal/lmi 2>&1) || { echo "$$out"; exit 1; }; \
+	for m in Peek CanPop CanPush; do \
+		echo "$$out" | grep -qE "inlining call to sim\.\(\*Fifo\[.*\]\)\.$$m$$" || \
+		{ echo "inlinecheck: no call to sim.(*Fifo[...]).$$m is inlined in internal/stbus or internal/lmi"; exit 1; }; \
+	done
+
 # Race pass runs in short mode: the wall-clock-heavy regeneration tests
 # skip themselves, while every concurrent path (runner fan-out, parallel
 # figure tests, determinism-under-runner) still executes under the
@@ -41,7 +53,7 @@ race:
 race-full:
 	$(GO) test -race ./...
 
-verify: fmt vet build test race diff-smoke benchpins
+verify: fmt vet build inlinecheck test race diff-smoke benchpins
 
 # The benchmark's pins: one job of every perfbench workload at seed 1 must
 # simulate exactly the pinned counts. perfbench is a module of its own, so

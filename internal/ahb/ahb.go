@@ -110,7 +110,8 @@ func (b *Bus) EnableAttribution(col *attr.Collector, now func() int64) {
 	b.attrNow = now
 }
 
-// Eval advances the bus one cycle.
+// Eval advances the bus one cycle, then applies the bus's sleep rule (see
+// Update).
 func (b *Bus) Eval() {
 	b.cycles++
 	b.moved = false
@@ -161,14 +162,17 @@ func (b *Bus) Eval() {
 				}
 			}
 		}
-		return
+	} else {
+		// Idle bus: plain address phase.
+		b.cur, b.curTarget = b.arbitrate()
+		if b.cur != nil {
+			b.busyCycles++
+		} else if b.pendingRequest() {
+			b.stallCycles++
+		}
 	}
-	// Idle bus: plain address phase.
-	b.cur, b.curTarget = b.arbitrate()
-	if b.cur != nil {
-		b.busyCycles++
-	} else if b.pendingRequest() {
-		b.stallCycles++
+	if !b.moved {
+		b.act.Sleep()
 	}
 }
 
@@ -188,7 +192,7 @@ func (b *Bus) pendingRequest() bool {
 func (b *Bus) arbitrate() (*bus.Request, int) {
 	ni := len(b.initiators)
 	for k := 0; k < ni; k++ {
-		i := (b.rr + k) % ni
+		i := bus.Wrap(b.rr+k, ni)
 		ip := b.initiators[i]
 		if !ip.Req.CanPop() {
 			continue
@@ -214,7 +218,7 @@ func (b *Bus) arbitrate() (*bus.Request, int) {
 			}
 		}
 		b.targets[t].Req.Push(req)
-		b.rr = (i + 1) % ni
+		b.rr = bus.Wrap(i+1, ni)
 		b.granted++
 		b.moved = true
 		return req, t
@@ -222,20 +226,17 @@ func (b *Bus) arbitrate() (*bus.Request, int) {
 	return nil, -1
 }
 
-// Update: the bus owns no FIFOs, so there is nothing to commit. After an
-// edge whose Eval only counted it sleeps until a push or pop at one of its
-// ports: the next Eval would see the same heads, the same free space and the
-// same data-phase state, and so would only count again — no head grantable
-// (absent, undecodable or its slave FIFO full; in a data phase, the
-// pipelined slot already held), no response beat of the data-phase
-// transaction able to move, and under attribution every visible head
-// already stamped. A push or pop by the other side during the edge pokes
-// the bus, which refuses the sleep.
-func (b *Bus) Update() {
-	if !b.moved {
-		b.act.Sleep()
-	}
-}
+// Update does nothing: the bus owns no FIFOs, and its sleep rule runs at
+// the end of Eval: after an edge whose Eval only counted it sleeps until
+// a push or pop at one of its ports, since the next Eval would see the same
+// heads, the same free space and the same data-phase state, and so would
+// only count again — no head grantable (absent, undecodable or its slave
+// FIFO full; in a data phase, the pipelined slot already held), no response
+// beat of the data-phase transaction able to move, and under attribution
+// every visible head already stamped. A push or pop by the other side
+// earlier in the edge pokes the bus, which refuses the sleep; one later in
+// the edge wakes it with nothing booked.
+func (b *Bus) Update() {}
 
 // Activity returns the bus's sleep state.
 func (b *Bus) Activity() *sim.Activity { return &b.act }

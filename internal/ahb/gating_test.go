@@ -32,7 +32,7 @@ func TestBusBackpressureLockstep(t *testing.T) {
 			g, gb := rig(false)
 			f, fb := rig(true)
 			state := func(r *testutil.Backpressure, b *Bus) func() string {
-				return func() string { return fmt.Sprintf("%+v", b.Stats()) + r.PortStats() }
+				return func() string { return fmt.Sprintf("%+v", b.Stats()) + r.PortState() }
 			}
 			skipped := testutil.Lockstep(t, 4000, g, f, state(g, gb), state(f, fb))
 			s := gb.Stats()

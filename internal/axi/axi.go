@@ -176,7 +176,8 @@ func (x *Interconnect) EnableAttribution(col *attr.Collector, now func() int64) 
 	x.attrNow = now
 }
 
-// Eval advances all five channel groups one cycle.
+// Eval advances all five channel groups one cycle, then applies the
+// interconnect's sleep rule (see Update).
 func (x *Interconnect) Eval() {
 	x.cycles++
 	x.moved = false
@@ -210,6 +211,9 @@ func (x *Interconnect) Eval() {
 		x.evalReadAddress(t)
 	}
 	x.evalResponses()
+	if !x.moved && x.pipesEmpty() {
+		x.act.Sleep()
+	}
 }
 
 // drainPipes moves matured register-stage entries into the ports, one per
@@ -270,21 +274,19 @@ func (x *Interconnect) deliverReq(t int, req *bus.Request) {
 	x.ts[t].reqPipe = append(x.ts[t].reqPipe, pipedReq{req: req, at: x.cycles + int64(x.cfg.RegisterStages)})
 }
 
-// Update: the interconnect owns no FIFOs, so there is nothing to commit.
-// After an edge whose Eval only counted it sleeps until a push or pop at one
-// of its ports: with no write streaming beats (a stream moves every edge)
-// and every register stage empty (a piped entry matures with time), the
-// next Eval would see the same heads, windows and free space, and so would
-// only count again — no head grantable (absent, undecodable, its slave FIFO
-// full, or held by the outstanding or in-order window), no response head
-// able to move to its initiator, and under attribution every visible head
-// already stamped. A push or pop by the other side during the edge pokes
-// the interconnect, which refuses the sleep.
-func (x *Interconnect) Update() {
-	if !x.moved && x.pipesEmpty() {
-		x.act.Sleep()
-	}
-}
+// Update does nothing: the interconnect owns no FIFOs, and its sleep rule
+// runs at the end of Eval: after an edge whose Eval only counted it
+// sleeps until a push or pop at one of its ports, since with no write
+// streaming beats (a stream moves every edge) and every register stage
+// empty (a piped entry matures with time) the next Eval would see the same
+// heads, windows and free space, and so would only count again — no head
+// grantable (absent, undecodable, its slave FIFO full, or held by the
+// outstanding or in-order window), no response head able to move to its
+// initiator, and under attribution every visible head already stamped. A
+// push or pop by the other side earlier in the edge pokes the
+// interconnect, which refuses the sleep; one later in the edge wakes it
+// with nothing booked.
+func (x *Interconnect) Update() {}
 
 // pipesEmpty reports whether no register stage holds a request or a beat.
 func (x *Interconnect) pipesEmpty() bool {
@@ -371,7 +373,7 @@ func (x *Interconnect) evalWriteChannels(t int) {
 	}
 	ni := len(x.initiators)
 	for k := 0; k < ni; k++ {
-		i := (pt.awRR + k) % ni
+		i := bus.Wrap(pt.awRR+k, ni)
 		req := x.headFor(i, t, bus.OpWrite)
 		if req == nil {
 			continue
@@ -394,7 +396,7 @@ func (x *Interconnect) evalWriteChannels(t int) {
 			}
 			pt.wCur = nil
 		}
-		pt.awRR = (i + 1) % ni
+		pt.awRR = bus.Wrap(i+1, ni)
 		return
 	}
 }
@@ -408,7 +410,7 @@ func (x *Interconnect) evalReadAddress(t int) {
 	}
 	ni := len(x.initiators)
 	for k := 0; k < ni; k++ {
-		i := (pt.arRR + k) % ni
+		i := bus.Wrap(pt.arRR+k, ni)
 		req := x.headFor(i, t, bus.OpRead)
 		if req == nil {
 			continue
@@ -419,7 +421,7 @@ func (x *Interconnect) evalReadAddress(t int) {
 		x.deliverReq(t, req)
 		x.forwarded++
 		pt.busyAR++
-		pt.arRR = (i + 1) % ni
+		pt.arRR = bus.Wrap(i+1, ni)
 		return
 	}
 }
@@ -474,7 +476,7 @@ func (x *Interconnect) forward(i int, op bus.Op) {
 	}
 	nt := len(x.targets)
 	for k := 0; k < nt; k++ {
-		t := (*rr + k) % nt
+		t := bus.Wrap(*rr+k, nt)
 		tp := x.targets[t]
 		if !tp.Resp.CanPop() {
 			continue
@@ -498,7 +500,7 @@ func (x *Interconnect) forward(i int, op bus.Op) {
 		if beat.Last {
 			x.retire(i, beat.Req.ID)
 		}
-		*rr = (t + 1) % nt
+		*rr = bus.Wrap(t+1, nt)
 		return
 	}
 }

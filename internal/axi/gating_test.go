@@ -31,7 +31,7 @@ func TestInterconnectBackpressureLockstep(t *testing.T) {
 						g, gx := rig(false)
 						f, fx := rig(true)
 						state := func(r *testutil.Backpressure, x *Interconnect) func() string {
-							return func() string { return fmt.Sprintf("%+v", x.Stats()) + r.PortStats() }
+							return func() string { return fmt.Sprintf("%+v", x.Stats()) + r.PortState() }
 						}
 						skipped := testutil.Lockstep(t, 4000, g, f, state(g, gx), state(f, fx))
 						s := gx.Stats()

@@ -6,6 +6,7 @@ import (
 
 	"mpsocsim/internal/bus"
 	"mpsocsim/internal/sim"
+	"mpsocsim/internal/testutil"
 )
 
 // Bridge-level backpressure lockstep (DESIGN.md §20): both gated sides of a
@@ -101,11 +102,11 @@ func backlogBridge(cfg Config, srcPS, dstPS int64, full bool) (*sim.Kernel, *Bri
 }
 
 // backlogState renders the bridge's statistics, its internal queue depths
-// and the statistics of all four port FIFOs.
+// and the committed occupancy and head of all four port FIFOs.
 func backlogState(br *Bridge) string {
-	return fmt.Sprintf("%+v out=%d delay=%d reqX=%d respX=%d emit=%d held=%d %+v %+v %+v %+v",
+	return fmt.Sprintf("%+v out=%d delay=%d reqX=%d respX=%d emit=%d held=%d %s %s",
 		br.Stats(), br.outstanding, len(br.delayLine), br.reqX.Len(), br.respX.Len(), len(br.emitQ), len(br.held),
-		br.tport.Req.Stats(), br.tport.Resp.Stats(), br.iport.Req.Stats(), br.iport.Resp.Stats())
+		testutil.PortFifos(br.tport.Req, br.tport.Resp), testutil.PortFifos(br.iport.Req, br.iport.Resp))
 }
 
 // TestBridgeBackpressureLockstep runs gated bridges beside full-evaluation

@@ -203,20 +203,17 @@ func (p *TargetPort) Update() {
 	p.Resp.Update()
 }
 
-// OwnedBy declares the port's gated owner (see sim.Fifo.OwnedBy): the
-// component that commits both FIFOs, pushing Req and popping Resp.
+// OwnedBy declares the port's gated owner, the component that commits both
+// FIFOs, as the pusher of Req and the popper of Resp (sim.Fifo.PushedBy,
+// PoppedBy).
 func (p *InitiatorPort) OwnedBy(a *sim.Activity) {
 	p.Req.PushedBy(a)
-	p.Req.OwnedBy(a)
 	p.Resp.PoppedBy(a)
-	p.Resp.OwnedBy(a)
 }
 
-// OwnedBy declares the port's gated owner (see sim.Fifo.OwnedBy): the
-// component that commits both FIFOs, popping Req and pushing Resp.
+// OwnedBy declares the port's gated owner, the component that commits both
+// FIFOs, as the popper of Req and the pusher of Resp.
 func (p *TargetPort) OwnedBy(a *sim.Activity) {
 	p.Req.PoppedBy(a)
-	p.Req.OwnedBy(a)
 	p.Resp.PushedBy(a)
-	p.Resp.OwnedBy(a)
 }

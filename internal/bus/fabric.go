@@ -16,3 +16,13 @@ type Fabric interface {
 	// Name identifies the fabric instance in statistics.
 	Name() string
 }
+
+// Wrap returns i mod n for 0 <= i < 2n: the fabrics advance and scan their
+// round-robin pointers with it, a compare instead of an integer division
+// on every arbitration step.
+func Wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -69,6 +70,29 @@ func FuzzSnapshotDecode(f *testing.F) {
 				p.ResumedCycles(), p.CentralClk.Cycles())
 		}
 	})
+}
+
+// TestFuzzCorpusCurrent requires the checked-in seed snapshot to restore
+// cleanly: a format change that forgets to regenerate the corpus (see
+// TestWriteFuzzCorpus) fails here, instead of silently cutting the fuzzer
+// back to header-only coverage.
+func TestFuzzCorpusCurrent(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzSnapshotDecode", "seed_snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = "go test fuzz v1\n[]byte("
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(body)), header)
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("seed_snapshot is not a one-value []byte corpus file")
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(fuzzSpec(), strings.NewReader(data)); err != nil {
+		t.Fatalf("the checked-in seed snapshot does not restore (regenerate it with WRITE_FUZZ_CORPUS=1 go test -run TestWriteFuzzCorpus ./internal/platform): %v", err)
+	}
 }
 
 // TestWriteFuzzCorpus regenerates the checked-in seed corpus for

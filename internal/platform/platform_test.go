@@ -336,8 +336,10 @@ func TestSpecNameAndStrings(t *testing.T) {
 
 // TestBuildRejectsBadSpecs requires Build to return an error, not panic or
 // substitute a default, on specs it cannot build: a D-cache whose set count
-// is not a power of two, an SDRAM geometry with no banks or no bytes per
-// column, and a protocol outside the enum.
+// is not a power of two, an SDRAM geometry its bit-field decode cannot
+// address (no banks or no bytes per column, either not a power of two,
+// negative row or column bits, more than 63 address bits), and a protocol
+// outside the enum.
 func TestBuildRejectsBadSpecs(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -348,6 +350,11 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 		{"dcache-48KB", func(s *Spec) { s.DSPDCacheKB = 48 }, "power of two"},
 		{"sdram-no-banks", func(s *Spec) { s.LMI.SDRAM.Geometry.Banks = 0 }, "bank"},
 		{"sdram-no-column-bytes", func(s *Spec) { s.LMI.SDRAM.Geometry.BytesPerCol = 0 }, "BytesPerCol"},
+		{"sdram-3-banks", func(s *Spec) { s.LMI.SDRAM.Geometry.Banks = 3 }, "power-of-two number of banks"},
+		{"sdram-6-byte-columns", func(s *Spec) { s.LMI.SDRAM.Geometry.BytesPerCol = 6 }, "BytesPerCol"},
+		{"sdram-negative-row-bits", func(s *Spec) { s.LMI.SDRAM.Geometry.RowBits = -1 }, "RowBits"},
+		{"sdram-negative-column-bits", func(s *Spec) { s.LMI.SDRAM.Geometry.ColBits = -1 }, "ColBits"},
+		{"sdram-64-address-bits", func(s *Spec) { s.LMI.SDRAM.Geometry.RowBits = 51 }, "exceed 63"},
 		{"protocol-7", func(s *Spec) { s.Protocol = 7 }, "unknown protocol"},
 		{"protocol-negative", func(s *Spec) { s.Protocol = -1 }, "unknown protocol"},
 	} {

@@ -70,6 +70,10 @@ type bank struct {
 type Device struct {
 	cfg   Config
 	banks []bank
+	// bankShift/bankMask and rowShift/rowMask decode an address's bank and
+	// row (BankOf, RowOf), computed once from the geometry.
+	bankShift, rowShift uint
+	bankMask, rowMask   uint64
 
 	// dataFreeAt is the first cycle the shared data bus is free.
 	dataFreeAt int64
@@ -89,17 +93,30 @@ type Device struct {
 	rowMisses  int64
 }
 
-// Validate reports a geometry the device cannot address: no banks, or no
-// bytes per column.
+// Validate reports a geometry the device cannot address with its bit-field
+// decode (BankOf, RowOf): a bank count or column width that is not a
+// positive power of two, a negative row or column bit count, or more than
+// 63 address bits in all.
 func (c Config) Validate() error {
-	if c.Geometry.Banks <= 0 {
-		return fmt.Errorf("sdram: need at least one bank, got %d", c.Geometry.Banks)
+	g := c.Geometry
+	if g.Banks <= 0 || !isPow2(g.Banks) {
+		return fmt.Errorf("sdram: need a power-of-two number of banks, got %d", g.Banks)
 	}
-	if c.Geometry.BytesPerCol <= 0 {
-		return fmt.Errorf("sdram: BytesPerCol must be positive, got %d", c.Geometry.BytesPerCol)
+	if g.BytesPerCol <= 0 || !isPow2(g.BytesPerCol) {
+		return fmt.Errorf("sdram: BytesPerCol must be a positive power of two, got %d", g.BytesPerCol)
+	}
+	if g.RowBits < 0 || g.ColBits < 0 {
+		return fmt.Errorf("sdram: RowBits and ColBits must not be negative, got %d and %d", g.RowBits, g.ColBits)
+	}
+	// The first two tests keep the sum from overflowing.
+	if g.ColBits > 63 || g.RowBits > 63 || int(log2(g.BytesPerCol))+g.ColBits+int(log2(g.Banks))+g.RowBits > 63 {
+		return fmt.Errorf("sdram: column, bank and row address bits exceed 63 (%d bytes per column, ColBits %d, %d banks, RowBits %d)",
+			g.BytesPerCol, g.ColBits, g.Banks, g.RowBits)
 	}
 	return nil
 }
+
+func isPow2(v int) bool { return v&(v-1) == 0 }
 
 // New builds a device; all banks start precharged. It panics on a config
 // Validate rejects.
@@ -107,7 +124,12 @@ func New(cfg Config) *Device {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &Device{cfg: cfg, banks: make([]bank, cfg.Geometry.Banks)}
+	g := cfg.Geometry
+	d := &Device{cfg: cfg, banks: make([]bank, g.Banks)}
+	d.bankShift = log2(g.BytesPerCol) + uint(g.ColBits)
+	d.bankMask = uint64(g.Banks - 1)
+	d.rowShift = d.bankShift + log2(g.Banks)
+	d.rowMask = 1<<uint(g.RowBits) - 1
 	for i := range d.banks {
 		// Start every timing fence far in the past so cycle-0 commands
 		// are legal on a fresh device.
@@ -123,19 +145,14 @@ func (d *Device) Config() Config { return d.cfg }
 
 // BankOf returns the bank index addr maps to (bank bits above the column
 // bits, the usual bank-interleaved mapping that spreads sequential bursts).
-func (d *Device) BankOf(addr uint64) int {
-	g := d.cfg.Geometry
-	return int((addr >> (uint(g.ColBits) + uintLog2(g.BytesPerCol))) % uint64(g.Banks))
-}
+func (d *Device) BankOf(addr uint64) int { return int((addr >> d.bankShift) & d.bankMask) }
 
-// RowOf returns the row index addr maps to.
-func (d *Device) RowOf(addr uint64) int64 {
-	g := d.cfg.Geometry
-	shift := uint(g.ColBits) + uintLog2(g.BytesPerCol) + uintLog2(g.Banks)
-	return int64((addr >> shift) & ((1 << uint(g.RowBits)) - 1))
-}
+// RowOf returns the row index addr maps to (the row bits above the bank
+// bits).
+func (d *Device) RowOf(addr uint64) int64 { return int64((addr >> d.rowShift) & d.rowMask) }
 
-func uintLog2(v int) uint {
+// log2 returns the base-2 logarithm of a power of two.
+func log2(v int) uint {
 	var n uint
 	for v > 1 {
 		v >>= 1

@@ -1,6 +1,8 @@
 package sdram
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -232,13 +234,77 @@ func TestIllegalCommandsPanic(t *testing.T) {
 	}
 }
 
+// TestNewPanicsOnBadGeometry requires Validate to reject, and New to panic
+// on, every geometry the bit-field decode cannot address; and both to
+// accept the extremes it can.
 func TestNewPanicsOnBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	geom := func(edit func(g *Geometry)) Config {
+		c := DefaultConfig()
+		edit(&c.Geometry)
+		return c
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"no-banks", Config{Geometry: Geometry{Banks: 0, BytesPerCol: 8}}, "banks"},
+		{"3-banks", geom(func(g *Geometry) { g.Banks = 3 }), "power-of-two number of banks"},
+		{"negative-banks", geom(func(g *Geometry) { g.Banks = -4 }), "banks"},
+		{"no-column-bytes", geom(func(g *Geometry) { g.BytesPerCol = 0 }), "BytesPerCol"},
+		{"6-column-bytes", geom(func(g *Geometry) { g.BytesPerCol = 6 }), "BytesPerCol"},
+		{"negative-row-bits", geom(func(g *Geometry) { g.RowBits = -1 }), "RowBits"},
+		{"negative-column-bits", geom(func(g *Geometry) { g.ColBits = -1 }), "ColBits"},
+		{"64-address-bits", geom(func(g *Geometry) { g.RowBits = 64 - 3 - 10 - 2 }), "exceed 63"},
+		{"huge-row-and-column-bits", geom(func(g *Geometry) { g.RowBits, g.ColBits = math.MaxInt, math.MaxInt }), "exceed 63"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate returned %v, want an error mentioning %q", err, c.want)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("New did not panic")
+				}
+			}()
+			New(c.cfg)
+		})
+	}
+	for _, g := range []Geometry{
+		DefaultGeometry(),
+		{Banks: 1, RowBits: 0, ColBits: 0, BytesPerCol: 1},
+		{Banks: 8, RowBits: 63 - 3 - 10 - 3, ColBits: 10, BytesPerCol: 8},
+	} {
+		if err := (Config{Timing: DDR2_400Like(), Geometry: g}).Validate(); err != nil {
+			t.Errorf("geometry %+v rejected: %v", g, err)
 		}
-	}()
-	New(Config{Geometry: Geometry{Banks: 0, BytesPerCol: 8}})
+	}
+}
+
+// TestDecodeMatchesArithmetic holds the shift-and-mask bank and row decode to
+// its arithmetic definition: the bank is the address above the column bits
+// modulo the bank count, the row the address above the bank bits modulo the
+// row count.
+func TestDecodeMatchesArithmetic(t *testing.T) {
+	for _, g := range []Geometry{
+		DefaultGeometry(),
+		{Banks: 8, RowBits: 14, ColBits: 9, BytesPerCol: 4},
+		{Banks: 1, RowBits: 3, ColBits: 2, BytesPerCol: 16},
+		{Banks: 2, RowBits: 40, ColBits: 12, BytesPerCol: 2},
+	} {
+		d := New(Config{Timing: DDR2_400Like(), Geometry: g})
+		colBytes := uint64(g.BytesPerCol) << uint(g.ColBits)
+		rows := uint64(1) << uint(g.RowBits)
+		prop := func(addr uint64) bool {
+			bank := addr / colBytes % uint64(g.Banks)
+			row := addr / colBytes / uint64(g.Banks) % rows
+			return d.BankOf(addr) == int(bank) && d.RowOf(addr) == int64(row)
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Fatalf("geometry %+v: %v", g, err)
+		}
+	}
 }
 
 // Property: a controller loop that always consults Can* before issuing never

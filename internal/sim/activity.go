@@ -20,11 +20,8 @@ import "math"
 //
 // The skipped edges are not lost: on waking — and whenever the platform is
 // about to read counters (Kernel.Settle) — the component books them to its
-// per-edge statistics (CreditIdle) and the Activity books them to the
-// occupancy statistics of the FIFOs it owns. A sleeper's FIFOs do not change
-// — the poke that ends the sleep comes before the push or pop — so each
-// skipped commit saw the occupancy the component fell asleep with. Every
-// counter, report and snapshot byte therefore equals full evaluation.
+// per-edge statistics (CreditIdle). Every counter, report and snapshot byte
+// therefore equals full evaluation.
 
 // Gated is a component the kernel may skip while it sleeps. Register binds
 // the component's Activity to the clock it is registered on.
@@ -40,8 +37,8 @@ type Gated interface {
 }
 
 // Activity is the sleep state of one gated component. The zero value is
-// awake; a component embeds one and declares the FIFOs it pushes, pops and
-// owns (Fifo.PushedBy, PoppedBy, OwnedBy) before the run starts.
+// awake; a component embeds one and declares the FIFOs it pushes and pops
+// (Fifo.PushedBy, PoppedBy) before the run starts.
 type Activity struct {
 	// The kernel skips the owner's Eval while evalPS is after the current
 	// edge, and its Update while updPS is. Zero (any past instant) means
@@ -63,17 +60,6 @@ type Activity struct {
 
 	clk   *Clock
 	owner Gated
-	// owned heads the list of FIFOs the owner commits, linked through
-	// the FIFOs themselves (Fifo.OwnedBy).
-	owned ownedFifo
-}
-
-// ownedFifo is the owner-side surface of a Fifo the Activity credits while
-// its owner sleeps.
-type ownedFifo interface {
-	staged() bool
-	creditIdle(n int64)
-	next() ownedFifo
 }
 
 // awake is the gate of every ungated component: never asleep, never
@@ -89,22 +75,20 @@ func (a *Activity) Sleep() { a.SleepUntil(math.MaxInt64) }
 
 // SleepUntil puts the owner to sleep after the current edge, to be woken no
 // later than the edge at which its clock's Cycles() reads cycle during Eval.
-// The owner calls it from Update, after committing its own FIFOs, when the
-// edge's Eval did nothing but count and the next Eval would do the same —
-// which may hold with entries queued in its FIFOs, as long as whatever it
-// waits on can only move through a poke. The request is ignored — the owner
-// simply stays awake, which is always exact — when the owner was poked during
-// this edge, when an owned FIFO stages a push or pop, when the wake-up is due
-// at the very next edge, or under full evaluation.
+// The owner calls it when the edge's Eval did nothing but count and the next
+// Eval would do the same — which may hold with entries queued in its FIFOs,
+// as long as whatever it waits on can only move through a poke. It calls it
+// from Update, after committing its own FIFOs, or from the end of its Eval
+// when its Update has nothing to commit: the kernel then skips that Update.
+// The request is ignored — the owner simply stays awake, which is always
+// exact — when the owner was poked during this edge, when the wake-up is due
+// at the very next edge, or under full evaluation. A poke later in the same
+// edge wakes an owner that slept at the end of its Eval with its turn
+// passed, which books nothing: the same state as a refused request.
 func (a *Activity) SleepUntil(cycle int64) {
 	c := a.clk
 	if a.full || a.asleep || c == nil || cycle <= c.cycle+1 || a.pokedAt == c.cycle+1 {
 		return
-	}
-	for f := a.owned; f != nil; f = f.next() {
-		if f.staged() {
-			return
-		}
 	}
 	a.asleep = true
 	c.sleepers++
@@ -142,7 +126,8 @@ func (a *Activity) Poke() {
 // edge group — the owner takes this edge's Eval, since full evaluation
 // would show it the change at once. Otherwise this edge's Eval already went
 // by as idle and is booked so, while its Update still runs to commit the
-// change that woke it.
+// change that woke it — unless the owner fell asleep at the end of that
+// very Eval, which then ran and books nothing.
 func (a *Activity) wake() {
 	c := a.clk
 	now := c.kernel.nowPS
@@ -158,15 +143,14 @@ func (a *Activity) wake() {
 	a.pokedAt = c.cycle + 1
 	a.updPS = 0
 	if c.nextEdge == now && (c.sweepPS != now || a.idx > c.pos) {
-		a.credit(n, n)
+		a.credit(n)
 		a.evalPS = 0
 		return
 	}
-	evals := n
 	if c.nextEdge == now {
-		evals++
+		n++
 	}
-	a.credit(evals, n)
+	a.credit(n)
 	a.evalPS = now + 1
 }
 
@@ -174,8 +158,7 @@ func (a *Activity) wake() {
 // the owner's Eval for this edge.
 func (a *Activity) resume() {
 	c := a.clk
-	n := c.cycle - a.since
-	a.credit(n, n)
+	a.credit(c.cycle - a.since)
 	a.asleep = false
 	c.sleepers--
 	a.evalPS, a.updPS = 0, 0
@@ -184,19 +167,14 @@ func (a *Activity) resume() {
 // settle books the edges skipped so far, between steps, without waking the
 // owner.
 func (a *Activity) settle() {
-	n := a.clk.cycle - a.since
-	a.credit(n, n)
+	a.credit(a.clk.cycle - a.since)
 	a.since = a.clk.cycle
 }
 
-func (a *Activity) credit(evals, updates int64) {
-	if evals > 0 {
-		a.owner.CreditIdle(evals)
-	}
-	if updates > 0 {
-		for f := a.owned; f != nil; f = f.next() {
-			f.creditIdle(updates)
-		}
+// credit books n skipped Evals to the owner, if any.
+func (a *Activity) credit(n int64) {
+	if n > 0 {
+		a.owner.CreditIdle(n)
 	}
 }
 

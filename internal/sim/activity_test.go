@@ -85,7 +85,6 @@ func gatedRig(periodA, periodB int64, full bool) (*Kernel, *Clock, *sink) {
 	f := NewFifo[int]("in", 4)
 	k1 := &sink{clk: a, in: f}
 	f.PoppedBy(&k1.act)
-	f.OwnedBy(&k1.act)
 	a.Register(&source{rng: NewRand(7), out: f})
 	a.Register(k1)
 	if periodB > 0 {
@@ -97,9 +96,9 @@ func gatedRig(periodA, periodB int64, full bool) (*Kernel, *Clock, *sink) {
 // TestGatingMatchesFullEvaluation steps a gated kernel and a full-evaluation
 // kernel side by side on one clock and beside a second clock whose edges
 // coincide often ("hyperperiod") or almost never ("generic"), and requires
-// identical sink
-// state (counters, countdown, FIFO statistics, event instants) after every
-// step, with the sleeper's skipped edges settled before each comparison.
+// identical sink state (counters, countdown, FIFO occupancy and head, event
+// instants) after every step, with the sleeper's skipped edges settled
+// before each comparison.
 func TestGatingMatchesFullEvaluation(t *testing.T) {
 	tiers := []struct {
 		name             string
@@ -117,8 +116,8 @@ func TestGatingMatchesFullEvaluation(t *testing.T) {
 				kg.Step()
 				kf.Step()
 				kg.Settle()
-				got := fmt.Sprint(g.cycles, g.countdown, g.sum, g.fired, g.in.Stats())
-				want := fmt.Sprint(f.cycles, f.countdown, f.sum, f.fired, f.in.Stats())
+				got := fmt.Sprint(g.cycles, g.countdown, g.sum, g.fired, fifoState(g.in))
+				want := fmt.Sprint(f.cycles, f.countdown, f.sum, f.fired, fifoState(f.in))
 				if got != want {
 					t.Fatalf("step %d: gated %s, full %s", i, got, want)
 				}
@@ -138,6 +137,15 @@ func TestGatingMatchesFullEvaluation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fifoState renders a FIFO's committed occupancy and head entry — all the
+// other side can see of it between steps.
+func fifoState(f *Fifo[int]) string {
+	if !f.CanPop() {
+		return fmt.Sprintf("%d/-", f.Len())
+	}
+	return fmt.Sprintf("%d/%d", f.Len(), f.Peek())
 }
 
 // TestEvalCountsAddUp checks that every component-edge is counted exactly
@@ -162,17 +170,15 @@ func (h *holder) Activity() *Activity { return &h.act }
 func (h *holder) CreditIdle(int64)    {}
 
 // TestSleepRequestsRefused covers the cases where SleepUntil must leave the
-// component awake — a wake-up due at the next edge, a staged operation in an
-// owned FIFO, a poke earlier in the same edge, and full evaluation — and the
-// one it must grant with work queued: committed entries, nothing staged, no
-// poke this edge.
+// component awake — a wake-up due at the next edge, a poke earlier in the
+// same edge, and full evaluation — and the one it must grant with work
+// queued: committed entries, no poke this edge.
 func TestSleepRequestsRefused(t *testing.T) {
 	k := NewKernel()
 	c := k.NewClockPeriodPS("c", 1000)
 	f := NewFifo[int]("f", 1)
 	h := &holder{}
 	f.PushedBy(&h.act)
-	f.OwnedBy(&h.act)
 	c.Register(h)
 	k.Step()
 
@@ -181,10 +187,6 @@ func TestSleepRequestsRefused(t *testing.T) {
 		t.Fatal("slept although the wake-up is due at the next edge")
 	}
 	f.Push(1)
-	h.act.Sleep()
-	if h.act.Asleep() {
-		t.Fatal("slept with a push staged in its FIFO")
-	}
 	f.Update()
 	h.act.Sleep()
 	if !h.act.Asleep() {
@@ -215,8 +217,7 @@ func TestSleepRequestsRefused(t *testing.T) {
 }
 
 // TestFifoWatchers checks the pusher/popper bookkeeping: declaring a side
-// twice is harmless, a second component on a side is a wiring bug, an owner
-// must be one of the sides.
+// twice is harmless, a second component on a side is a wiring bug.
 func TestFifoWatchers(t *testing.T) {
 	mustPanic := func(what string, f func()) {
 		t.Helper()
@@ -232,10 +233,8 @@ func TestFifoWatchers(t *testing.T) {
 	f.PushedBy(&pusher)
 	f.PushedBy(&pusher)
 	f.PoppedBy(&popper)
-	f.OwnedBy(&pusher)
 	mustPanic("a second pusher", func() { f.PushedBy(&third) })
 	mustPanic("a second popper", func() { f.PoppedBy(&third) })
-	mustPanic("an owner on neither side", func() { f.OwnedBy(&third) })
 }
 
 // TestGatedKernelStepZeroAlloc extends the kernel's zero-allocation

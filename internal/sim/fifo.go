@@ -34,18 +34,18 @@ type Fifo[T any] struct {
 
 	// pusher and popper are the gated components on either side (nil for
 	// an ungated one): a push pokes the popper, a pop or RemoveAt the
-	// pusher (see PushedBy and PoppedBy). nextOwned links the FIFOs one
-	// Activity owns.
+	// pusher (see PushedBy and PoppedBy).
 	pusher, popper *Activity
-	nextOwned      ownedFifo
-
-	// occupancy statistics (committed state, sampled at Update)
-	cycles      int64
-	fullCycles  int64
-	emptyCycles int64
-	maxOcc      int
-	pushedTotal int64
 }
+
+// misuse is the panic value of a FIFO operation the caller should have
+// guarded (a pop or peek with nothing poppable, a push into a full FIFO).
+// Panicking with a small struct instead of a formatted string keeps the
+// guarded read methods within the inlining budget, and formats the message
+// only when the panic is printed.
+type misuse struct{ op, fifo string }
+
+func (m misuse) Error() string { return fmt.Sprintf("sim: %s fifo %q", m.op, m.fifo) }
 
 // NewFifo returns a FIFO with the given capacity. Depth must be positive.
 func NewFifo[T any](name string, depth int) *Fifo[T] {
@@ -91,7 +91,7 @@ func (f *Fifo[T]) CanPush() bool { return f.SpaceStaged() > 0 }
 // must check CanPush; overflow is a modelling bug, not a runtime condition.
 func (f *Fifo[T]) Push(v T) {
 	if !f.CanPush() {
-		panic(fmt.Sprintf("sim: push to full fifo %q (depth %d)", f.name, f.depth))
+		panic(misuse{"push to full", f.name})
 	}
 	if a := f.popper; a != nil {
 		a.Poke()
@@ -119,38 +119,6 @@ func bindSide(name, side string, cur, a *Activity) *Activity {
 	return a
 }
 
-// OwnedBy declares that the gated component behind a, already declared the
-// FIFO's pusher or popper, commits it from its Update. The component may
-// sleep while the FIFO holds committed entries; while it sleeps, a books the
-// skipped commits to the occupancy statistics, and the other side's next
-// push or pop wakes it first. Call before the run starts.
-func (f *Fifo[T]) OwnedBy(a *Activity) {
-	if a != f.pusher && a != f.popper {
-		panic(fmt.Sprintf("sim: fifo %q owner is neither its pusher nor its popper", f.name))
-	}
-	f.nextOwned = a.owned
-	a.owned = f
-}
-
-func (f *Fifo[T]) next() ownedFifo { return f.nextOwned }
-
-// staged reports whether a push or pop is waiting for this cycle's commit;
-// its owner may not sleep then.
-func (f *Fifo[T]) staged() bool { return f.npush != 0 || f.npop != 0 }
-
-// creditIdle books n commits its sleeping owner skipped. Nothing is staged
-// while the owner sleeps — the other side's next push or pop wakes it first
-// — so each skipped commit saw the current occupancy.
-func (f *Fifo[T]) creditIdle(n int64) {
-	f.cycles += n
-	switch {
-	case f.n >= f.depth:
-		f.fullCycles += n
-	case f.n == 0:
-		f.emptyCycles += n
-	}
-}
-
 // CanPop reports whether a committed entry is available beyond those already
 // popped this cycle.
 func (f *Fifo[T]) CanPop() bool { return f.npop < f.n }
@@ -159,7 +127,7 @@ func (f *Fifo[T]) CanPop() bool { return f.npop < f.n }
 // it. It panics if none is available.
 func (f *Fifo[T]) Peek() T {
 	if !f.CanPop() {
-		panic(fmt.Sprintf("sim: peek on empty fifo %q", f.name))
+		panic(misuse{"peek on empty", f.name})
 	}
 	return f.buf[f.slot(f.npop)]
 }
@@ -168,7 +136,7 @@ func (f *Fifo[T]) Peek() T {
 // by lookahead optimizers that inspect the queue without consuming it.
 func (f *Fifo[T]) PeekAt(i int) T {
 	if i < 0 || f.npop+i >= f.n {
-		panic(fmt.Sprintf("sim: peekAt(%d) out of range on fifo %q (len %d, npop %d)", i, f.name, f.n, f.npop))
+		panic(misuse{"peekAt out of range on", f.name})
 	}
 	return f.buf[f.slot(f.npop+i)]
 }
@@ -186,7 +154,7 @@ func (f *Fifo[T]) RemoveAt(i int) T {
 	}
 	idx := f.npop + i
 	if i < 0 || idx >= f.n {
-		panic(fmt.Sprintf("sim: removeAt(%d) out of range on fifo %q", i, f.name))
+		panic(misuse{"removeAt out of range on", f.name})
 	}
 	if a := f.pusher; a != nil {
 		a.Poke()
@@ -208,7 +176,7 @@ func (f *Fifo[T]) RemoveAt(i int) T {
 // Pop stages consumption of the oldest committed entry and returns it.
 func (f *Fifo[T]) Pop() T {
 	if !f.CanPop() {
-		panic(fmt.Sprintf("sim: pop from empty fifo %q", f.name))
+		panic(misuse{"pop from empty", f.name})
 	}
 	if a := f.pusher; a != nil {
 		a.Poke()
@@ -218,79 +186,37 @@ func (f *Fifo[T]) Pop() T {
 	return v
 }
 
-// Update commits staged pushes and pops and samples occupancy statistics.
-// Call exactly once per cycle of the owning clock domain.
+// Update commits staged pushes and pops. Call exactly once per cycle of
+// the owning clock domain.
 func (f *Fifo[T]) Update() {
 	if f.npop > 0 {
-		var zero T
-		for i := 0; i < f.npop; i++ {
-			f.buf[f.slot(i)] = zero // release references for GC
-		}
-		f.head = f.slot(f.npop)
-		f.n -= f.npop
-		f.npop = 0
+		f.commitPops()
 	}
-	if f.npush > 0 {
-		// Staged entries already sit in their final slots: commit is a
-		// counter bump.
-		f.n += f.npush
-		f.pushedTotal += int64(f.npush)
-		f.npush = 0
-	}
-	f.cycles++
-	switch {
-	case f.n >= f.depth:
-		f.fullCycles++
-	case f.n == 0:
-		f.emptyCycles++
-	}
-	if f.n > f.maxOcc {
-		f.maxOcc = f.n
-	}
+	// Staged entries already sit in their final slots: committing them is
+	// a counter bump.
+	f.n += f.npush
+	f.npush = 0
 }
 
-// Reset discards all committed and staged state and statistics. The
-// preallocated ring storage is retained (and cleared), so a Reset FIFO is
-// immediately reusable with no further allocation.
+// commitPops retires the entries popped this cycle, clearing their slots so
+// they drop their references for the GC.
+func (f *Fifo[T]) commitPops() {
+	var zero T
+	for i := 0; i < f.npop; i++ {
+		f.buf[f.slot(i)] = zero
+	}
+	f.head = f.slot(f.npop)
+	f.n -= f.npop
+	f.npop = 0
+}
+
+// Reset discards all committed and staged state. The preallocated ring
+// storage is retained (and cleared), so a Reset FIFO is immediately
+// reusable with no further allocation.
 func (f *Fifo[T]) Reset() {
 	var zero T
 	for i := range f.buf {
 		f.buf[i] = zero
 	}
 	f.head, f.n, f.npush, f.npop = 0, 0, 0, 0
-	f.cycles, f.fullCycles, f.emptyCycles, f.pushedTotal = 0, 0, 0, 0
-	f.maxOcc = 0
-}
-
-// Stats returns occupancy statistics sampled at each Update.
-func (f *Fifo[T]) Stats() FifoStats {
-	return FifoStats{
-		Cycles:       f.cycles,
-		FullCycles:   f.fullCycles,
-		EmptyCycles:  f.emptyCycles,
-		MaxOccupancy: f.maxOcc,
-		Pushed:       f.pushedTotal,
-	}
-}
-
-// FifoStats summarizes a FIFO's lifetime occupancy.
-type FifoStats struct {
-	Cycles       int64
-	FullCycles   int64
-	EmptyCycles  int64
-	MaxOccupancy int
-	Pushed       int64
-}
-
-// FullFrac returns the fraction of cycles the FIFO was full.
-func (s FifoStats) FullFrac() float64 { return frac(s.FullCycles, s.Cycles) }
-
-// EmptyFrac returns the fraction of cycles the FIFO was empty.
-func (s FifoStats) EmptyFrac() float64 { return frac(s.EmptyCycles, s.Cycles) }
-
-func frac(n, d int64) float64 {
-	if d == 0 {
-		return 0
-	}
-	return float64(n) / float64(d)
 }

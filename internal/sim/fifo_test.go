@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -101,61 +103,38 @@ func TestFifoRemoveAtZeroIsPop(t *testing.T) {
 	}
 }
 
+// TestFifoPanicsOnOverflowAndUnderflow checks that every guarded operation
+// panics when misused, with a message that names the FIFO.
 func TestFifoPanicsOnOverflowAndUnderflow(t *testing.T) {
-	f := NewFifo[int]("f", 1)
-	f.Push(1)
-	func() {
+	mustPanic := func(what, fifo string, op func()) {
+		t.Helper()
 		defer func() {
-			if recover() == nil {
-				t.Error("expected panic on overflow push")
+			t.Helper()
+			v := recover()
+			if v == nil {
+				t.Errorf("expected panic on %s", what)
+				return
+			}
+			if msg := fmt.Sprint(v); !strings.Contains(msg, fmt.Sprintf("%q", fifo)) {
+				t.Errorf("%s panicked with %q, which does not name fifo %q", what, msg, fifo)
 			}
 		}()
-		f.Push(2)
-	}()
-	g := NewFifo[int]("g", 1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic on empty pop")
-			}
-		}()
-		g.Pop()
-	}()
-}
-
-func TestFifoStats(t *testing.T) {
-	f := NewFifo[int]("f", 2)
-	// cycle 1: empty
-	f.Update()
-	// cycle 2: push 2 -> full at sample
-	f.Push(1)
-	f.Push(2)
-	f.Update()
-	// cycle 3: still full
-	f.Update()
-	// cycle 4: pop both -> empty at sample
-	f.Pop()
-	f.Pop()
-	f.Update()
-	s := f.Stats()
-	if s.Cycles != 4 {
-		t.Fatalf("cycles = %d, want 4", s.Cycles)
+		op()
 	}
-	if s.FullCycles != 2 {
-		t.Fatalf("full cycles = %d, want 2", s.FullCycles)
-	}
-	if s.EmptyCycles != 2 {
-		t.Fatalf("empty cycles = %d, want 2", s.EmptyCycles)
-	}
-	if s.MaxOccupancy != 2 {
-		t.Fatalf("max occupancy = %d, want 2", s.MaxOccupancy)
-	}
-	if s.Pushed != 2 {
-		t.Fatalf("pushed = %d, want 2", s.Pushed)
-	}
-	if s.FullFrac() != 0.5 || s.EmptyFrac() != 0.5 {
-		t.Fatalf("fracs = %v/%v, want 0.5/0.5", s.FullFrac(), s.EmptyFrac())
-	}
+	full := NewFifo[int]("full", 1)
+	full.Push(1)
+	mustPanic("overflow push", "full", func() { full.Push(2) })
+	empty := NewFifo[int]("empty", 1)
+	mustPanic("empty pop", "empty", func() { empty.Pop() })
+	mustPanic("empty peek", "empty", func() { empty.Peek() })
+	one := NewFifo[int]("one", 4)
+	one.Push(1)
+	one.Update()
+	mustPanic("peekAt past the end", "one", func() { one.PeekAt(1) })
+	mustPanic("peekAt of a negative index", "one", func() { one.PeekAt(-1) })
+	mustPanic("removeAt past the end", "one", func() { one.RemoveAt(1) })
+	one.Pop()
+	mustPanic("peek once the only entry is popped", "one", func() { one.Peek() })
 }
 
 func TestFifoReset(t *testing.T) {
@@ -165,9 +144,6 @@ func TestFifoReset(t *testing.T) {
 	f.Reset()
 	if f.Len() != 0 || f.CanPop() {
 		t.Fatal("reset fifo must be empty")
-	}
-	if f.Stats().Cycles != 0 {
-		t.Fatal("reset must clear stats")
 	}
 }
 

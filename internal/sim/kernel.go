@@ -473,7 +473,8 @@ func (k *Kernel) join(c *Clock) {
 // evalClock runs the clock's Eval sweep at now: Eval on every awake
 // component in registration order, counting the component-edges evaluated
 // and skipped. A sleeper whose timed wake-up is due books its skipped edges
-// first. The sweep also refreshes wakeMin from the sleepers it passes.
+// first. The sweep also refreshes wakeMin from the sleepers it passes and
+// those that fall asleep in their Eval (SleepUntil lowers c.wakeMin).
 func (k *Kernel) evalClock(c *Clock, now int64) {
 	c.sweepPS = now
 	if c.idleAt(now) {
@@ -481,6 +482,7 @@ func (k *Kernel) evalClock(c *Clock, now int64) {
 		k.skipped += int64(len(c.slots))
 		return
 	}
+	c.wakeMin = math.MaxInt64
 	wakeMin := int64(math.MaxInt64)
 	skipped := 0
 	for i, s := range c.slots {
@@ -497,7 +499,7 @@ func (k *Kernel) evalClock(c *Clock, now int64) {
 		s.comp.Eval()
 	}
 	c.pos = len(c.slots)
-	c.wakeMin = wakeMin
+	c.wakeMin = min(c.wakeMin, wakeMin)
 	k.skipped += int64(skipped)
 	k.evaluated += int64(len(c.slots) - skipped)
 }

@@ -124,7 +124,6 @@ func newParkRig(full bool) *parkRig {
 	q := NewFifo[int]("q", 4)
 	r.s = &drain{clk: r.c, peer: r.b, in: q}
 	q.PoppedBy(&r.s.act)
-	q.OwnedBy(&r.s.act)
 	r.rd = &reader{k: k, others: []*Clock{r.a, r.c}}
 	r.rd.atEdge = [2][]int{make([]int, 2), make([]int, 2)}
 	r.pk = &poker{k: k, clk: r.b, a: r.a, c: r.c, x: &x, w: &r.w.act, q: q}
@@ -147,7 +146,7 @@ func (r *parkRig) addTimer(clk *Clock, seed uint64) {
 // state renders the rig's per-edge counters (the logs are compared as they
 // grow).
 func (r *parkRig) state() string {
-	st := fmt.Sprint(r.w.cycles, r.s.cycles, r.s.in.Stats())
+	st := fmt.Sprint(r.w.cycles, r.s.cycles, fifoState(r.s.in))
 	for _, tm := range r.timers {
 		st += fmt.Sprint(" ", tm.cycles, tm.left, len(tm.firedAt))
 	}

@@ -63,9 +63,9 @@ func (k *Kernel) DecodeState(d *snapshot.Decoder) {
 	k.invalidateSchedule()
 }
 
-// EncodeFifoState serializes a quiescent FIFO: committed entries oldest
-// first (via elem) plus the lifetime occupancy statistics. The ring origin
-// is not preserved — slot indices are unobservable.
+// EncodeFifoState serializes a quiescent FIFO: its committed entries,
+// oldest first (via elem). The ring origin is not preserved — slot indices
+// are unobservable.
 func EncodeFifoState[T any](e *snapshot.Encoder, f *Fifo[T], elem func(*snapshot.Encoder, T)) {
 	if f.npush != 0 || f.npop != 0 {
 		panic(fmt.Sprintf("sim: snapshot of fifo %q with staged operations (npush=%d npop=%d)", f.name, f.npush, f.npop))
@@ -75,11 +75,6 @@ func EncodeFifoState[T any](e *snapshot.Encoder, f *Fifo[T], elem func(*snapshot
 	for i := 0; i < f.n; i++ {
 		elem(e, f.buf[f.slot(i)])
 	}
-	e.I(f.cycles)
-	e.I(f.fullCycles)
-	e.I(f.emptyCycles)
-	e.U(uint64(f.maxOcc))
-	e.I(f.pushedTotal)
 }
 
 // DecodeFifoState restores a FIFO serialized by EncodeFifoState into f,
@@ -100,11 +95,6 @@ func DecodeFifoState[T any](d *snapshot.Decoder, f *Fifo[T], elem func(*snapshot
 	for i := 0; i < n; i++ {
 		f.buf[i] = elem(d)
 	}
-	f.cycles = d.I()
-	f.fullCycles = d.I()
-	f.emptyCycles = d.I()
-	f.maxOcc = d.N(f.depth)
-	f.pushedTotal = d.I()
 }
 
 // EncodeAsyncFifoState serializes a quiescent CDC FIFO: committed entries

@@ -30,8 +30,9 @@ const Magic = "MPSNAP"
 
 // Version is the current snapshot format version. Bumped on any
 // incompatible layout change; the decoder rejects unknown versions rather
-// than guessing (same rule as the trace format).
-const Version = 1
+// than guessing (same rule as the trace format). Version 2 dropped the FIFO
+// occupancy statistics from every FIFO section.
+const Version = 2
 
 // Sentinel decode errors; match with errors.Is.
 var (

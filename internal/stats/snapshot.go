@@ -92,6 +92,11 @@ func (p *PhaseTracker) DecodeState(d *snapshot.Decoder) {
 		return
 	}
 	p.cycle = d.I()
+	if p.cycle < 0 {
+		d.Corrupt("negative phase tracker cycle count %d", p.cycle)
+		return
+	}
+	p.left = p.windowSize - p.cycle%p.windowSize
 	for i := range p.current {
 		p.current[i] = d.I()
 	}

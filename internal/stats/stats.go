@@ -125,7 +125,9 @@ type PhaseTracker struct {
 	index      map[string]int
 	windowSize int64
 
-	cycle   int64
+	cycle int64
+	// left counts down the cycles until the current window closes.
+	left    int64
 	current []int64
 	windows []Window
 	total   []int64
@@ -161,6 +163,7 @@ func NewPhaseTracker(windowSize int64, states ...string) *PhaseTracker {
 		states:     states,
 		index:      idx,
 		windowSize: windowSize,
+		left:       windowSize,
 		current:    make([]int64, len(states)),
 		total:      make([]int64, len(states)),
 		windows:    make([]Window, 0, arenaWindows),
@@ -185,8 +188,9 @@ func (p *PhaseTracker) ObserveIndex(i int) {
 	p.current[i]++
 	p.total[i]++
 	p.cycle++
-	if p.cycle%p.windowSize == 0 {
+	if p.left--; p.left == 0 {
 		p.roll()
+		p.left = p.windowSize
 	}
 }
 

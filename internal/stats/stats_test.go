@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -159,6 +160,53 @@ func TestPhaseTrackerObserveIndexMatchesObserve(t *testing.T) {
 	byIndex.EncodeState(b)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("snapshot bytes differ")
+	}
+}
+
+// TestPhaseTrackerResumesMidWindow restores a tracker snapshotted inside a
+// window and requires it to close that window, and every later one, at the
+// same cycle as the tracker it was taken from; and rejects a snapshot with a
+// negative cycle count.
+func TestPhaseTrackerResumesMidWindow(t *testing.T) {
+	states := []string{"full", "storing", "norequest"}
+	orig := NewPhaseTracker(7, states...)
+	for c := 0; c < 40; c++ {
+		orig.ObserveIndex(c % 3)
+	}
+	e := snapshot.NewEncoder()
+	orig.EncodeState(e)
+	d, err := snapshot.NewDecoder(e.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewPhaseTracker(7, states...)
+	restored.DecodeState(d)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for c := 40; c < 100; c++ {
+		orig.ObserveIndex(c % 3)
+		restored.ObserveIndex(c % 3)
+		if len(orig.Windows()) != len(restored.Windows()) {
+			t.Fatalf("cycle %d: %d windows closed, restored tracker %d", c, len(orig.Windows()), len(restored.Windows()))
+		}
+	}
+	if !reflect.DeepEqual(orig.Windows(), restored.Windows()) {
+		t.Fatal("windows differ")
+	}
+
+	e = snapshot.NewEncoder()
+	e.Tag('P')
+	e.U(uint64(len(states)))
+	e.I(7)
+	e.I(-3)
+	d, err = snapshot.NewDecoder(e.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	NewPhaseTracker(7, states...).DecodeState(d)
+	if !errors.Is(d.Err(), snapshot.ErrCorrupt) {
+		t.Fatalf("negative cycle count decoded with error %v, want ErrCorrupt", d.Err())
 	}
 }
 

@@ -31,19 +31,20 @@ func newStallRig(cfg Config, nt int, unequal, full bool) *stallRig {
 }
 
 // state renders everything the lockstep compares: the node's statistics,
-// every port FIFO's statistics and each target's next grant.
+// every port FIFO's committed occupancy and head, and each target's next
+// grant.
 func (r *stallRig) state() string {
 	grants := make([]int, len(r.Targets))
 	for t := range r.Targets {
 		grants[t] = r.node.grantee(t)
 	}
-	return fmt.Sprintf("%+v grants=%v", r.node.Stats(), grants) + r.PortStats()
+	return fmt.Sprintf("%+v grants=%v", r.node.Stats(), grants) + r.PortState()
 }
 
 // TestNodeBackpressureLockstep runs a gated node beside a full-evaluation
 // twin on every protocol type, with message arbitration on and off, one and
 // three targets, and equal and unequal priorities, comparing statistics,
-// FIFO statistics and the next grant after every cycle.
+// FIFO occupancy and heads, and the next grant after every cycle.
 func TestNodeBackpressureLockstep(t *testing.T) {
 	for _, typ := range []Type{Type1, Type2, Type3} {
 		for _, msg := range []bool{true, false} {

@@ -191,7 +191,8 @@ func (n *Node) EnableAttribution(col *attr.Collector, now func() int64) {
 	n.attrNow = now
 }
 
-// Eval advances request and response paths one node cycle.
+// Eval advances request and response paths one node cycle, then applies
+// the node's sleep rule (see Update).
 func (n *Node) Eval() {
 	n.cycles++
 	n.moved = false
@@ -200,6 +201,9 @@ func (n *Node) Eval() {
 	}
 	n.evalRequestPaths()
 	n.evalResponsePaths()
+	if !n.moved {
+		n.act.Sleep()
+	}
 }
 
 // scanAttrHeads attaches attribution records to requests newly arrived at an
@@ -226,18 +230,15 @@ func (n *Node) scanAttrHeads() {
 	}
 }
 
-// Update: the node owns no FIFOs, so there is nothing to commit. After an
-// edge whose Eval moved nothing it sleeps until a push or pop at one of its
-// ports pokes it: with no transfer in progress, the next Eval would see the
-// same heads, windows and free space and only count again. A message lock
-// needs no test: arbitration dropped it, or its holder is still eligible
-// and its target full — a grant stall, which CreditIdle books with the
-// round-robin pointer in closed form (DESIGN.md §20).
-func (n *Node) Update() {
-	if !n.moved {
-		n.act.Sleep()
-	}
-}
+// Update does nothing: the node owns no FIFOs, and its sleep rule runs at
+// the end of Eval: after an edge whose Eval moved nothing it sleeps
+// until a push or pop at one of its ports pokes it, since with no transfer
+// in progress the next Eval would see the same heads, windows and free
+// space and only count again. A message lock needs no test: arbitration
+// dropped it, or its holder is still eligible and its target full — a
+// grant stall, which CreditIdle books with the round-robin pointer in
+// closed form (DESIGN.md §20).
+func (n *Node) Update() {}
 
 // Activity returns the node's sleep state.
 func (n *Node) Activity() *sim.Activity { return &n.act }
@@ -368,7 +369,7 @@ func (n *Node) pick(t, rr int) int {
 	ni := len(n.initiators)
 	best, bestPrio := -1, 0
 	for k := 0; k < ni; k++ {
-		i := (rr + k) % ni
+		i := bus.Wrap(rr+k, ni)
 		if !n.eligible(i, t) {
 			continue
 		}
@@ -408,7 +409,7 @@ func (n *Node) arbitrate(t int, ch *reqChannel) int {
 	}
 	best := n.pick(t, ch.rr)
 	if best >= 0 {
-		ch.rr = (best + 1) % len(n.initiators)
+		ch.rr = bus.Wrap(best+1, len(n.initiators))
 	}
 	return best
 }
@@ -438,12 +439,12 @@ func (n *Node) stallRR(t, rr int, k int64) int {
 	}
 	q := (k - 1) % m
 	for j := 0; ; j++ {
-		i := (rr + j) % ni
+		i := bus.Wrap(rr+j, ni)
 		if !n.eligible(i, t) || n.initiators[i].Req.Peek().Prio != top {
 			continue
 		}
 		if q == 0 {
-			return (i + 1) % ni
+			return bus.Wrap(i+1, ni)
 		}
 		q--
 	}
@@ -484,7 +485,7 @@ func (n *Node) deliver(i int) {
 	}
 	nt := len(n.targets)
 	for k := 0; k < nt; k++ {
-		t := (ch.rr + k) % nt
+		t := bus.Wrap(ch.rr+k, nt)
 		tp := n.targets[t]
 		if !tp.Resp.CanPop() {
 			continue
@@ -501,7 +502,7 @@ func (n *Node) deliver(i int) {
 		if beat.Last {
 			n.retire(i, beat.Req.ID)
 		}
-		ch.rr = (t + 1) % nt
+		ch.rr = bus.Wrap(t+1, nt)
 		return
 	}
 }

@@ -161,14 +161,35 @@ func NewBackpressure(fab bus.Fabric, nt int, posted, full bool) *Backpressure {
 	return r
 }
 
-// PortStats renders the statistics of every port FIFO.
-func (r *Backpressure) PortStats() string {
+// PortState renders the committed occupancy and head entry of every port
+// FIFO.
+func (r *Backpressure) PortState() string {
 	var out string
 	for _, s := range r.Sources {
-		out += fmt.Sprintf(" %+v %+v", s.Port.Req.Stats(), s.Port.Resp.Stats())
+		out += " " + PortFifos(s.Port.Req, s.Port.Resp)
 	}
 	for _, m := range r.Targets {
-		out += fmt.Sprintf(" %+v %+v", m.Port.Req.Stats(), m.Port.Resp.Stats())
+		out += " " + PortFifos(m.Port.Req, m.Port.Resp)
+	}
+	return out
+}
+
+// PortFifos renders the committed occupancy and head entry of a port's
+// request and response FIFOs — all the other side can see of them — as
+// "len/head-ID len/head-ID.beat", with "-" for an empty FIFO's head.
+func PortFifos(req *bus.Queue, resp *bus.BeatQueue) string {
+	out := fmt.Sprintf("%d/", req.Len())
+	if req.CanPop() {
+		out += fmt.Sprint(req.Peek().ID)
+	} else {
+		out += "-"
+	}
+	out += fmt.Sprintf(" %d/", resp.Len())
+	if resp.CanPop() {
+		b := resp.Peek()
+		out += fmt.Sprintf("%d.%d", b.Req.ID, b.Idx)
+	} else {
+		out += "-"
 	}
 	return out
 }
