@@ -22,9 +22,11 @@
 // paper.
 //
 // -warm-cache DIR stops re-simulating identical warm-up prefixes across
-// invocations: the first regeneration checkpoints each full-platform
-// configuration -warm-prefix central cycles in and stores the snapshots in
-// DIR; later regenerations restore them and simulate only the remainder.
+// invocations: the first regeneration checkpoints each platform
+// configuration (the §4.1 single-layer benches included) -warm-prefix
+// central cycles in and stores the snapshots in DIR; later regenerations
+// restore them and simulate only the remainder. A run that drains before
+// the prefix is never cached.
 // Checkpoint restore is bit-identical, so the tables do not change — only
 // the wall clock does:
 //
@@ -63,7 +65,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	seed := flag.Uint64("seed", 1, "traffic generator seed")
 	jobs := flag.Int("j", runtime.NumCPU(), "max concurrent simulation runs (1 = serial)")
-	warmCache := flag.String("warm-cache", "", "directory of warm-start checkpoints: full-platform runs restore their warm-up prefix from it instead of re-simulating (first run primes it; results stay byte-identical)")
+	warmCache := flag.String("warm-cache", "", "directory of warm-start checkpoints: platform runs restore their warm-up prefix from it instead of re-simulating (first run primes it; results stay byte-identical)")
 	warmPrefix := flag.Int64("warm-prefix", experiments.DefaultWarmPrefix, "warm-up prefix length in central cycles for -warm-cache")
 	quiet := flag.Bool("q", false, "suppress the progress/ETA line")
 	liveAddr := flag.String("live", "", "serve aggregate multi-job progress over HTTP on this address (/progress JSON) and add cycles/s + slowest-job ETA to the progress line")

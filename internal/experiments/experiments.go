@@ -41,13 +41,13 @@ type Options struct {
 	// Progress, when non-nil, receives the runner's live progress/ETA
 	// line (the CLI passes os.Stderr; tests leave it nil).
 	Progress io.Writer
-	// Cache, when non-nil, warm-starts every full-platform run from an
-	// on-disk checkpoint of its warm-up prefix (priming the cache on the
-	// first encounter of each configuration). Results are bit-identical
-	// with or without it; only wall-clock changes. Single-layer §4.1 runs
-	// are too short to checkpoint and always run cold.
+	// Cache, when non-nil, warm-starts every platform run from an on-disk
+	// checkpoint of its warm-up prefix (priming the cache on the first
+	// encounter of each configuration). Results are bit-identical with or
+	// without it; only wall-clock changes. A run that drains before the
+	// prefix (most §4.1 runs at the default prefix) never primes it.
 	Cache *SnapCache
-	// Live, when non-nil, aggregates every full-platform run's in-run
+	// Live, when non-nil, aggregates every platform run's in-run
 	// telemetry (cycle position, simulated time against the budget) onto
 	// one surface: the runner's progress line gains an aggregate cycles/s
 	// and slowest-job ETA suffix, and the CLI can serve the hub's JSON
@@ -116,7 +116,7 @@ func normalizeEntries(entries []Entry) {
 	}
 }
 
-// platformJob wraps one full-platform run as a runner job. A run that
+// platformJob wraps one platform run as a runner job. A run that
 // fails to drain within the budget is an error, not a panic: under the
 // runner one crashed configuration must not kill its siblings. With a
 // warm-start cache the job restores (or primes) the configuration's
@@ -166,21 +166,6 @@ func cycleJob(name string, spec platform.Spec, o Options) runner.Job[int64] {
 	return runner.Job[int64]{Name: name, Run: func() (int64, error) {
 		r, err := inner.Run()
 		return r.CentralCycles, err
-	}}
-}
-
-// singleLayerJob wraps one §4.1 single-layer bench run.
-func singleLayerJob(name string, spec platform.SingleLayerSpec) runner.Job[int64] {
-	return runner.Job[int64]{Name: name, Run: func() (int64, error) {
-		sl, err := platform.BuildSingleLayer(spec)
-		if err != nil {
-			return 0, err
-		}
-		r := sl.Run(Budget)
-		if !r.Done {
-			return r.Cycles, fmt.Errorf("%s single-layer run did not drain", name)
-		}
-		return r.Cycles, nil
 	}}
 }
 
@@ -422,19 +407,10 @@ type Sec411Result struct {
 	Points []Sec411Point
 }
 
-// sec411Spec builds the single-layer spec for one §4.1.1 run.
-func sec411Spec(o Options, proto platform.Protocol, gap float64, respDepth int) platform.SingleLayerSpec {
-	spec := platform.DefaultSingleLayerSpec(proto, 6)
-	spec.GapMean = gap
-	spec.Txns = int64(300 * o.Scale)
-	if spec.Txns < 20 {
-		spec.Txns = 20
-	}
-	spec.Seed = o.Seed
-	if respDepth > 0 {
-		spec.TargetRespDepth = respDepth
-	}
-	return spec
+// sec41Spec builds the single-layer spec of one §4.1 run: 300 transactions
+// per generator at scale 1, and never fewer than 20.
+func sec41Spec(o Options, proto platform.Protocol, memories int, gap float64) platform.Spec {
+	return platform.SingleLayerBench(proto, memories, max(int64(300*o.Scale), 20), gap, o.Seed)
 }
 
 // Sec411 reproduces §4.1.1: single-layer, many slaves, execution time of the
@@ -453,11 +429,13 @@ func Sec411(o Options, gaps []float64) (Sec411Result, error) {
 		if gap < 0 {
 			return Sec411Result{}, fmt.Errorf("sec411: negative gap mean %.1f", gap)
 		}
+		deep := sec41Spec(o, platform.STBus, 6, gap)
+		deep.TargetRespDepth = 8
 		jobs = append(jobs,
-			singleLayerJob(fmt.Sprintf("gap%.0f/STBus", gap), sec411Spec(o, platform.STBus, gap, 0)),
-			singleLayerJob(fmt.Sprintf("gap%.0f/AHB", gap), sec411Spec(o, platform.AHB, gap, 0)),
-			singleLayerJob(fmt.Sprintf("gap%.0f/AXI", gap), sec411Spec(o, platform.AXI, gap, 0)),
-			singleLayerJob(fmt.Sprintf("gap%.0f/STBus-deep", gap), sec411Spec(o, platform.STBus, gap, 8)),
+			cycleJob(fmt.Sprintf("gap%.0f/STBus", gap), sec41Spec(o, platform.STBus, 6, gap), o),
+			cycleJob(fmt.Sprintf("gap%.0f/AHB", gap), sec41Spec(o, platform.AHB, 6, gap), o),
+			cycleJob(fmt.Sprintf("gap%.0f/AXI", gap), sec41Spec(o, platform.AXI, 6, gap), o),
+			cycleJob(fmt.Sprintf("gap%.0f/STBus-deep", gap), deep, o),
 		)
 	}
 	cycles, err := runner.Values(runner.Map(jobs, o.pool("sec411")))
@@ -501,13 +479,7 @@ func (r Sec411Result) Write(w io.Writer) error {
 func Sec412(o Options) (Series, error) {
 	o.normalize()
 	mk := func(name string, proto platform.Protocol) runner.Job[int64] {
-		spec := platform.DefaultSingleLayerSpec(proto, 1)
-		spec.Txns = int64(300 * o.Scale)
-		if spec.Txns < 20 {
-			spec.Txns = 20
-		}
-		spec.Seed = o.Seed
-		return singleLayerJob(name, spec)
+		return cycleJob(name, sec41Spec(o, proto, 1, 2), o)
 	}
 	cycles, err := runner.Values(runner.Map([]runner.Job[int64]{
 		mk("STBus", platform.STBus),

@@ -179,6 +179,48 @@ func TestSec412Equality(t *testing.T) {
 	}
 }
 
+// TestSec411Pinned pins the §4.1.1 table at scale 1, seed 1, cycle for
+// cycle, so a change to the single-layer benches or the fabrics they
+// exercise cannot pass as a change of shape only.
+func TestSec411Pinned(t *testing.T) {
+	r, err := Sec411(Options{Scale: 1, Seed: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Sec411Point{
+		{GapMean: 8, STBus: 5656, AHB: 17912, AXI: 5301, STBusDeep: 5261},
+		{GapMean: 4, STBus: 5649, AHB: 17955, AXI: 5248, STBusDeep: 5143},
+		{GapMean: 2, STBus: 5427, AHB: 17827, AXI: 5239, STBusDeep: 5285},
+		{GapMean: 1, STBus: 5379, AHB: 17697, AXI: 5190, STBusDeep: 5142},
+		{GapMean: 0, STBus: 5380, AHB: 17656, AXI: 5287, STBusDeep: 5245},
+	}
+	if len(r.Points) != len(want) {
+		t.Fatalf("points = %d, want %d", len(r.Points), len(want))
+	}
+	for i, w := range want {
+		if r.Points[i] != w {
+			t.Errorf("gap %.0f: got %+v, want %+v", w.GapMean, r.Points[i], w)
+		}
+	}
+}
+
+// TestSec412Pinned pins the §4.1.2 table at scale 1, seed 1: the 1-wait-state
+// memory bounds every protocol to the same 23600 cycles.
+func TestSec412Pinned(t *testing.T) {
+	s, err := Sec412(Options{Scale: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Entries) != 3 {
+		t.Fatalf("entries = %d, want 3", len(s.Entries))
+	}
+	for _, e := range s.Entries {
+		if e.Cycles != 23600 {
+			t.Errorf("%s: %d cycles, want 23600", e.Name, e.Cycles)
+		}
+	}
+}
+
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
 	o.normalize()

@@ -23,9 +23,10 @@ import (
 // regenerations produce byte-identical tables.
 
 // DefaultWarmPrefix is the default warm-up prefix length in central cycles.
-// It is sized to sit well inside every full-platform figure run at bench
-// scale (the shortest is ~13k cycles at scale 0.25); a run that drains
-// before the prefix simply never primes the cache and loses nothing.
+// It is sized to sit well inside every Fig.3–Fig.6 run at bench scale (the
+// shortest is ~13k cycles at scale 0.25); a run that drains before the
+// prefix, like most §4.1 single-layer runs, simply never primes the cache
+// and loses nothing.
 const DefaultWarmPrefix = 8000
 
 // SnapCache is a content-addressed on-disk cache of warm-up checkpoints.
@@ -68,7 +69,7 @@ func (c *SnapCache) entry(spec platform.Spec) string {
 	return filepath.Join(c.dir, fmt.Sprintf("%016x.snap", h.Sum64()))
 }
 
-// run executes one full-platform run, warm-starting from a cached prefix
+// run executes one platform run, warm-starting from a cached prefix
 // checkpoint when one exists and priming the cache when it does not. The
 // result is bit-identical either way (modulo Result.ResumedFromCycle, which
 // records where the restore happened). attach, when non-nil, is called on

@@ -19,9 +19,11 @@ func warmOpts(t *testing.T, prefix int64) Options {
 	return Options{Scale: 0.2, Seed: 1, Workers: 2, Cache: cache}
 }
 
-func renderFig5(t *testing.T, o Options) string {
+func renderFig5(t *testing.T, o Options) string { return renderSeries(t, Fig5, o) }
+
+func renderSeries(t *testing.T, fig func(Options) (Series, error), o Options) string {
 	t.Helper()
-	r, err := Fig5(o)
+	r, err := fig(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,29 +34,42 @@ func renderFig5(t *testing.T, o Options) string {
 	return buf.String()
 }
 
-// TestWarmStartFig5ByteIdentical pins the warm-start contract end to end:
-// the fig5 table regenerated cold (priming the cache), warm (restoring it)
-// and with no cache at all must be byte-identical, and the hit/miss
-// counters must show the cache actually carried the warm run.
+// TestWarmStartFig5ByteIdentical pins the warm-start contract end to end,
+// on the fig5 platforms and on the §4.1.2 single-layer benches: each table
+// regenerated cold (priming the cache), warm (restoring it) and with no
+// cache at all must be byte-identical, and the hit/miss counters must show
+// the cache actually carried every warm run. The 2000-cycle prefix lies
+// inside every run of both tables.
 func TestWarmStartFig5ByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates fig5 three times")
+		t.Skip("regenerates fig5 and sec412 three times each")
 	}
-	o := warmOpts(t, 2000)
-	plain := renderFig5(t, Options{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers})
-	cold := renderFig5(t, o)
-	if h, m := o.Cache.Hits(), o.Cache.Misses(); h != 0 || m != 5 {
-		t.Fatalf("cold pass: hits=%d misses=%d, want 0/5", h, m)
-	}
-	warm := renderFig5(t, o)
-	if h, m := o.Cache.Hits(), o.Cache.Misses(); h != 5 || m != 5 {
-		t.Fatalf("after warm pass: hits=%d misses=%d, want 5/5", h, m)
-	}
-	if cold != plain {
-		t.Errorf("cold cached output differs from uncached output:\n--- uncached ---\n%s\n--- cold ---\n%s", plain, cold)
-	}
-	if warm != cold {
-		t.Errorf("warm output differs from cold output:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+	for _, c := range []struct {
+		name string
+		fig  func(Options) (Series, error)
+		runs int64
+	}{
+		{"fig5", Fig5, 5},
+		{"sec412", Sec412, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := warmOpts(t, 2000)
+			plain := renderSeries(t, c.fig, Options{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers})
+			cold := renderSeries(t, c.fig, o)
+			if h, m := o.Cache.Hits(), o.Cache.Misses(); h != 0 || m != c.runs {
+				t.Fatalf("cold pass: hits=%d misses=%d, want 0/%d", h, m, c.runs)
+			}
+			warm := renderSeries(t, c.fig, o)
+			if h, m := o.Cache.Hits(), o.Cache.Misses(); h != c.runs || m != c.runs {
+				t.Fatalf("after warm pass: hits=%d misses=%d, want %d/%d", h, m, c.runs, c.runs)
+			}
+			if cold != plain {
+				t.Errorf("cold cached output differs from uncached output:\n--- uncached ---\n%s\n--- cold ---\n%s", plain, cold)
+			}
+			if warm != cold {
+				t.Errorf("warm output differs from cold output:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+			}
+		})
 	}
 }
 

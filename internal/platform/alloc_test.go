@@ -151,22 +151,18 @@ func TestZeroAllocSteadyStateWithIO(t *testing.T) {
 	}
 }
 
-// TestZeroAllocSteadyStateSingleLayer covers the single-clock kernel fast
-// path with the §4.1 testbench.
+// TestZeroAllocSteadyStateSingleLayer re-proves the invariant on the §4.1
+// testbench, a platform of one clock.
 func TestZeroAllocSteadyStateSingleLayer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is slow under -short")
 	}
-	spec := DefaultSingleLayerSpec(STBus, 1)
-	spec.Txns = 1 << 30 // never drain during the measurement
-	sl, err := BuildSingleLayer(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl.Kernel.RunCycles(sl.Clk, 5000)
+	// 1<<30 transactions never drain during the measurement.
+	p := MustBuild(SingleLayerBench(STBus, 1, 1<<30, 2, 1))
+	p.Kernel.RunCycles(p.CentralClk, 5000)
 
 	allocs := testing.AllocsPerRun(2000, func() {
-		sl.Kernel.Step()
+		p.Kernel.Step()
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Step allocates: %.2f allocs/step (want 0)", allocs)

@@ -68,9 +68,7 @@ type Platform struct {
 	Metrics *metrics.Registry
 
 	centralFab bus.Fabric
-	clusterFab []bus.Fabric
 	gens       []Initiator
-	genCluster []string
 	genClk     []*sim.Clock
 	bridges    map[string]*bridge.Bridge
 	core       *dspcore.Core
@@ -79,7 +77,7 @@ type Platform struct {
 	// (allocator traffic models software running on the core).
 	dspLink *stbus.Node
 
-	onchip *mem.Memory
+	onchip []*mem.Memory
 	ctrl   *lmi.Controller
 
 	// fabrics lists every interconnect node with its clock-domain name, in
@@ -182,6 +180,14 @@ func Build(spec Spec) (*Platform, error) {
 	default:
 		return nil, fmt.Errorf("platform: unknown protocol %d", spec.Protocol)
 	}
+	switch spec.Topology {
+	case Distributed, Collapsed:
+	default:
+		return nil, fmt.Errorf("platform: unknown topology %d", spec.Topology)
+	}
+	if spec.OnChipMemories < 0 || spec.OnChipMemories > 1 && spec.Memory != OnChip {
+		return nil, fmt.Errorf("platform: %d on-chip memories with the %s memory subsystem", spec.OnChipMemories, spec.Memory)
+	}
 	p := &Platform{
 		Spec:       spec,
 		Kernel:     sim.NewKernel(),
@@ -189,7 +195,7 @@ func Build(spec Spec) (*Platform, error) {
 		wdLastProg: -1,
 	}
 	p.CentralClk = p.Kernel.NewClock("central", CentralMHz)
-	p.centralFab = p.newFabric("n8")
+	p.centralFab = p.newFabric("n8", memoryMap(max(spec.OnChipMemories, 1)))
 	p.fabrics = append(p.fabrics, fabricEntry{p.centralFab, "central"})
 
 	if err := p.buildMemory(); err != nil {
@@ -211,8 +217,8 @@ func Build(spec Spec) (*Platform, error) {
 	// deterministic evaluation order; correctness is order-independent
 	// thanks to two-phase FIFOs).
 	p.CentralClk.Register(p.centralFab)
-	if p.onchip != nil {
-		p.CentralClk.Register(p.onchip)
+	for _, m := range p.onchip {
+		p.CentralClk.Register(m)
 	}
 	if p.ctrl != nil {
 		p.CentralClk.Register(p.ctrl)
@@ -246,8 +252,8 @@ func (p *Platform) registerMetrics() {
 	for _, name := range names {
 		p.bridges[name].RegisterMetrics(p.Metrics)
 	}
-	if p.onchip != nil {
-		p.onchip.RegisterMetrics(p.Metrics, "central")
+	for _, m := range p.onchip {
+		m.RegisterMetrics(p.Metrics, "central")
 	}
 	if p.ctrl != nil {
 		p.ctrl.RegisterMetrics(p.Metrics, "central")
@@ -351,8 +357,8 @@ func (p *Platform) EnableAttribution(retain int) *attr.Collector {
 	for _, br := range p.bridges {
 		br.EnableAttribution()
 	}
-	if p.onchip != nil {
-		p.onchip.EnableAttribution(col, p.CentralClk.NowPS)
+	for _, m := range p.onchip {
+		m.EnableAttribution(col, p.CentralClk.NowPS)
 	}
 	if p.ctrl != nil {
 		p.ctrl.EnableAttribution(col, p.CentralClk.NowPS)
@@ -381,8 +387,8 @@ func (p *Platform) wirePool() {
 	for _, br := range p.bridges {
 		br.UseRequestPool(&p.pool)
 	}
-	if p.onchip != nil {
-		p.onchip.UseRequestPool(&p.pool)
+	for _, m := range p.onchip {
+		m.UseRequestPool(&p.pool)
 	}
 	if p.ctrl != nil {
 		p.ctrl.UseRequestPool(&p.pool)
@@ -401,10 +407,9 @@ func MustBuild(spec Spec) *Platform {
 	return p
 }
 
-// newFabric constructs one interconnect layer of the spec's protocol. All
-// layers are memory-centric: every address decodes to target 0.
-func (p *Platform) newFabric(name string) bus.Fabric {
-	amap := bus.Single(0)
+// newFabric constructs one interconnect layer of the spec's protocol over
+// the address map amap.
+func (p *Platform) newFabric(name string, amap *bus.AddrMap) bus.Fabric {
 	switch p.Spec.Protocol {
 	case AHB:
 		return ahb.New(name, ahb.Config{BytesPerBeat: 8}, amap)
@@ -437,16 +442,38 @@ func (p *Platform) clusterBridgeConfig() bridge.Config {
 	return bridge.Lightweight(lat)
 }
 
+// memoryMap is the central node's address map over n memories: memory t
+// decodes [t·16 MiB, (t+1)·16 MiB) and the last one everything above, so a
+// single memory decodes every address.
+func memoryMap(n int) *bus.AddrMap {
+	regions := make([]bus.Region, n)
+	for t := range regions {
+		regions[t] = bus.Region{Base: uint64(t) << 24, Size: 1 << 24, Target: t}
+	}
+	last := &regions[n-1]
+	last.Size = 1<<63 - last.Base
+	return bus.MustAddrMap(regions...)
+}
+
 // buildMemory attaches the selected memory subsystem to the central node.
 func (p *Platform) buildMemory() error {
 	switch p.Spec.Memory {
 	case OnChip:
-		p.onchip = mem.New("shmem", mem.Config{
-			WaitStates: p.Spec.OnChipWaitStates,
-			ReqDepth:   1, // single-slot buffering (paper §4.2)
-			RespDepth:  p.Spec.TargetRespDepth,
-		})
-		p.centralFab.AttachTarget(p.onchip.Port())
+		// Memory t serves target t of the central node's memoryMap.
+		n := max(p.Spec.OnChipMemories, 1)
+		for t := 0; t < n; t++ {
+			name := "shmem"
+			if n > 1 {
+				name = fmt.Sprintf("shmem%d", t)
+			}
+			m := mem.New(name, mem.Config{
+				WaitStates: p.Spec.OnChipWaitStates,
+				ReqDepth:   1, // single-slot buffering (paper §4.2)
+				RespDepth:  p.Spec.TargetRespDepth,
+			})
+			p.centralFab.AttachTarget(m.Port())
+			p.onchip = append(p.onchip, m)
+		}
 		return nil
 	case LMIDDR:
 		cfg := p.Spec.LMI
@@ -493,84 +520,93 @@ func (p *Platform) buildMemory() error {
 	}
 }
 
-// buildClusters instantiates the traffic-generating subsystem in the
-// selected topology.
+// buildClusters attaches the spec's traffic layers (see workload): every IP
+// directly on the central node in the collapsed topology, each layer on a
+// bridged fabric of its own in the distributed one.
 func (p *Platform) buildClusters() error {
-	clusters := referenceWorkload(p.Spec)
-	origin := 0
-	switch p.Spec.Topology {
-	case Collapsed:
-		// every actor directly on the central node
-		for _, cl := range clusters {
-			for _, ipCfg := range cl.ips {
-				gen, err := p.newInitiator(ipCfg, p.CentralClk, origin)
-				if err != nil {
-					return err
-				}
-				origin++
-				p.centralFab.AttachInitiator(gen.Port())
-				p.CentralClk.Register(gen)
-				p.gens = append(p.gens, gen)
-				p.genCluster = append(p.genCluster, cl.name)
-				p.genClk = append(p.genClk, p.CentralClk)
+	for _, cl := range workload(p.Spec) {
+		fab, clk := p.centralFab, p.CentralClk
+		var br *bridge.Bridge
+		if p.Spec.Topology == Distributed {
+			fab, clk, br = p.openLayer(cl.name, cl.freqMHz)
+		}
+		for _, ipCfg := range cl.ips {
+			err := p.addInitiator(fab, clk, ipCfg.Name, ipCfg.PortReqDepth, ipCfg.PortRespDepth,
+				func(ids *bus.IDSource, origin int) (Initiator, error) {
+					return iptg.New(ipCfg, clk, ids, origin)
+				})
+			if err != nil {
+				return err
 			}
 		}
-	case Distributed:
-		for _, cl := range clusters {
-			freq := cl.freqMHz
-			if freq <= 0 {
-				freq = ClusterMHz
-			}
-			clk := p.Kernel.NewClock(cl.name, freq)
-			fab := p.newFabric(cl.name)
-			p.fabrics = append(p.fabrics, fabricEntry{fab, cl.name})
-			br := bridge.New(cl.name+"_br", p.clusterBridgeConfig(), clk, p.CentralClk)
-			p.bridges[cl.name+"_br"] = br
-			fab.AttachTarget(br.TargetPort())
-			p.centralFab.AttachInitiator(br.InitiatorPort())
-			for _, ipCfg := range cl.ips {
-				gen, err := p.newInitiator(ipCfg, clk, origin)
-				if err != nil {
-					return err
-				}
-				origin++
-				fab.AttachInitiator(gen.Port())
-				clk.Register(gen)
-				p.gens = append(p.gens, gen)
-				p.genCluster = append(p.genCluster, cl.name)
-				p.genClk = append(p.genClk, clk)
-			}
-			clk.Register(fab)
-			clk.Register(br.TargetSide)
-			p.CentralClk.Register(br.InitiatorSide)
-			p.clusterFab = append(p.clusterFab, fab)
+		if br != nil {
+			p.closeLayer(fab, clk, br)
 		}
-	default:
-		return fmt.Errorf("platform: unknown topology %d", p.Spec.Topology)
 	}
 	return nil
 }
 
-// newInitiator builds the traffic source for one IP slot: the live generator
-// normally, or — when the spec carries a replay trace — the trace-driven
-// replayer fed from the stream recorded at the same-named IP. The replayer
-// inherits the IP's port depths, so the fabric sees an identical interface.
-func (p *Platform) newInitiator(ipCfg iptg.Config, clk *sim.Clock, origin int) (Initiator, error) {
+// openLayer opens a traffic layer bridged into the central node: a clock of
+// freqMHz (ClusterMHz when <= 0), a fabric whose only target is the bridge,
+// and the bridge. The layer's initiators attach to the returned fabric and
+// clock, and closeLayer then registers the rest, so the initiators evaluate
+// before the fabric and the bridge.
+func (p *Platform) openLayer(name string, freqMHz float64) (bus.Fabric, *sim.Clock, *bridge.Bridge) {
+	if freqMHz <= 0 {
+		freqMHz = ClusterMHz
+	}
+	clk := p.Kernel.NewClock(name, freqMHz)
+	fab := p.newFabric(name, bus.Single(0))
+	p.fabrics = append(p.fabrics, fabricEntry{fab, name})
+	br := bridge.New(name+"_br", p.clusterBridgeConfig(), clk, p.CentralClk)
+	p.bridges[name+"_br"] = br
+	fab.AttachTarget(br.TargetPort())
+	p.centralFab.AttachInitiator(br.InitiatorPort())
+	return fab, clk, br
+}
+
+// closeLayer registers an opened layer's fabric and the bridge's target side
+// on the layer clock, and the bridge's initiator side on the central clock.
+func (p *Platform) closeLayer(fab bus.Fabric, clk *sim.Clock, br *bridge.Bridge) {
+	clk.Register(fab)
+	clk.Register(br.TargetSide)
+	p.CentralClk.Register(br.InitiatorSide)
+}
+
+// addInitiator builds the traffic source of one initiator slot and attaches
+// it to fab, registered on clk, as the platform's next origin. live builds
+// the model normally; when the spec carries a replay trace, the
+// trace-driven replayer fed from the stream recorded under name takes its
+// place, with the model's port depths (reqDepth, respDepth; 0 keeps
+// replay's defaults, which are also every model's), so the fabric sees an
+// identical interface.
+func (p *Platform) addInitiator(fab bus.Fabric, clk *sim.Clock, name string, reqDepth, respDepth int,
+	live func(ids *bus.IDSource, origin int) (Initiator, error)) error {
+	origin := len(p.gens)
+	var gen Initiator
+	var err error
 	if p.Spec.Replay == nil {
-		return iptg.New(ipCfg, clk, p.newIDSource(origin), origin)
+		gen, err = live(p.newIDSource(origin), origin)
+	} else if st := p.Spec.Replay.Stream(name); st == nil {
+		err = fmt.Errorf("platform: replay trace %q has no stream for initiator %q (trace streams: %v)",
+			p.Spec.Replay.Platform, name, p.Spec.Replay.StreamNames())
+	} else {
+		gen, err = replay.New(replay.Config{
+			Stream:        st,
+			Mode:          p.Spec.ReplayMode,
+			Outstanding:   p.Spec.ReplayOutstanding,
+			PortReqDepth:  reqDepth,
+			PortRespDepth: respDepth,
+		}, clk, p.newIDSource(origin), origin)
 	}
-	st := p.Spec.Replay.Stream(ipCfg.Name)
-	if st == nil {
-		return nil, fmt.Errorf("platform: replay trace %q has no stream for initiator %q (trace streams: %v)",
-			p.Spec.Replay.Platform, ipCfg.Name, p.Spec.Replay.StreamNames())
+	if err != nil {
+		return err
 	}
-	return replay.New(replay.Config{
-		Stream:        st,
-		Mode:          p.Spec.ReplayMode,
-		Outstanding:   p.Spec.ReplayOutstanding,
-		PortReqDepth:  ipCfg.PortReqDepth,
-		PortRespDepth: ipCfg.PortRespDepth,
-	}, clk, p.newIDSource(origin), origin)
+	fab.AttachInitiator(gen.Port())
+	clk.Register(gen)
+	p.gens = append(p.gens, gen)
+	p.genClk = append(p.genClk, clk)
+	return nil
 }
 
 // AttachCapture installs the capture's per-initiator stream probes on every
@@ -658,8 +694,9 @@ func (p *Platform) Core() *dspcore.Core { return p.core }
 // Controller returns the LMI controller (nil for on-chip memory).
 func (p *Platform) Controller() *lmi.Controller { return p.ctrl }
 
-// OnChipMemory returns the shared memory (nil for the LMI variant).
-func (p *Platform) OnChipMemory() *mem.Memory { return p.onchip }
+// OnChipMemories returns the on-chip memories in target order (none for the
+// LMI variant).
+func (p *Platform) OnChipMemories() []*mem.Memory { return p.onchip }
 
 // Bridge returns a bridge by name (nil if absent).
 func (p *Platform) Bridge(name string) *bridge.Bridge { return p.bridges[name] }

@@ -25,34 +25,35 @@ type diffRun struct {
 	memOps int64
 }
 
-func diffSpec(proto Protocol) SingleLayerSpec {
-	spec := DefaultSingleLayerSpec(proto, 6)
-	spec.GapMean = 0 // many-to-many load: every initiator pushes hard
-	spec.Txns = 150
-	spec.ReadFrac = 0.7 // exercise the write path too
-	spec.Seed = 7
+// diffSpec is the many-to-many load (gap 0: every initiator pushes hard)
+// with 30% writes, to exercise the write path too.
+func diffSpec(proto Protocol) Spec {
+	spec := SingleLayerBench(proto, 6, 150, 0, 7)
+	for i := range spec.Workload {
+		spec.Workload[i].Agents[0].Phases[0].ReadFrac = 0.7
+	}
 	return spec
 }
 
 func runDiff(t *testing.T, proto Protocol) diffRun {
 	t.Helper()
-	sl, err := BuildSingleLayer(diffSpec(proto))
+	p, err := Build(diffSpec(proto))
 	if err != nil {
 		t.Fatalf("%s: %v", proto, err)
 	}
-	r := sl.Run(5e12)
+	r := p.Run(5e12)
 	if !r.Done {
 		t.Fatalf("%s: run did not drain", proto)
 	}
-	out := diffRun{cycles: r.Cycles, issued: r.Issued, completed: r.Completed}
-	for _, g := range sl.Generators() {
+	out := diffRun{cycles: r.CentralCycles, issued: r.Issued, completed: r.Completed}
+	for _, g := range p.Initiators() {
 		for _, a := range g.Stats() {
 			out.reads = append(out.reads, a.Reads)
 			out.writes = append(out.writes, a.Writes)
 			out.bytes = append(out.bytes, a.Bytes)
 		}
 	}
-	for _, m := range sl.Memories() {
+	for _, m := range p.OnChipMemories() {
 		ms := m.Stats()
 		out.memOps += ms.Reads + ms.Writes
 	}

@@ -345,22 +345,16 @@ func TestGatingSkipFloor(t *testing.T) {
 }
 
 // TestGatingSingleLayerMatchesFullEval holds the §4.1 single-layer
-// testbenches, which drive their kernel directly, to full evaluation on
-// every fabric and both many-to-one and many-to-many shapes.
+// testbenches to full evaluation in lockstep, plain and observed, on every
+// fabric with one and with four memories.
 func TestGatingSingleLayerMatchesFullEval(t *testing.T) {
 	for _, proto := range []Protocol{STBus, AHB, AXI} {
-		for _, targets := range []int{1, 4} {
-			spec := DefaultSingleLayerSpec(proto, targets)
-			run := func(full bool) SingleLayerResult {
-				sl, err := BuildSingleLayer(spec)
-				if err != nil {
-					t.Fatal(err)
+		for _, memories := range []int{1, 4} {
+			spec := SingleLayerBench(proto, memories, 60, 2, 1)
+			for _, pr := range gatingPreps {
+				if d := lockstepDiff(spec, pr.prep, 500); d != "" {
+					t.Errorf("%v with %d memories, %s: %s", proto, memories, pr.name, d)
 				}
-				sl.Kernel.SetFullEval(full)
-				return sl.Run(lockstepMaxPS)
-			}
-			if g, f := run(false), run(true); !reflect.DeepEqual(g, f) {
-				t.Errorf("%v with %d targets: gated %+v, full evaluation %+v", proto, targets, g, f)
 			}
 		}
 	}

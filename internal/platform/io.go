@@ -6,8 +6,6 @@ import (
 	"mpsocsim/internal/bridge"
 	"mpsocsim/internal/bus"
 	mpio "mpsocsim/internal/io"
-	"mpsocsim/internal/replay"
-	"mpsocsim/internal/sim"
 )
 
 // IOMHz is the I/O subsystem's clock frequency (MHz): a 125 MHz peripheral
@@ -32,7 +30,7 @@ const (
 )
 
 // buildIO attaches the I/O subsystem (DESIGN.md §17): a descriptor-chain DMA
-// engine and interrupt-driven device agents on their own cluster layer
+// engine and interrupt-driven device agents on their own traffic layer
 // ("n6_io", distributed) or directly on the central node (collapsed), plus
 // the software heap allocator, which models malloc/free running on the DSP —
 // it shares the core's 32-bit link when the DSP is present and joins the I/O
@@ -46,43 +44,17 @@ func (p *Platform) buildIO() error {
 	prm := p.Spec.IO.effective(p.Spec.WorkloadScale)
 	onDSP := p.core != nil && p.dspLink != nil
 
-	// Attach point. The distributed branch mirrors buildClusters exactly:
-	// bridge first, initiators registered on the layer clock, then the
-	// fabric and the bridge target side, then the bridge initiator side
-	// journaled on the central clock under the cluster unit. The layer is
-	// pay-as-you-go: when no initiator would attach to it (every family
-	// disabled, or only the DSP-side allocator requested), no clock, fabric
-	// or bridge is built, so an I/O-less configuration costs nothing.
-	distributed := p.Spec.Topology == Distributed &&
-		(prm.dma || prm.irqAgents > 0 || (prm.alloc && !onDSP))
-	clk := p.CentralClk
-	fab := p.centralFab
-	unit := "central"
+	// Attach point. The layer is pay-as-you-go: when no initiator would
+	// attach to it (every family disabled, or only the DSP-side allocator
+	// requested), no clock, fabric or bridge is built, so an I/O-less
+	// configuration costs nothing.
+	fab, clk := p.centralFab, p.CentralClk
 	var br *bridge.Bridge
-	if distributed {
-		unit = "n6_io"
-		clk = p.Kernel.NewClock(unit, IOMHz)
-		fab = p.newFabric(unit)
-		p.fabrics = append(p.fabrics, fabricEntry{fab, unit})
-		br = bridge.New(unit+"_br", p.clusterBridgeConfig(), clk, p.CentralClk)
-		p.bridges[unit+"_br"] = br
-		fab.AttachTarget(br.TargetPort())
-		p.centralFab.AttachInitiator(br.InitiatorPort())
-	}
-	addGen := func(gen Initiator) {
-		fab.AttachInitiator(gen.Port())
-		if distributed {
-			clk.Register(gen)
-		} else {
-			p.CentralClk.Register(gen)
-		}
-		p.gens = append(p.gens, gen)
-		p.genCluster = append(p.genCluster, unit)
-		p.genClk = append(p.genClk, clk)
+	if p.Spec.Topology == Distributed && (prm.dma || prm.irqAgents > 0 || (prm.alloc && !onDSP)) {
+		fab, clk, br = p.openLayer("n6_io", IOMHz)
 	}
 
 	if prm.dma {
-		origin := len(p.gens)
 		cfg := mpio.DMAConfig{
 			Name:         "iodma0",
 			Descriptors:  prm.dmaDescriptors,
@@ -99,17 +71,16 @@ func (p *Platform) buildIO() error {
 			Prio:         2,
 			Seed:         p.Spec.Seed ^ 0xd0a0,
 		}
-		gen, err := p.ioInitiator(cfg.Name, clk, origin, func(ids *bus.IDSource) (Initiator, error) {
-			return mpio.NewDMA(cfg, clk, ids, origin)
-		})
+		err := p.addInitiator(fab, clk, cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth,
+			func(ids *bus.IDSource, origin int) (Initiator, error) {
+				return mpio.NewDMA(cfg, clk, ids, origin)
+			})
 		if err != nil {
 			return err
 		}
-		addGen(gen)
 	}
 
 	for i := 0; i < prm.irqAgents; i++ {
-		origin := len(p.gens)
 		cfg := mpio.IRQConfig{
 			Name:           fmt.Sprintf("irq%d", i),
 			Events:         prm.irqEvents,
@@ -125,20 +96,19 @@ func (p *Platform) buildIO() error {
 			Prio:           3, // interrupt service outranks bulk moves
 			Seed:           p.Spec.Seed ^ (0x19a0 + uint64(i)),
 		}
-		gen, err := p.ioInitiator(cfg.Name, clk, origin, func(ids *bus.IDSource) (Initiator, error) {
-			return mpio.NewIRQ(cfg, clk, ids, origin)
-		})
+		err := p.addInitiator(fab, clk, cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth,
+			func(ids *bus.IDSource, origin int) (Initiator, error) {
+				return mpio.NewIRQ(cfg, clk, ids, origin)
+			})
 		if err != nil {
 			return err
 		}
-		addGen(gen)
 	}
 
 	if prm.alloc {
-		origin := len(p.gens)
-		aclk, bpb := clk, 8
+		afab, aclk, bpb := fab, clk, 8
 		if onDSP {
-			aclk, bpb = p.CPUClk, 4
+			afab, aclk, bpb = p.dspLink, p.CPUClk, 4
 		}
 		cfg := mpio.AllocConfig{
 			Name:         "halloc",
@@ -152,50 +122,17 @@ func (p *Platform) buildIO() error {
 			BytesPerBeat: bpb,
 			Seed:         p.Spec.Seed ^ 0x4a11,
 		}
-		gen, err := p.ioInitiator(cfg.Name, aclk, origin, func(ids *bus.IDSource) (Initiator, error) {
-			return mpio.NewAllocator(cfg, aclk, ids, origin)
-		})
+		err := p.addInitiator(afab, aclk, cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth,
+			func(ids *bus.IDSource, origin int) (Initiator, error) {
+				return mpio.NewAllocator(cfg, aclk, ids, origin)
+			})
 		if err != nil {
 			return err
 		}
-		if onDSP {
-			p.dspLink.AttachInitiator(gen.Port())
-			p.CPUClk.Register(gen)
-			p.gens = append(p.gens, gen)
-			p.genCluster = append(p.genCluster, "cpu")
-			p.genClk = append(p.genClk, p.CPUClk)
-		} else {
-			addGen(gen)
-		}
 	}
 
-	if distributed {
-		clk.Register(fab)
-		clk.Register(br.TargetSide)
-		p.CentralClk.Register(br.InitiatorSide)
-		p.clusterFab = append(p.clusterFab, fab)
+	if br != nil {
+		p.closeLayer(fab, clk, br)
 	}
 	return nil
-}
-
-// ioInitiator builds one I/O traffic slot: the live model normally, or —
-// when the spec carries a replay trace — the trace-driven replayer fed from
-// the stream recorded under the same name, exactly like the IP slots in
-// newInitiator.
-func (p *Platform) ioInitiator(name string, clk *sim.Clock, origin int, mk func(*bus.IDSource) (Initiator, error)) (Initiator, error) {
-	if p.Spec.Replay == nil {
-		return mk(p.newIDSource(origin))
-	}
-	st := p.Spec.Replay.Stream(name)
-	if st == nil {
-		return nil, fmt.Errorf("platform: replay trace %q has no stream for initiator %q (trace streams: %v)",
-			p.Spec.Replay.Platform, name, p.Spec.Replay.StreamNames())
-	}
-	return replay.New(replay.Config{
-		Stream:        st,
-		Mode:          p.Spec.ReplayMode,
-		Outstanding:   p.Spec.ReplayOutstanding,
-		PortReqDepth:  4,
-		PortRespDepth: 8,
-	}, clk, p.newIDSource(origin), origin)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpsocsim/internal/iptg"
 	"mpsocsim/internal/lmi"
 )
 
@@ -225,15 +226,7 @@ func TestFig6MonitorRegimes(t *testing.T) {
 func TestSingleLayerManyToOneEquality(t *testing.T) {
 	cycles := map[Protocol]int64{}
 	for _, proto := range []Protocol{STBus, AHB, AXI} {
-		sl, err := BuildSingleLayer(DefaultSingleLayerSpec(proto, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := sl.Run(5e12)
-		if !r.Done {
-			t.Fatalf("%v single-layer did not drain", proto)
-		}
-		cycles[proto] = r.Cycles
+		cycles[proto] = runCycles(t, SingleLayerBench(proto, 1, 300, 2, 1)).CentralCycles
 	}
 	base := cycles[STBus]
 	for proto, c := range cycles {
@@ -251,16 +244,7 @@ func TestSingleLayerManyToOneEquality(t *testing.T) {
 // serializes everything; STBus and AXI exploit the parallelism.
 func TestSingleLayerManyToManyDifferentiation(t *testing.T) {
 	run := func(proto Protocol) int64 {
-		spec := DefaultSingleLayerSpec(proto, 6)
-		sl, err := BuildSingleLayer(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := sl.Run(5e12)
-		if !r.Done {
-			t.Fatalf("%v many-to-many did not drain", proto)
-		}
-		return r.Cycles
+		return runCycles(t, SingleLayerBench(proto, 6, 300, 2, 1)).CentralCycles
 	}
 	st, ah, ax := run(STBus), run(AHB), run(AXI)
 	if float64(ah) < 2.0*float64(st) {
@@ -275,18 +259,9 @@ func TestSingleLayerManyToManyDifferentiation(t *testing.T) {
 // should help under congestion.
 func TestSingleLayerTargetBuffering(t *testing.T) {
 	run := func(respDepth int) int64 {
-		spec := DefaultSingleLayerSpec(STBus, 6)
-		spec.GapMean = 0 // congest
+		spec := SingleLayerBench(STBus, 6, 300, 0, 1) // gap 0: congest
 		spec.TargetRespDepth = respDepth
-		sl, err := BuildSingleLayer(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := sl.Run(5e12)
-		if !r.Done {
-			t.Fatal("did not drain")
-		}
-		return r.Cycles
+		return runCycles(t, spec).CentralCycles
 	}
 	shallow, deep := run(1), run(8)
 	if deep > shallow {
@@ -338,8 +313,9 @@ func TestSpecNameAndStrings(t *testing.T) {
 // substitute a default, on specs it cannot build: a D-cache whose set count
 // is not a power of two, an SDRAM geometry its bit-field decode cannot
 // address (no banks or no bytes per column, either not a power of two,
-// negative row or column bits, more than 63 address bits), and a protocol
-// outside the enum.
+// negative row or column bits, more than 63 address bits), a protocol or
+// topology outside its enum, more than one on-chip memory beside the LMI or
+// a negative count of them, and a Workload IP the generator rejects.
 func TestBuildRejectsBadSpecs(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -357,6 +333,10 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 		{"sdram-64-address-bits", func(s *Spec) { s.LMI.SDRAM.Geometry.RowBits = 51 }, "exceed 63"},
 		{"protocol-7", func(s *Spec) { s.Protocol = 7 }, "unknown protocol"},
 		{"protocol-negative", func(s *Spec) { s.Protocol = -1 }, "unknown protocol"},
+		{"topology-2", func(s *Spec) { s.Topology = 2 }, "unknown topology"},
+		{"onchip-memories-with-lmi", func(s *Spec) { s.OnChipMemories = 2 }, "on-chip memories"},
+		{"onchip-memories-negative", func(s *Spec) { s.Memory, s.OnChipMemories = OnChip, -1 }, "on-chip memories"},
+		{"workload-ip-without-agents", func(s *Spec) { s.Workload = []iptg.Config{{Name: "bare"}} }, "no agents"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := quick(STBus, Distributed, LMIDDR)
@@ -374,7 +354,7 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 
 func TestPlatformAccessors(t *testing.T) {
 	p := MustBuild(quick(STBus, Distributed, LMIDDR))
-	if p.Controller() == nil || p.OnChipMemory() != nil {
+	if p.Controller() == nil || len(p.OnChipMemories()) != 0 {
 		t.Fatal("LMI variant accessors wrong")
 	}
 	if p.Core() == nil {
@@ -390,7 +370,7 @@ func TestPlatformAccessors(t *testing.T) {
 		t.Fatal("cluster bridge missing")
 	}
 	q := MustBuild(quick(AHB, Collapsed, OnChip))
-	if q.OnChipMemory() == nil || q.Controller() != nil {
+	if len(q.OnChipMemories()) != 1 || q.Controller() != nil {
 		t.Fatal("on-chip variant accessors wrong")
 	}
 	if q.Bridge("lmi_bridge") != nil {

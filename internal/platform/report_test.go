@@ -95,29 +95,3 @@ func TestReportDeterministic(t *testing.T) {
 		t.Fatal("identical runs produced different reports")
 	}
 }
-
-// TestSummaryMatchesLegacyRendering proves the registry-sourced text summary
-// is byte-identical to the rendering computed directly from component stats:
-// the same Result rendered with and without its metrics snapshot attached
-// must agree.
-func TestSummaryMatchesLegacyRendering(t *testing.T) {
-	p := MustBuild(reportSpec())
-	r := p.Run(200e9)
-	if !r.Done {
-		t.Fatal("run did not drain")
-	}
-	var withSnap bytes.Buffer
-	if err := r.WriteSummary(&withSnap); err != nil {
-		t.Fatal(err)
-	}
-	legacy := r
-	legacy.Metrics = nil
-	var withoutSnap bytes.Buffer
-	if err := legacy.WriteSummary(&withoutSnap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(withSnap.Bytes(), withoutSnap.Bytes()) {
-		t.Fatalf("summary diverges between registry and legacy sources:\n--- registry ---\n%s\n--- legacy ---\n%s",
-			withSnap.String(), withoutSnap.String())
-	}
-}

@@ -42,7 +42,8 @@ type Result struct {
 	IPs map[string][]iptg.AgentStats
 	// Bridges holds per-bridge statistics.
 	Bridges map[string]bridge.Stats
-	// MemUtilization is the busy fraction of the memory subsystem.
+	// MemUtilization is the busy fraction of the memory subsystem (the
+	// mean over the on-chip memories).
 	MemUtilization float64
 	// LMI carries the controller statistics (zero value for on-chip).
 	LMI lmi.Stats
@@ -59,8 +60,8 @@ type Result struct {
 	// met/miss counts and the service-latency shape.
 	Deadlines []mpio.DeadlineStats
 	// Metrics is the point-in-time snapshot of every registered instrument,
-	// taken when the run finished. The text summary and the JSON report
-	// render from it; it stays valid after the platform is gone.
+	// taken when the run finished. The JSON report renders from it; it
+	// stays valid after the platform is gone.
 	Metrics *metrics.Snapshot
 	// Attribution is the per-initiator × per-phase latency breakdown (nil
 	// unless EnableAttribution was called before the run).
@@ -175,8 +176,11 @@ func (p *Platform) collect(done bool) Result {
 	for name, br := range p.bridges {
 		r.Bridges[name] = br.Stats()
 	}
-	if p.onchip != nil {
-		r.MemUtilization = p.onchip.Stats().Utilization()
+	if len(p.onchip) > 0 {
+		for _, m := range p.onchip {
+			r.MemUtilization += m.Stats().Utilization()
+		}
+		r.MemUtilization /= float64(len(p.onchip))
 	}
 	if p.ctrl != nil {
 		r.LMI = p.ctrl.Stats()
@@ -218,10 +222,10 @@ func (r Result) WriteSummary(w io.Writer) error {
 	fmt.Fprintf(w, "transactions: issued=%d completed=%d\n", r.Issued, r.Completed)
 	fmt.Fprintf(w, "payload    : %.2f MB, %.1f MB/s\n", float64(r.TotalBytes)/1e6, r.ThroughputMBps())
 	fmt.Fprintf(w, "memory util: %.1f%%\n", 100*r.MemUtilization)
-	if r.Monitor != nil {
-		full, storing, noreq, empty := r.fifoFracs()
+	if m := r.Monitor; m != nil {
 		fmt.Fprintf(w, "lmi fifo   : full=%.1f%% storing=%.1f%% norequest=%.1f%% empty=%.1f%%\n",
-			100*full, 100*storing, 100*noreq, 100*empty)
+			100*m.TotalFrac(lmi.StateFull), 100*m.TotalFrac(lmi.StateStoring),
+			100*m.TotalFrac(lmi.StateNoRequest), 100*m.EmptyFrac())
 	}
 	if r.DSP.Present {
 		fmt.Fprintf(w, "dsp        : %d cycles, CPI %.2f\n", r.DSP.Cycles, r.DSP.CPI)
@@ -229,25 +233,9 @@ func (r Result) WriteSummary(w io.Writer) error {
 	tbl := stats.NewTable("ip", "agent", "issued", "completed", "bytes", "mean_lat", "p90_lat", "max_lat")
 	for _, name := range stats.SortedKeys(r.IPs) {
 		for _, a := range r.IPs[name] {
-			issued, completed, bytes := a.Issued, a.Completed, a.Bytes
-			mean, p90, max := a.MeanLatency, a.P90Latency, a.MaxLatency
-			// Source the row from the metrics snapshot when present; the
-			// registry reads the same component counters and histograms, so
-			// the rendering is byte-identical either way.
-			if s := r.Metrics; s != nil {
-				ap := "ip." + name + "." + a.Name + "."
-				if v, ok := s.Counter(ap + "issued"); ok {
-					issued = v
-					completed, _ = s.Counter(ap + "completed")
-					bytes, _ = s.Counter(ap + "bytes")
-					if h := s.Histogram(ap + "latency"); h != nil {
-						mean, p90, max = h.Mean, h.P90, h.Max
-					}
-				}
-			}
 			tbl.AddRow(name, a.Name,
-				fmt.Sprint(issued), fmt.Sprint(completed), fmt.Sprint(bytes),
-				fmt.Sprintf("%.1f", mean), fmt.Sprint(p90), fmt.Sprint(max))
+				fmt.Sprint(a.Issued), fmt.Sprint(a.Completed), fmt.Sprint(a.Bytes),
+				fmt.Sprintf("%.1f", a.MeanLatency), fmt.Sprint(a.P90Latency), fmt.Sprint(a.MaxLatency))
 		}
 	}
 	if err := tbl.Write(w); err != nil {
@@ -273,43 +261,8 @@ func (r Result) WriteSummary(w io.Writer) error {
 	btbl := stats.NewTable("bridge", "accepted", "blocked_cycles", "mean_res", "p90_res", "max_res")
 	for _, name := range stats.SortedKeys(r.Bridges) {
 		b := r.Bridges[name]
-		accepted, blocked := b.Accepted, b.BlockedCycles
-		mean, p90, max := b.MeanResidency, b.P90Residency, b.MaxResidency
-		if s := r.Metrics; s != nil {
-			bp := "bridge." + name + "."
-			if v, ok := s.Counter(bp + "accepted"); ok {
-				accepted = v
-				blocked, _ = s.Counter(bp + "blocked_cycles")
-				if h := s.Histogram(bp + "residency"); h != nil {
-					mean, p90, max = h.Mean, h.P90, h.Max
-				}
-			}
-		}
-		btbl.AddRow(name, fmt.Sprint(accepted), fmt.Sprint(blocked),
-			fmt.Sprintf("%.1f", mean), fmt.Sprint(p90), fmt.Sprint(max))
+		btbl.AddRow(name, fmt.Sprint(b.Accepted), fmt.Sprint(b.BlockedCycles),
+			fmt.Sprintf("%.1f", b.MeanResidency), fmt.Sprint(b.P90Residency), fmt.Sprint(b.MaxResidency))
 	}
 	return btbl.Write(w)
-}
-
-// fifoFracs returns the Fig.6 lifetime fractions of the LMI bus-interface
-// FIFO, sourced from the metrics snapshot when one is attached and from the
-// live monitor otherwise. Both paths divide the same integer cycle counts,
-// so the summary renders byte-identically whichever source is used.
-func (r Result) fifoFracs() (full, storing, noreq, empty float64) {
-	if s := r.Metrics; s != nil {
-		if f, ok := s.Counter("lmi.lmi.fifo_full_cycles"); ok {
-			st, _ := s.Counter("lmi.lmi.fifo_storing_cycles")
-			nr, _ := s.Counter("lmi.lmi.fifo_norequest_cycles")
-			em, _ := s.Counter("lmi.lmi.fifo_empty_cycles")
-			if cyc := f + st + nr; cyc > 0 {
-				d := float64(cyc)
-				return float64(f) / d, float64(st) / d, float64(nr) / d, float64(em) / d
-			}
-			return 0, 0, 0, 0
-		}
-	}
-	return r.Monitor.TotalFrac(lmi.StateFull),
-		r.Monitor.TotalFrac(lmi.StateStoring),
-		r.Monitor.TotalFrac(lmi.StateNoRequest),
-		r.Monitor.EmptyFrac()
 }

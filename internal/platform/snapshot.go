@@ -101,8 +101,8 @@ func (p *Platform) encodeComponents(e *snapshot.Encoder) {
 	for _, name := range sortedBridgeNames(p.bridges) {
 		p.bridges[name].EncodeState(e)
 	}
-	if p.onchip != nil {
-		p.onchip.EncodeState(e)
+	for _, m := range p.onchip {
+		m.EncodeState(e)
 	}
 	if p.ctrl != nil {
 		p.ctrl.EncodeState(e)
@@ -221,8 +221,8 @@ func (p *Platform) decodeComponents(d *snapshot.Decoder) {
 	for _, name := range sortedBridgeNames(p.bridges) {
 		p.bridges[name].DecodeState(d, p.attrCol)
 	}
-	if p.onchip != nil {
-		p.onchip.DecodeState(d, p.attrCol)
+	for _, m := range p.onchip {
+		m.DecodeState(d, p.attrCol)
 	}
 	if p.ctrl != nil {
 		p.ctrl.DecodeState(d, p.attrCol)

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mpsocsim/internal/iptg"
 	"mpsocsim/internal/replay"
 	"mpsocsim/internal/snapshot"
 	"mpsocsim/internal/tracecap"
@@ -154,34 +155,43 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 }
 
 // TestCheckpointRestoreChainedAcrossConfigs carries the checkpoint contract
-// to every protocol × topology × memory combination and every observability
-// variant, and across a chain of restores: the run is checkpointed at
-// checkpointAt/2, restored, checkpointed again at checkpointAt from the
-// restored platform, restored again and finished. That must still be
-// bit-identical to the uninterrupted run, so a restored platform has to
-// re-encode all of its state, not only the state a fresh platform holds.
+// to every protocol × topology × memory combination, to the §4.1
+// single-layer bench on every fabric with one memory and with six (one
+// memory state section each), and to every observability variant, across a
+// chain of restores: the run is checkpointed at checkpointAt/2, restored,
+// checkpointed again at checkpointAt from the restored platform, restored
+// again and finished. That must still be bit-identical to the
+// uninterrupted run, so a restored platform has to re-encode all of its
+// state, not only the state a fresh platform holds.
 func TestCheckpointRestoreChainedAcrossConfigs(t *testing.T) {
+	specs := map[string]Spec{}
 	for _, proto := range []Protocol{STBus, AHB, AXI} {
 		for _, topo := range []Topology{Distributed, Collapsed} {
 			for _, mem := range []MemoryKind{OnChip, LMIDDR} {
-				spec := quick(proto, topo, mem)
-				for _, v := range obsVariants {
-					t.Run(spec.Name()+"/"+v.name, func(t *testing.T) {
-						ref, refRep, refTrace := uninterruptedRun(t, spec, v.prep)
-						r, rep, tr := checkpointRun(t, spec, v.prep, checkpointAt/2, checkpointAt)
-						if !reflect.DeepEqual(r, ref) {
-							t.Errorf("twice-restored Result differs from uninterrupted (cycles %d vs %d, issued %d vs %d)",
-								r.CentralCycles, ref.CentralCycles, r.Issued, ref.Issued)
-						}
-						if !bytes.Equal(rep, refRep) {
-							t.Errorf("twice-restored report/summary bytes differ from uninterrupted (%d vs %d bytes)", len(rep), len(refRep))
-						}
-						if !bytes.Equal(tr, refTrace) {
-							t.Errorf("twice-restored captured trace differs from uninterrupted (%d vs %d bytes)", len(tr), len(refTrace))
-						}
-					})
-				}
+				s := quick(proto, topo, mem)
+				specs[s.Name()] = s
 			}
+		}
+		for _, memories := range []int{1, 6} {
+			specs[fmt.Sprintf("%v/single-layer/%dmem", proto, memories)] = SingleLayerBench(proto, memories, 300, 2, 1)
+		}
+	}
+	for name, spec := range specs {
+		for _, v := range obsVariants {
+			t.Run(name+"/"+v.name, func(t *testing.T) {
+				ref, refRep, refTrace := uninterruptedRun(t, spec, v.prep)
+				r, rep, tr := checkpointRun(t, spec, v.prep, checkpointAt/2, checkpointAt)
+				if !reflect.DeepEqual(r, ref) {
+					t.Errorf("twice-restored Result differs from uninterrupted (cycles %d vs %d, issued %d vs %d)",
+						r.CentralCycles, ref.CentralCycles, r.Issued, ref.Issued)
+				}
+				if !bytes.Equal(rep, refRep) {
+					t.Errorf("twice-restored report/summary bytes differ from uninterrupted (%d vs %d bytes)", len(rep), len(refRep))
+				}
+				if !bytes.Equal(tr, refTrace) {
+					t.Errorf("twice-restored captured trace differs from uninterrupted (%d vs %d bytes)", len(tr), len(refTrace))
+				}
+			})
 		}
 	}
 }
@@ -369,5 +379,51 @@ func TestSnapshotEncodableAcrossConfigs(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestBuildLeavesWorkloadUntouched requires Build to work on a copy of
+// Spec.Workload. iptg.New fills defaults into its config's agent and phase
+// arrays (a zero-valued agent gets a name, an outstanding window, a region
+// and a burst length), and the OutstandingOverride and ForceNonPostedWrites
+// edits land on agents too. Writing through would change the spec's
+// Fingerprint during Build, so a snapshot would not restore onto an equal
+// fresh spec, which is what the warm-start cache does.
+func TestBuildLeavesWorkloadUntouched(t *testing.T) {
+	for _, topo := range []Topology{Collapsed, Distributed} {
+		t.Run(topo.String(), func(t *testing.T) {
+			mk := func() Spec {
+				s := SingleLayerBench(STBus, 1, 100, 2, 1)
+				s.Topology = topo
+				s.Workload[0].Agents = append(s.Workload[0].Agents, iptg.AgentConfig{
+					Phases:       []iptg.Phase{{Count: 40, ReadFrac: 0.5}},
+					PostedWrites: true,
+				})
+				s.OutstandingOverride = 2
+				s.ForceNonPostedWrites = true
+				return s
+			}
+			spec, fresh := mk(), mk()
+			p := MustBuild(spec)
+			if !reflect.DeepEqual(spec, fresh) {
+				t.Fatalf("Build wrote through Spec.Workload: IP 0 is now %+v, was %+v", spec.Workload[0], fresh.Workload[0])
+			}
+			if !p.RunToCycle(checkpointAt/2, 5e12) {
+				t.Fatal("drained before the checkpoint")
+			}
+			var buf bytes.Buffer
+			if err := p.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			q, err := Restore(fresh, &buf)
+			if err != nil {
+				t.Fatalf("Restore onto an equal fresh spec: %v", err)
+			}
+			r, rq := p.Run(5e12), q.Run(5e12)
+			if !r.Done || r.CentralCycles != rq.CentralCycles || r.Completed != rq.Completed {
+				t.Fatalf("restored run ends at %d cycles, %d completed; uninterrupted at %d, %d (done %v)",
+					rq.CentralCycles, rq.Completed, r.CentralCycles, r.Completed, r.Done)
+			}
+		})
 	}
 }

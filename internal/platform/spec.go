@@ -15,6 +15,7 @@ package platform
 import (
 	"fmt"
 
+	"mpsocsim/internal/iptg"
 	"mpsocsim/internal/lmi"
 	"mpsocsim/internal/replay"
 	"mpsocsim/internal/stbus"
@@ -96,6 +97,12 @@ type Spec struct {
 	// OnChipWaitStates configures the OnChip memory (default 1, the
 	// paper's baseline).
 	OnChipWaitStates int
+	// OnChipMemories splits the OnChip memory into this many memories on
+	// the central node (0 means 1): memory t decodes [t·16 MiB,
+	// (t+1)·16 MiB) and the last one every address above. Six give the
+	// many-to-many traffic of §4.1.1. Build rejects more than one with
+	// LMIDDR.
+	OnChipMemories int
 	// LMI configures the LMIDDR memory subsystem.
 	LMI lmi.Config
 
@@ -139,6 +146,14 @@ type Spec struct {
 	// cache sweep expose the reuse/thrash transition.
 	DSPWorkingSetKB int
 
+	// Workload, when set, replaces the Fig.1 clusters: its IPs form one
+	// traffic layer, which is the central node when Collapsed and a
+	// bridged layer of its own when Distributed. It is used as given —
+	// WorkloadScale, TwoPhase and Seed shape only the Fig.1 clusters and
+	// the I/O subsystem — except for OutstandingOverride and
+	// ForceNonPostedWrites, which apply to every IP. Build works on a
+	// copy and never writes through it. SingleLayerBench sets it.
+	Workload []iptg.Config
 	// WorkloadScale multiplies every agent's transaction counts.
 	WorkloadScale float64
 	// OutstandingOverride, when positive, caps every agent's transaction

@@ -167,8 +167,8 @@ func (p *Platform) StallReport(reason string, topFifos int) *telemetry.StallRepo
 		fifos = appendTargetPort(fifos, br.TargetPort())
 		fifos = appendInitiatorPort(fifos, br.InitiatorPort())
 	}
-	if p.onchip != nil {
-		fifos = appendTargetPort(fifos, p.onchip.Port())
+	for _, m := range p.onchip {
+		fifos = appendTargetPort(fifos, m.Port())
 	}
 	if p.ctrl != nil {
 		fifos = appendTargetPort(fifos, p.ctrl.Port())

@@ -1,11 +1,18 @@
 package platform
 
-import "mpsocsim/internal/iptg"
+import (
+	"fmt"
 
-// clusterSpec describes one functional cluster of the reference platform.
-// Each cluster runs its own clock domain (the heterogeneity the paper's
-// Fig.1 platform exhibits); the GenConv/lightweight bridges perform the
-// frequency adaptation toward the 250 MHz central node.
+	"mpsocsim/internal/iptg"
+	"mpsocsim/internal/stbus"
+)
+
+// clusterSpec describes one traffic layer: a functional cluster of the
+// reference platform, or the layer of a spec's own Workload. In the
+// distributed topology each layer runs its own clock domain (the
+// heterogeneity the paper's Fig.1 platform exhibits); the
+// GenConv/lightweight bridges perform the frequency adaptation toward the
+// 250 MHz central node.
 type clusterSpec struct {
 	name    string
 	freqMHz float64
@@ -212,6 +219,30 @@ func referenceWorkload(spec Spec) []clusterSpec {
 			},
 		},
 	}
+	return clusters
+}
+
+// workload returns the spec's traffic layers: the Fig.1 clusters, or one
+// layer of the spec's own IPs, with OutstandingOverride and
+// ForceNonPostedWrites applied to every agent. The spec's IPs are deep
+// copies, because the overrides here and iptg.New's defaults write into
+// the agent and phase arrays, and a spec must keep its Fingerprint through
+// Build for Snapshot and Restore to agree.
+func workload(spec Spec) []clusterSpec {
+	var clusters []clusterSpec
+	if len(spec.Workload) > 0 {
+		ips := make([]iptg.Config, len(spec.Workload))
+		for i, ip := range spec.Workload {
+			ip.Agents = append([]iptg.AgentConfig(nil), ip.Agents...)
+			for j := range ip.Agents {
+				ip.Agents[j].Phases = append([]iptg.Phase(nil), ip.Agents[j].Phases...)
+			}
+			ips[i] = ip
+		}
+		clusters = []clusterSpec{{name: "layer", ips: ips}}
+	} else {
+		clusters = referenceWorkload(spec)
+	}
 	if spec.OutstandingOverride > 0 || spec.ForceNonPostedWrites {
 		for ci := range clusters {
 			for ii := range clusters[ci].ips {
@@ -228,4 +259,45 @@ func referenceWorkload(spec Spec) []clusterSpec {
 		}
 	}
 	return clusters
+}
+
+// SingleLayerBench returns the testbench of the paper's §4.1: six traffic
+// generators on one collapsed layer of proto, each with one agent issuing
+// txns random 4–8-beat reads (mean gap gapMean cycles, 4 outstanding) over
+// the whole range of memories on-chip memories of 1 wait state and 2-entry
+// response FIFOs. Six memories give the many-to-many traffic of §4.1.1,
+// one the many-to-one, memory-centric traffic of §4.1.2. Every field
+// Build's defaults would fill is set: Snapshot fingerprints the spec as
+// Build normalized it and Restore the caller's, so only a spec that is its
+// own normal form restores.
+func SingleLayerBench(proto Protocol, memories int, txns int64, gapMean float64, seed uint64) Spec {
+	ips := make([]iptg.Config, 6)
+	for i := range ips {
+		ips[i] = iptg.Config{
+			Name: fmt.Sprintf("ini%d", i),
+			Agents: []iptg.AgentConfig{{
+				Name:        "gen",
+				Phases:      []iptg.Phase{{Count: txns, GapMean: gapMean, BurstMin: 4, BurstMax: 8, ReadFrac: 1}},
+				Outstanding: 4,
+				RegionSize:  uint64(memories) << 24,
+				Pattern:     iptg.Random,
+				MsgLen:      1,
+			}},
+			BytesPerBeat: 8,
+			Seed:         seed ^ uint64(i)*0x9e37,
+		}
+	}
+	return Spec{
+		Protocol:         proto,
+		Topology:         Collapsed,
+		Memory:           OnChip,
+		OnChipWaitStates: 1,
+		OnChipMemories:   memories,
+		STBusType:        stbus.Type3,
+		MaxOutstanding:   8,
+		TargetRespDepth:  2,
+		WorkloadScale:    1,
+		Seed:             seed,
+		Workload:         ips,
+	}
 }

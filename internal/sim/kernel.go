@@ -129,17 +129,13 @@ func (c *Clock) Register(comp Clocked) {
 // instant, in a deterministic order (stable sort by name), first every
 // clock's Eval sweep, then every clock's Update sweep. The kernel lazily
 // rebuilds its name-sorted clock list on the first step after a clock or
-// component is added, and dispatches one of two ways:
-//
-//  1. single-clock fast path (Step only) — no scan, no grouping at all;
-//  2. name-sorted scan — one pass over the sorted clocks finds the earliest
-//     edge and collects the firing group into a reusable buffer.
-//
-// Both fire the exact same edges in the exact same order as a naive
-// per-step min-scan + stable name sort, and neither allocates in steady
-// state. Every step skips sleeping gated components (see Activity), and
-// Advance parks the clocks whose components all sleep, so its scan visits
-// only edge groups in which a component runs.
+// component is added; one pass over the sorted clocks then finds the
+// earliest edge and collects the firing group into a reusable buffer. That
+// fires the exact same edges in the exact same order as a naive per-step
+// min-scan + stable name sort, and allocates nothing in steady state.
+// Every step skips sleeping gated components (see Activity), and Advance
+// parks the clocks whose components all sleep, so its scan visits only
+// edge groups in which a component runs.
 type Kernel struct {
 	nowPS  int64
 	clocks []*Clock
@@ -152,7 +148,6 @@ type Kernel struct {
 
 	// --- lazily built edge schedule (see buildSchedule) ---
 	schedValid bool
-	single     *Clock   // the only clock, or nil
 	sorted     []*Clock // clocks stably sorted by name
 	firing     []*Clock // reusable buffer of the group being fired
 	// parked counts the parked clocks.
@@ -229,8 +224,8 @@ func (k *Kernel) NewClockPeriodPS(name string, periodPS int64) *Clock {
 // clock set or a component list changes.
 func (k *Kernel) invalidateSchedule() { k.schedValid = false }
 
-// buildSchedule sorts the clocks by name and selects the dispatch path. Runs
-// once per topology change, never in steady state.
+// buildSchedule sorts the clocks by name. Runs once per topology change,
+// never in steady state.
 func (k *Kernel) buildSchedule() {
 	k.schedValid = true
 	// Deterministic firing order: stable sort by name (registration order
@@ -242,10 +237,6 @@ func (k *Kernel) buildSchedule() {
 	}
 	if cap(k.firing) < len(k.sorted) {
 		k.firing = make([]*Clock, 0, len(k.sorted))
-	}
-	k.single = nil
-	if len(k.clocks) == 1 {
-		k.single = k.clocks[0]
 	}
 }
 
@@ -311,16 +302,6 @@ func (k *Kernel) stepBounded(maxPS int64) bool {
 	}
 	if k.parked > 0 {
 		k.unparkAll()
-	}
-	if c := k.single; c != nil {
-		now := c.nextEdge
-		if now > maxPS {
-			return false
-		}
-		k.nowPS = now
-		k.evalClock(c, now)
-		updateClock(c, now)
-		return true
 	}
 	next := k.scanFiring()
 	if next > maxPS || len(k.firing) == 0 {
