@@ -176,8 +176,10 @@ type InitiatorPort struct {
 	Req  *Queue
 	Resp *BeatQueue
 	// Probe, when non-nil, observes every transaction crossing this port.
-	// It is honoured by the components that own a port's issue side
-	// (iptg.Generator, replay.Initiator); set it before simulation starts.
+	// It is honoured by iptg.Issuer, the issue side every traffic source
+	// embeds (the IPTG generator, the trace replayer and internal/io's DMA
+	// engine, IRQ agents and heap allocator); the DSP core and the bridges
+	// do not fire it. Set it before simulation starts.
 	Probe PortProbe
 }
 

@@ -3,12 +3,10 @@ package io
 import (
 	"fmt"
 
-	"mpsocsim/internal/attr"
 	"mpsocsim/internal/bus"
 	"mpsocsim/internal/iptg"
 	"mpsocsim/internal/metrics"
 	"mpsocsim/internal/sim"
-	"mpsocsim/internal/stats"
 )
 
 // DMAConfig parameterizes a descriptor-chain DMA engine.
@@ -94,9 +92,9 @@ func (c *DMAConfig) normalize() error {
 	return nil
 }
 
-// Transaction kinds of the engine's in-flight tracking table.
+// Transaction kinds, the tags of the engine's tracked requests.
 const (
-	dmaKindFetch uint8 = iota
+	dmaKindFetch = iota
 	dmaKindRead
 	dmaKindWrite
 	dmaKindWriteback
@@ -108,18 +106,13 @@ const (
 // linked descriptors from memory, moves each descriptor's payload as gather
 // reads followed by scatter writes at the programmed burst length, posts a
 // completion writeback into the descriptor's status word, then follows the
-// link to the next descriptor.
+// link to the next descriptor. Its Issuer tags each tracked request with its
+// kind, and its one statistics row ("chain") counts the bytes the chain
+// moved: the scatter writes' payload only.
 type Engine struct {
-	act    sim.Activity
-	cfg    DMAConfig
-	port   *bus.InitiatorPort
-	clk    *sim.Clock
-	rng    *sim.Rand
-	ids    *bus.IDSource
-	origin int
-
-	pool    *bus.RequestPool
-	attrCol *attr.Collector
+	iptg.Issuer
+	cfg DMAConfig
+	rng *sim.Rand
 
 	// Per-chain progress: desc is the current descriptor index.
 	desc    int
@@ -135,16 +128,7 @@ type Engine struct {
 	writesDone   int
 	wbIssued     bool
 
-	byReqID  map[uint64]uint8
-	inFlight int
-
-	descsFetched   int64
-	bytesMoved     int64
-	issuedTotal    int64
-	completedTotal int64
-	readsTotal     int64
-	writesTotal    int64
-	latency        stats.Histogram
+	descsFetched int64
 }
 
 // NewDMA builds a descriptor-chain DMA engine.
@@ -153,44 +137,16 @@ func NewDMA(cfg DMAConfig, clk *sim.Clock, ids *bus.IDSource, origin int) (*Engi
 		return nil, err
 	}
 	en := &Engine{
-		cfg:     cfg,
-		port:    bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth),
-		clk:     clk,
-		rng:     sim.NewRand(cfg.Seed ^ 0xd3a),
-		ids:     ids,
-		origin:  origin,
-		byReqID: map[uint64]uint8{},
+		cfg: cfg,
+		rng: sim.NewRand(cfg.Seed ^ 0xd3a),
 	}
-	en.port.OwnedBy(&en.act)
+	en.Init(bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth), clk, ids, origin,
+		[]string{"chain"}, en.complete)
 	return en, nil
 }
 
-// UseRequestPool makes the engine mint requests from (and return them to)
-// the given pool. Call before simulation starts.
-func (en *Engine) UseRequestPool(p *bus.RequestPool) { en.pool = p }
-
-// UseAttribution makes the engine finish each tracked transaction's
-// latency-attribution record at final-beat consumption.
-func (en *Engine) UseAttribution(col *attr.Collector) { en.attrCol = col }
-
-// Port returns the initiator port to attach to a fabric.
-func (en *Engine) Port() *bus.InitiatorPort { return en.port }
-
-// Name returns the engine name.
-func (en *Engine) Name() string { return en.cfg.Name }
-
-// Origin returns the platform-wide initiator identity.
-func (en *Engine) Origin() int { return en.origin }
-
 // Done reports whether the whole descriptor chain has been processed.
-func (en *Engine) Done() bool { return en.desc >= en.cfg.Descriptors && en.inFlight == 0 }
-
-// Issued returns the total transactions issued (fetches, payload moves and
-// writebacks).
-func (en *Engine) Issued() int64 { return en.issuedTotal }
-
-// Completed returns the total completed transactions.
-func (en *Engine) Completed() int64 { return en.completedTotal }
+func (en *Engine) Done() bool { return en.desc >= en.cfg.Descriptors && en.InFlight() == 0 }
 
 // burstBytes is the payload carried by one full programmed burst.
 func (en *Engine) burstBytes() int { return en.cfg.BurstBeats * en.cfg.BytesPerBeat }
@@ -205,7 +161,7 @@ func (en *Engine) MaxConcurrent() int64 {
 
 // Eval collects responses and issues at most one new transaction per cycle.
 func (en *Engine) Eval() {
-	en.collect()
+	en.Collect()
 	if en.gapLeft > 0 {
 		en.gapLeft--
 		return
@@ -218,60 +174,33 @@ func (en *Engine) Eval() {
 // state machine has nothing to issue, or until the full request FIFO gives
 // up an entry.
 func (en *Engine) Update() {
-	en.port.Update()
+	port := en.Port()
+	port.Update()
 	switch {
-	case en.port.Resp.Len() != 0:
+	case port.Resp.Len() != 0:
 		// collects at the next edge
 	case en.gapLeft > 0:
-		en.act.SleepUntil(en.clk.Cycles() + en.gapLeft + 1)
-	case en.next() == dmaKindNone || !en.port.Req.CanPush():
-		en.act.Sleep()
+		en.Activity().SleepUntil(en.Clock().Cycles() + en.gapLeft + 1)
+	case en.next() == dmaKindNone || !port.Req.CanPush():
+		en.Activity().Sleep()
 	}
 }
-
-// Activity returns the engine's sleep state.
-func (en *Engine) Activity() *sim.Activity { return &en.act }
 
 // CreditIdle books n skipped idle edges: the gap countdown.
 func (en *Engine) CreditIdle(n int64) { en.gapLeft -= min(en.gapLeft, n) }
 
-func (en *Engine) collect() {
-	for en.port.Resp.CanPop() {
-		beat := en.port.Resp.Pop()
-		if !beat.Last {
-			continue
-		}
-		kind, ok := en.byReqID[beat.Req.ID]
-		if !ok {
-			// An ack for a write that completed at issue as posted and
-			// that a non-posting fabric (AHB) turned into a non-posted
-			// one: nobody tracks it, and this beat is its last reference.
-			en.pool.Put(beat.Req)
-			continue
-		}
-		delete(en.byReqID, beat.Req.ID)
-		en.inFlight--
-		en.completedTotal++
-		en.latency.Add(en.clk.Cycles() - beat.Req.IssueCycle)
-		if pr := en.port.Probe; pr != nil {
-			pr.RequestCompleted(beat.Req, en.clk.Cycles())
-		}
-		if rec := beat.Req.Attr; rec != nil && en.attrCol != nil {
-			en.attrCol.Finish(rec, en.clk.NowPS())
-		}
-		switch kind {
-		case dmaKindFetch:
-			en.decodeDescriptor()
-		case dmaKindRead:
-			en.readsDone++
-		case dmaKindWrite:
-			en.writesDone++
-		case dmaKindWriteback:
-			en.advanceChain()
-		}
-		// The transaction was tracked, so this request is ours and this
-		// beat is its final reference: recycle it.
-		en.pool.Put(beat.Req)
+// complete advances the state machine when a tracked transaction of the
+// given kind completes.
+func (en *Engine) complete(kind int) {
+	switch kind {
+	case dmaKindFetch:
+		en.decodeDescriptor()
+	case dmaKindRead:
+		en.readsDone++
+	case dmaKindWrite:
+		en.writesDone++
+	case dmaKindWriteback:
+		en.advanceChain()
 	}
 }
 
@@ -339,7 +268,7 @@ func (en *Engine) scatterGatherAddr(base uint64) uint64 {
 // fetch the descriptor, then scatter writes chasing completed gather reads,
 // then the completion writeback once the payload has fully moved.
 func (en *Engine) issue() {
-	if !en.port.Req.CanPush() {
+	if !en.Port().Req.CanPush() {
 		return
 	}
 	switch en.next() {
@@ -350,7 +279,9 @@ func (en *Engine) issue() {
 		beats := en.chunkBeats(en.writesIssued)
 		en.push(dmaKindWrite, bus.OpWrite, en.scatterGatherAddr(en.cfg.DstBase), beats, en.cfg.PostedWrites)
 		en.writesIssued++
-		en.bytesMoved += int64(beats * en.cfg.BytesPerBeat)
+		if en.cfg.PostedWrites {
+			en.writesDone++ // posted writes complete at issue
+		}
 	case dmaKindRead:
 		beats := en.chunkBeats(en.readsIssued)
 		en.push(dmaKindRead, bus.OpRead, en.scatterGatherAddr(en.cfg.SrcBase), beats, false)
@@ -363,103 +294,57 @@ func (en *Engine) issue() {
 
 // next returns the transaction kind the state machine issues next, or
 // dmaKindNone while it waits for a response or after the chain is done.
-func (en *Engine) next() uint8 {
+func (en *Engine) next() int {
+	inFlight := en.InFlight()
 	switch {
 	case en.desc >= en.cfg.Descriptors:
 	case !en.fetchIssued:
-		if en.inFlight == 0 {
+		if inFlight == 0 {
 			return dmaKindFetch
 		}
 	case !en.fetchDone:
-	case en.readsDone > en.writesIssued && en.inFlight < en.cfg.Outstanding:
+	case en.readsDone > en.writesIssued && inFlight < en.cfg.Outstanding:
 		return dmaKindWrite
-	case en.readsIssued < en.chunksTotal && en.inFlight < en.cfg.Outstanding:
+	case en.readsIssued < en.chunksTotal && inFlight < en.cfg.Outstanding:
 		return dmaKindRead
-	case en.readsDone == en.chunksTotal && en.writesDone == en.chunksTotal && !en.wbIssued && en.inFlight == 0:
+	case en.readsDone == en.chunksTotal && en.writesDone == en.chunksTotal && !en.wbIssued && inFlight == 0:
 		return dmaKindWriteback
 	}
 	return dmaKindNone
 }
 
-// push mints and issues one request. Posted writes complete at issue and are
-// reclaimed by the consuming memory; everything else is tracked to its final
-// response beat.
-func (en *Engine) push(kind uint8, op bus.Op, addr uint64, beats int, posted bool) {
-	req := en.pool.Get()
-	*req = bus.Request{
-		ID:           en.ids.Next(),
-		Origin:       en.origin,
+// push issues one request tagged with its kind; only scatter writes count
+// toward the bytes the chain moved.
+func (en *Engine) push(kind int, op bus.Op, addr uint64, beats int, posted bool) {
+	en.Issue(kind, bus.Request{
 		Op:           op,
 		Addr:         addr,
 		Beats:        beats,
 		BytesPerBeat: en.cfg.BytesPerBeat,
 		Prio:         en.cfg.Prio,
-		IssueCycle:   en.clk.Cycles(),
-		IssuePS:      en.clk.NowPS(),
 		MsgEnd:       true,
 		Posted:       posted && op == bus.OpWrite,
-	}
-	en.port.Req.Push(req)
-	if pr := en.port.Probe; pr != nil {
-		pr.RequestIssued(req)
-	}
-	en.issuedTotal++
-	if op == bus.OpRead {
-		en.readsTotal++
-	} else {
-		en.writesTotal++
-	}
-	if req.Posted {
-		en.completedTotal++ // posted writes complete at issue
-		if kind == dmaKindWrite {
-			en.writesDone++
-		}
-		return
-	}
-	en.byReqID[req.ID] = kind
-	en.inFlight++
+	}, kind == dmaKindWrite)
 }
 
 // Stats reports the engine as a single-agent IP row.
 func (en *Engine) Stats() []iptg.AgentStats {
-	return []iptg.AgentStats{{
-		Name:         "chain",
-		Issued:       en.issuedTotal,
-		Completed:    en.completedTotal,
-		Reads:        en.readsTotal,
-		Writes:       en.writesTotal,
-		Bytes:        en.bytesMoved,
-		MeanLatency:  en.latency.Mean(),
-		MaxLatency:   en.latency.Max(),
-		P50Latency:   en.latency.Quantile(0.5),
-		P90Latency:   en.latency.Quantile(0.9),
-		CurrentPhase: en.desc,
-	}}
+	out := en.Issuer.Stats()
+	out[0].CurrentPhase = en.desc
+	return out
 }
 
 // DescriptorsFetched returns how many descriptors the engine has fetched and
 // decoded so far.
 func (en *Engine) DescriptorsFetched() int64 { return en.descsFetched }
 
-// BytesMoved returns the payload bytes the engine has scattered so far.
-func (en *Engine) BytesMoved() int64 { return en.bytesMoved }
-
 // RegisterMetrics registers the engine's telemetry: the shared "ip.<name>.*"
 // initiator surface (so report tables render it like any other IP) plus the
 // DMA-specific instruments under "io.dma.<name>.*".
 func (en *Engine) RegisterMetrics(m *metrics.Registry, clock string) {
-	p := "ip." + en.cfg.Name + "."
-	m.CounterFunc(p+"issued", func() int64 { return en.issuedTotal })
-	m.CounterFunc(p+"completed", func() int64 { return en.completedTotal })
-	m.GaugeFunc(p+"req_depth", clock, func() int64 { return int64(en.port.Req.Len()) })
-	ap := p + "chain."
-	m.CounterFunc(ap+"issued", func() int64 { return en.issuedTotal })
-	m.CounterFunc(ap+"completed", func() int64 { return en.completedTotal })
-	m.CounterFunc(ap+"bytes", func() int64 { return en.bytesMoved })
-	m.Histogram(ap+"latency", &en.latency)
-
+	en.Issuer.RegisterMetrics(m, clock)
 	dp := "io.dma." + en.cfg.Name + "."
 	m.CounterFunc(dp+"descriptors_fetched", func() int64 { return en.descsFetched })
-	m.CounterFunc(dp+"bytes_moved", func() int64 { return en.bytesMoved })
-	m.GaugeFunc(dp+"in_flight", clock, func() int64 { return int64(en.inFlight) })
+	m.CounterFunc(dp+"bytes_moved", en.Bytes)
+	m.GaugeFunc(dp+"in_flight", clock, func() int64 { return int64(en.InFlight()) })
 }

@@ -3,12 +3,10 @@ package io
 import (
 	"fmt"
 
-	"mpsocsim/internal/attr"
 	"mpsocsim/internal/bus"
 	"mpsocsim/internal/iptg"
 	"mpsocsim/internal/metrics"
 	"mpsocsim/internal/sim"
-	"mpsocsim/internal/stats"
 )
 
 // AllocConfig parameterizes the software heap-allocator traffic source.
@@ -103,16 +101,9 @@ const (
 // bump cursor (64-byte aligned, wrapping) allocates block addresses and a
 // preallocated live table tracks blocks to free.
 type Allocator struct {
-	act    sim.Activity
-	cfg    AllocConfig
-	port   *bus.InitiatorPort
-	clk    *sim.Clock
-	rng    *sim.Rand
-	ids    *bus.IDSource
-	origin int
-
-	pool    *bus.RequestPool
-	attrCol *attr.Collector
+	iptg.Issuer
+	cfg AllocConfig
+	rng *sim.Rand
 
 	opsDone  int64
 	gapLeft  int64
@@ -120,21 +111,14 @@ type Allocator struct {
 	opFree   bool   // current op is a free
 	opSize   int    // current op's block size
 	opAddr   uint64 // current op's block address
-	reqID    uint64 // the in-flight transaction (one at a time)
 	cursor   uint64 // bump offset into the arena, past the bin table
 	liveAddr []uint64
 	liveSize []int
 	live     int
 
-	mallocs        int64
-	frees          int64
-	issuedTotal    int64
-	completedTotal int64
-	readsTotal     int64
-	writesTotal    int64
-	bytesTotal     int64
-	allocedBytes   int64
-	latency        stats.Histogram
+	mallocs      int64
+	frees        int64
+	allocedBytes int64
 }
 
 // binTableBytes reserves the head of the arena for the size-class bins.
@@ -147,43 +131,17 @@ func NewAllocator(cfg AllocConfig, clk *sim.Clock, ids *bus.IDSource, origin int
 	}
 	h := &Allocator{
 		cfg:      cfg,
-		port:     bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth),
-		clk:      clk,
 		rng:      sim.NewRand(cfg.Seed ^ 0x4a11),
-		ids:      ids,
-		origin:   origin,
 		liveAddr: make([]uint64, cfg.LiveCap),
 		liveSize: make([]int, cfg.LiveCap),
 	}
-	h.port.OwnedBy(&h.act)
+	h.Init(bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth), clk, ids, origin,
+		[]string{"heap"}, h.complete)
 	return h, nil
 }
 
-// UseRequestPool makes the allocator mint requests from (and return them to)
-// the given pool. Call before simulation starts.
-func (h *Allocator) UseRequestPool(p *bus.RequestPool) { h.pool = p }
-
-// UseAttribution makes the allocator finish each transaction's attribution
-// record at final-beat consumption.
-func (h *Allocator) UseAttribution(col *attr.Collector) { h.attrCol = col }
-
-// Port returns the initiator port to attach to a fabric.
-func (h *Allocator) Port() *bus.InitiatorPort { return h.port }
-
-// Name returns the allocator name.
-func (h *Allocator) Name() string { return h.cfg.Name }
-
-// Origin returns the platform-wide initiator identity.
-func (h *Allocator) Origin() int { return h.origin }
-
 // Done reports whether every heap operation has completed.
 func (h *Allocator) Done() bool { return h.opsDone >= int64(h.cfg.Ops) }
-
-// Issued returns the total transactions issued.
-func (h *Allocator) Issued() int64 { return h.issuedTotal }
-
-// Completed returns the total completed transactions.
-func (h *Allocator) Completed() int64 { return h.completedTotal }
 
 // MaxConcurrent bounds the allocator's in-flight transactions: the metadata
 // dependency chain serializes them, so at most one.
@@ -210,7 +168,7 @@ func (h *Allocator) bumpAlloc(size int) uint64 {
 // Eval collects the in-flight response and advances the op state machine,
 // issuing at most one transaction per cycle.
 func (h *Allocator) Eval() {
-	h.collect()
+	h.Collect()
 	if h.Done() {
 		return
 	}
@@ -225,21 +183,19 @@ func (h *Allocator) Eval() {
 // through the gap between ops, while a transaction is in flight or the full
 // request FIFO holds the next one back, and once every op is done.
 func (h *Allocator) Update() {
-	h.port.Update()
+	port := h.Port()
+	port.Update()
 	switch {
-	case h.port.Resp.Len() != 0:
+	case port.Resp.Len() != 0:
 		// collects at the next edge
 	case h.Done():
-		h.act.Sleep()
+		h.Activity().Sleep()
 	case h.gapLeft > 0:
-		h.act.SleepUntil(h.clk.Cycles() + h.gapLeft + 1)
-	case h.step == hsMetaIssued || h.step == hsBodyIssued || !h.port.Req.CanPush():
-		h.act.Sleep()
+		h.Activity().SleepUntil(h.Clock().Cycles() + h.gapLeft + 1)
+	case h.step == hsMetaIssued || h.step == hsBodyIssued || !port.Req.CanPush():
+		h.Activity().Sleep()
 	}
 }
-
-// Activity returns the allocator's sleep state.
-func (h *Allocator) Activity() *sim.Activity { return &h.act }
 
 // CreditIdle books n skipped idle edges: the gap countdown, which stops once
 // every op is done.
@@ -249,28 +205,14 @@ func (h *Allocator) CreditIdle(n int64) {
 	}
 }
 
-func (h *Allocator) collect() {
-	for h.port.Resp.CanPop() {
-		beat := h.port.Resp.Pop()
-		if !beat.Last || beat.Req.ID != h.reqID {
-			continue
-		}
-		h.reqID = 0
-		h.completedTotal++
-		h.latency.Add(h.clk.Cycles() - beat.Req.IssueCycle)
-		if pr := h.port.Probe; pr != nil {
-			pr.RequestCompleted(beat.Req, h.clk.Cycles())
-		}
-		if rec := beat.Req.Attr; rec != nil && h.attrCol != nil {
-			h.attrCol.Finish(rec, h.clk.NowPS())
-		}
-		h.pool.Put(beat.Req)
-		switch h.step {
-		case hsMetaIssued:
-			h.step = hsBodyReady
-		case hsBodyIssued:
-			h.finishOp()
-		}
+// complete advances the op when its in-flight transaction completes: the
+// metadata read unblocks the dependent write, which closes the op.
+func (h *Allocator) complete(int) {
+	switch h.step {
+	case hsMetaIssued:
+		h.step = hsBodyReady
+	case hsBodyIssued:
+		h.finishOp()
 	}
 }
 
@@ -319,7 +261,7 @@ func (h *Allocator) finishOp() {
 // malloc, block header for free), then the dependent write (header +
 // payload touch for malloc, free-list link for free).
 func (h *Allocator) issue() {
-	if !h.port.Req.CanPush() {
+	if !h.Port().Req.CanPush() {
 		return
 	}
 	switch h.step {
@@ -349,31 +291,14 @@ func (h *Allocator) issue() {
 }
 
 func (h *Allocator) push(op bus.Op, addr uint64, beats int) {
-	req := h.pool.Get()
-	*req = bus.Request{
-		ID:           h.ids.Next(),
-		Origin:       h.origin,
+	h.Issue(0, bus.Request{
 		Op:           op,
 		Addr:         addr,
 		Beats:        beats,
 		BytesPerBeat: h.cfg.BytesPerBeat,
 		Prio:         h.cfg.Prio,
-		IssueCycle:   h.clk.Cycles(),
-		IssuePS:      h.clk.NowPS(),
 		MsgEnd:       true,
-	}
-	h.port.Req.Push(req)
-	if pr := h.port.Probe; pr != nil {
-		pr.RequestIssued(req)
-	}
-	h.reqID = req.ID
-	h.issuedTotal++
-	h.bytesTotal += int64(req.Bytes())
-	if op == bus.OpRead {
-		h.readsTotal++
-	} else {
-		h.writesTotal++
-	}
+	}, true)
 }
 
 // Mallocs returns the completed allocation count.
@@ -384,35 +309,16 @@ func (h *Allocator) Frees() int64 { return h.frees }
 
 // Stats reports the allocator as a single-agent IP row.
 func (h *Allocator) Stats() []iptg.AgentStats {
-	return []iptg.AgentStats{{
-		Name:         "heap",
-		Issued:       h.issuedTotal,
-		Completed:    h.completedTotal,
-		Reads:        h.readsTotal,
-		Writes:       h.writesTotal,
-		Bytes:        h.bytesTotal,
-		MeanLatency:  h.latency.Mean(),
-		MaxLatency:   h.latency.Max(),
-		P50Latency:   h.latency.Quantile(0.5),
-		P90Latency:   h.latency.Quantile(0.9),
-		CurrentPhase: int(h.opsDone),
-	}}
+	out := h.Issuer.Stats()
+	out[0].CurrentPhase = int(h.opsDone)
+	return out
 }
 
 // RegisterMetrics registers the allocator's telemetry: the shared
 // "ip.<name>.*" initiator surface plus allocator-specific instruments under
 // "io.halloc.<name>.*".
 func (h *Allocator) RegisterMetrics(m *metrics.Registry, clock string) {
-	p := "ip." + h.cfg.Name + "."
-	m.CounterFunc(p+"issued", func() int64 { return h.issuedTotal })
-	m.CounterFunc(p+"completed", func() int64 { return h.completedTotal })
-	m.GaugeFunc(p+"req_depth", clock, func() int64 { return int64(h.port.Req.Len()) })
-	ap := p + "heap."
-	m.CounterFunc(ap+"issued", func() int64 { return h.issuedTotal })
-	m.CounterFunc(ap+"completed", func() int64 { return h.completedTotal })
-	m.CounterFunc(ap+"bytes", func() int64 { return h.bytesTotal })
-	m.Histogram(ap+"latency", &h.latency)
-
+	h.Issuer.RegisterMetrics(m, clock)
 	hp := "io.halloc." + h.cfg.Name + "."
 	m.CounterFunc(hp+"mallocs", func() int64 { return h.mallocs })
 	m.CounterFunc(hp+"frees", func() int64 { return h.frees })

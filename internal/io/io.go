@@ -9,11 +9,14 @@
 // dynamic-memory co-simulation).
 //
 // All three implement the platform.Initiator surface shared with
-// iptg.Generator and replay.Initiator: they issue at most one transaction per
-// cycle through an owned bus.InitiatorPort, recycle requests through the
-// platform pool, stamp IssuePS for latency attribution and close records at
-// final-beat consumption, and carry full snapshot section codecs — so they
-// compose with every fabric, capture/replay, attribution, metrics and
+// iptg.Generator and replay.Initiator and, like them, embed iptg.Issuer: it
+// owns the bus.InitiatorPort, mints and recycles requests through the
+// platform pool, stamps IssuePS for latency attribution, closes probe events
+// and attribution records at final-beat consumption, books the "ip.<name>.*"
+// statistics and encodes all of that in each section codec. Each initiator
+// keeps only its own state machine: what to issue next (at most one
+// transaction per cycle), when to sleep, and its "io.*" instruments — so
+// they compose with every fabric, capture/replay, attribution, metrics and
 // checkpoint/restore like any other initiator (DESIGN.md §17).
 package io
 

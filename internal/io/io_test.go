@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"mpsocsim/internal/attr"
 	"mpsocsim/internal/bus"
 	"mpsocsim/internal/mem"
 	"mpsocsim/internal/sim"
@@ -87,7 +88,7 @@ func TestDMAChainCompletes(t *testing.T) {
 	}
 	// Payload is drawn in [256,512] per descriptor, moved as whole beats.
 	bb := int64(4 * 8)
-	if mv := en.BytesMoved(); mv < 4*256 || mv > 4*(512+bb) {
+	if mv := en.Bytes(); mv < 4*256 || mv > 4*(512+bb) {
 		t.Fatalf("bytes moved = %d, outside descriptor payload bounds", mv)
 	}
 	// Each descriptor costs a fetch, N reads, N writes and a writeback.
@@ -312,7 +313,7 @@ func TestSnapshotRoundTripMidFlight(t *testing.T) {
 		})
 		a.k.RunCycles(a.clk, 40) // mid-chain: fetch done, moves in flight
 		en := a.in.(*Engine)
-		if en.inFlight == 0 && en.desc == 0 && !en.fetchIssued {
+		if en.InFlight() == 0 && en.desc == 0 && !en.fetchIssued {
 			t.Fatal("test did not reach an interesting state")
 		}
 		e := snapshot.NewEncoder()
@@ -335,7 +336,7 @@ func TestSnapshotRoundTripMidFlight(t *testing.T) {
 		if !bytes.Equal(e.Bytes(), e2.Bytes()) {
 			t.Fatal("re-encoded DMA state differs")
 		}
-		if en2.inFlight != en.inFlight || en2.desc != en.desc || en2.chunksTotal != en.chunksTotal ||
+		if en2.InFlight() != en.InFlight() || en2.desc != en.desc || en2.chunksTotal != en.chunksTotal ||
 			en2.readsIssued != en.readsIssued || en2.writesIssued != en.writesIssued {
 			t.Fatal("decoded DMA state differs from original")
 		}
@@ -439,33 +440,51 @@ func TestSnapshotDecodeRejectsCorruptKinds(t *testing.T) {
 
 // TestDecodeStateRejectsOutOfRange restores an allocator whose malloc is in
 // progress while every live slot is taken — finishing it would store the
-// block past the live table — and requires DecodeState to reject the
-// snapshot. A full table between ops is valid: the next op is a free.
+// block past the live table — and a DMA engine tracking a request of no
+// transaction kind, and requires DecodeState to reject the snapshot. A full
+// table between ops is valid: the next op is a free.
 func TestDecodeStateRejectsOutOfRange(t *testing.T) {
-	build := func() *Allocator {
+	type codec interface {
+		EncodeState(*snapshot.Encoder)
+		DecodeState(*snapshot.Decoder, *attr.Collector)
+	}
+	alloc := func() *Allocator {
 		return newRig(t, func(clk *sim.Clock, ids *bus.IDSource) (initiator, error) {
 			return NewAllocator(allocCfg(), clk, ids, 9)
 		}).in.(*Allocator)
 	}
-	decode := func(h *Allocator) error {
+	dma := func() *Engine {
+		return newRig(t, func(clk *sim.Clock, ids *bus.IDSource) (initiator, error) {
+			return NewDMA(dmaCfg(), clk, ids, 5)
+		}).in.(*Engine)
+	}
+	decode := func(src, dst codec) error {
 		e := snapshot.NewEncoder()
-		h.EncodeState(e)
+		src.EncodeState(e)
 		d, err := snapshot.NewDecoder(e.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		build().DecodeState(d, nil)
+		dst.DecodeState(d, nil)
 		return d.Finish()
 	}
-	h := build()
+	h := alloc()
 	h.live = len(h.liveAddr)
-	if err := decode(h); err != nil {
+	if err := decode(h, alloc()); err != nil {
 		t.Fatalf("a full live table between ops does not round-trip: %v", err)
 	}
 	t.Run("malloc in progress with the live table full", func(t *testing.T) {
-		h := build()
+		h := alloc()
 		h.live, h.step, h.opFree, h.opSize = len(h.liveAddr), hsBodyReady, false, 64
-		if err := decode(h); !errors.Is(err, snapshot.ErrCorrupt) {
+		if err := decode(h, alloc()); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("decode returned %v, want %v", err, snapshot.ErrCorrupt)
+		}
+	})
+	t.Run("DMA in-flight kind past writeback", func(t *testing.T) {
+		en := dma()
+		en.Issue(dmaKindWriteback+1, bus.Request{Op: bus.OpRead, Beats: 1, BytesPerBeat: 8}, false)
+		en.Port().Update()
+		if err := decode(en, dma()); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("decode returned %v, want %v", err, snapshot.ErrCorrupt)
 		}
 	})

@@ -3,7 +3,6 @@ package io
 import (
 	"fmt"
 
-	"mpsocsim/internal/attr"
 	"mpsocsim/internal/bus"
 	"mpsocsim/internal/iptg"
 	"mpsocsim/internal/metrics"
@@ -99,16 +98,9 @@ func (c *IRQConfig) normalize() error {
 // FIFO, and each event's service latency — raise to the final drain beat — is
 // checked against the deadline.
 type Device struct {
-	act    sim.Activity
-	cfg    IRQConfig
-	port   *bus.InitiatorPort
-	clk    *sim.Clock
-	rng    *sim.Rand
-	ids    *bus.IDSource
-	origin int
-
-	pool    *bus.RequestPool
-	attrCol *attr.Collector
+	iptg.Issuer
+	cfg IRQConfig
+	rng *sim.Rand
 
 	// Raise side. raiseRing holds the raise cycle of each pending event,
 	// preallocated to exactly cfg.Events (the hard upper bound on
@@ -123,20 +115,11 @@ type Device struct {
 	burstsIssued int
 	burstsDone   int
 
-	byReqID  map[uint64]struct{}
-	inFlight int
-
-	raised         int64
-	serviced       int64
-	met            int64
-	missed         int64
-	issuedTotal    int64
-	completedTotal int64
-	readsTotal     int64
-	writesTotal    int64
-	bytesTotal     int64
-	latency        stats.Histogram // per-transaction, cycles
-	svcLatency     stats.Histogram // per-event raise→final-drain, cycles
+	raised     int64
+	serviced   int64
+	met        int64
+	missed     int64
+	svcLatency stats.Histogram // per-event raise→final-drain, cycles
 }
 
 // NewIRQ builds an interrupt-driven device agent.
@@ -146,16 +129,12 @@ func NewIRQ(cfg IRQConfig, clk *sim.Clock, ids *bus.IDSource, origin int) (*Devi
 	}
 	d := &Device{
 		cfg:       cfg,
-		port:      bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth),
-		clk:       clk,
 		rng:       sim.NewRand(cfg.Seed ^ 0x12c),
-		ids:       ids,
-		origin:    origin,
 		raiseRing: make([]int64, cfg.Events),
-		byReqID:   make(map[uint64]struct{}, cfg.Outstanding),
 	}
+	d.Init(bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth), clk, ids, origin,
+		[]string{"isr"}, d.complete)
 	d.nextRaiseIn = d.drawPeriod()
-	d.port.OwnedBy(&d.act)
 	return d, nil
 }
 
@@ -172,31 +151,8 @@ func (d *Device) drawPeriod() int64 {
 	return p
 }
 
-// UseRequestPool makes the device mint requests from (and return them to)
-// the given pool. Call before simulation starts.
-func (d *Device) UseRequestPool(p *bus.RequestPool) { d.pool = p }
-
-// UseAttribution makes the device finish each transaction's attribution
-// record at final-beat consumption.
-func (d *Device) UseAttribution(col *attr.Collector) { d.attrCol = col }
-
-// Port returns the initiator port to attach to a fabric.
-func (d *Device) Port() *bus.InitiatorPort { return d.port }
-
-// Name returns the device name.
-func (d *Device) Name() string { return d.cfg.Name }
-
-// Origin returns the platform-wide initiator identity.
-func (d *Device) Origin() int { return d.origin }
-
 // Done reports whether every device event has been raised and serviced.
 func (d *Device) Done() bool { return d.serviced >= int64(d.cfg.Events) }
-
-// Issued returns the total service transactions issued.
-func (d *Device) Issued() int64 { return d.issuedTotal }
-
-// Completed returns the total completed service transactions.
-func (d *Device) Completed() int64 { return d.completedTotal }
 
 // MaxConcurrent bounds the device's simultaneously in-flight transactions.
 func (d *Device) MaxConcurrent() int64 { return int64(d.cfg.Outstanding) }
@@ -205,7 +161,7 @@ func (d *Device) MaxConcurrent() int64 { return int64(d.cfg.Outstanding) }
 // service transaction per cycle.
 func (d *Device) Eval() {
 	d.raise()
-	d.collect()
+	d.Collect()
 	d.issue()
 }
 
@@ -213,22 +169,20 @@ func (d *Device) Eval() {
 // event's service cannot issue, sleeps until a response arrives, the full
 // request FIFO gives up an entry, or the next raise is due.
 func (d *Device) Update() {
-	d.port.Update()
-	if d.port.Resp.Len() != 0 {
+	port := d.Port()
+	port.Update()
+	if port.Resp.Len() != 0 {
 		return // collects at the next edge
 	}
-	if d.pending > 0 && d.burstsIssued < d.cfg.Bursts && d.inFlight < d.cfg.Outstanding && d.port.Req.CanPush() {
+	if d.canIssue() {
 		return // services the head event at the next edge
 	}
 	if d.raised >= int64(d.cfg.Events) {
-		d.act.Sleep()
+		d.Activity().Sleep()
 		return
 	}
-	d.act.SleepUntil(d.clk.Cycles() + d.nextRaiseIn)
+	d.Activity().SleepUntil(d.Clock().Cycles() + d.nextRaiseIn)
 }
-
-// Activity returns the device's sleep state.
-func (d *Device) Activity() *sim.Activity { return &d.act }
 
 // CreditIdle books n skipped idle edges: the raise countdown.
 func (d *Device) CreditIdle(n int64) {
@@ -247,7 +201,7 @@ func (d *Device) raise() {
 	if d.nextRaiseIn > 0 {
 		return
 	}
-	d.raiseRing[(d.head+int(d.pending))%len(d.raiseRing)] = d.clk.Cycles()
+	d.raiseRing[(d.head+int(d.pending))%len(d.raiseRing)] = d.Clock().Cycles()
 	d.raised++
 	d.pending++
 	if d.pending > d.pendingMax {
@@ -256,30 +210,12 @@ func (d *Device) raise() {
 	d.nextRaiseIn = d.drawPeriod()
 }
 
-func (d *Device) collect() {
-	for d.port.Resp.CanPop() {
-		beat := d.port.Resp.Pop()
-		if !beat.Last {
-			continue
-		}
-		if _, ok := d.byReqID[beat.Req.ID]; !ok {
-			continue
-		}
-		delete(d.byReqID, beat.Req.ID)
-		d.inFlight--
-		d.completedTotal++
-		d.burstsDone++
-		d.latency.Add(d.clk.Cycles() - beat.Req.IssueCycle)
-		if pr := d.port.Probe; pr != nil {
-			pr.RequestCompleted(beat.Req, d.clk.Cycles())
-		}
-		if rec := beat.Req.Attr; rec != nil && d.attrCol != nil {
-			d.attrCol.Finish(rec, d.clk.NowPS())
-		}
-		d.pool.Put(beat.Req)
-		if d.burstsDone == d.cfg.Bursts {
-			d.completeEvent()
-		}
+// complete books a drain transaction of the head event's service and
+// closes the service at the final one.
+func (d *Device) complete(int) {
+	d.burstsDone++
+	if d.burstsDone == d.cfg.Bursts {
+		d.completeEvent()
 	}
 }
 
@@ -287,7 +223,7 @@ func (d *Device) collect() {
 // landed, so score the raise→now latency against the deadline and pop the
 // IRQ ring.
 func (d *Device) completeEvent() {
-	svc := d.clk.Cycles() - d.raiseRing[d.head]
+	svc := d.Clock().Cycles() - d.raiseRing[d.head]
 	d.svcLatency.Add(svc)
 	if svc > d.cfg.DeadlineCycles {
 		d.missed++
@@ -301,10 +237,16 @@ func (d *Device) completeEvent() {
 	d.burstsDone = 0
 }
 
+// canIssue reports whether the head event's service can issue its next
+// transaction.
+func (d *Device) canIssue() bool {
+	return d.pending > 0 && d.burstsIssued < d.cfg.Bursts &&
+		d.InFlight() < d.cfg.Outstanding && d.Port().Req.CanPush()
+}
+
 // issue advances the head event's service routine by at most one transaction.
 func (d *Device) issue() {
-	if d.pending == 0 || d.burstsIssued >= d.cfg.Bursts ||
-		d.inFlight >= d.cfg.Outstanding || !d.port.Req.CanPush() {
+	if !d.canIssue() {
 		return
 	}
 	op := bus.OpWrite
@@ -316,33 +258,14 @@ func (d *Device) issue() {
 	if span == 0 {
 		span = 1
 	}
-	addr := d.cfg.RegionBase + uint64(d.rng.Intn(int(span)))*bb
-	req := d.pool.Get()
-	*req = bus.Request{
-		ID:           d.ids.Next(),
-		Origin:       d.origin,
+	d.Issue(0, bus.Request{
 		Op:           op,
-		Addr:         addr,
+		Addr:         d.cfg.RegionBase + uint64(d.rng.Intn(int(span)))*bb,
 		Beats:        d.cfg.BurstBeats,
 		BytesPerBeat: d.cfg.BytesPerBeat,
 		Prio:         d.cfg.Prio,
-		IssueCycle:   d.clk.Cycles(),
-		IssuePS:      d.clk.NowPS(),
 		MsgEnd:       true,
-	}
-	d.port.Req.Push(req)
-	if pr := d.port.Probe; pr != nil {
-		pr.RequestIssued(req)
-	}
-	d.issuedTotal++
-	d.bytesTotal += int64(req.Bytes())
-	if op == bus.OpRead {
-		d.readsTotal++
-	} else {
-		d.writesTotal++
-	}
-	d.byReqID[req.ID] = struct{}{}
-	d.inFlight++
+	}, true)
 	d.burstsIssued++
 }
 
@@ -352,39 +275,17 @@ func (d *Device) DeadlineStats() DeadlineStats {
 		d.raised, d.serviced, d.met, d.missed, d.pendingMax, &d.svcLatency)
 }
 
-// Missed returns the deadline-miss count so far.
-func (d *Device) Missed() int64 { return d.missed }
-
 // Stats reports the device as a single-agent IP row.
 func (d *Device) Stats() []iptg.AgentStats {
-	return []iptg.AgentStats{{
-		Name:         "isr",
-		Issued:       d.issuedTotal,
-		Completed:    d.completedTotal,
-		Reads:        d.readsTotal,
-		Writes:       d.writesTotal,
-		Bytes:        d.bytesTotal,
-		MeanLatency:  d.latency.Mean(),
-		MaxLatency:   d.latency.Max(),
-		P50Latency:   d.latency.Quantile(0.5),
-		P90Latency:   d.latency.Quantile(0.9),
-		CurrentPhase: int(d.serviced),
-	}}
+	out := d.Issuer.Stats()
+	out[0].CurrentPhase = int(d.serviced)
+	return out
 }
 
 // RegisterMetrics registers the device's telemetry: the shared "ip.<name>.*"
 // initiator surface plus IRQ-specific instruments under "io.irq.<name>.*".
 func (d *Device) RegisterMetrics(m *metrics.Registry, clock string) {
-	p := "ip." + d.cfg.Name + "."
-	m.CounterFunc(p+"issued", func() int64 { return d.issuedTotal })
-	m.CounterFunc(p+"completed", func() int64 { return d.completedTotal })
-	m.GaugeFunc(p+"req_depth", clock, func() int64 { return int64(d.port.Req.Len()) })
-	ap := p + "isr."
-	m.CounterFunc(ap+"issued", func() int64 { return d.issuedTotal })
-	m.CounterFunc(ap+"completed", func() int64 { return d.completedTotal })
-	m.CounterFunc(ap+"bytes", func() int64 { return d.bytesTotal })
-	m.Histogram(ap+"latency", &d.latency)
-
+	d.Issuer.RegisterMetrics(m, clock)
 	ip := "io.irq." + d.cfg.Name + "."
 	m.CounterFunc(ip+"events_raised", func() int64 { return d.raised })
 	m.CounterFunc(ip+"events_serviced", func() int64 { return d.serviced })

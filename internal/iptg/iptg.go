@@ -12,11 +12,8 @@ package iptg
 import (
 	"fmt"
 
-	"mpsocsim/internal/attr"
 	"mpsocsim/internal/bus"
-	"mpsocsim/internal/metrics"
 	"mpsocsim/internal/sim"
-	"mpsocsim/internal/stats"
 )
 
 // AddrPattern selects the agent's address sequence.
@@ -159,35 +156,29 @@ func (c *Config) normalize() error {
 type agent struct {
 	cfg AgentConfig
 	// total is the transaction count summed over all phases; dep is the
-	// After agent (nil when unsynchronized).
+	// After agent (nil when unsynchronized); t is the agent's row of the
+	// generator's Issuer.
 	total int64
 	dep   *agent
+	t     *tally
 
-	phase     int
-	inPhase   int64 // transactions issued in the current phase
-	issued    int64
-	completed int64
-	inFlight  int
-	gapLeft   int64
-	cursor    uint64
-	msgLeft   int
-	msgSeq    uint64
-
-	latency      stats.Histogram
-	bytes        int64
-	readsIssued  int64
-	writesIssued int64
+	phase   int
+	inPhase int64 // transactions issued in the current phase
+	gapLeft int64
+	cursor  uint64
+	msgLeft int
+	msgSeq  uint64
 }
 
-func (a *agent) done() bool { return a.issued >= a.total && a.inFlight == 0 }
+func (a *agent) done() bool { return a.t.issued >= a.total && a.t.inFlight() == 0 }
 
 // blocked reports whether the agent cannot issue whatever its gap: it has
 // finished its phases, its outstanding window is full, or its sync target
 // has not completed enough transactions. Only a response (or its own
 // generator issuing) can unblock it.
 func (a *agent) blocked() bool {
-	return a.phase >= len(a.cfg.Phases) || a.inFlight >= a.cfg.Outstanding ||
-		(a.dep != nil && a.dep.completed < a.cfg.AfterCount)
+	return a.phase >= len(a.cfg.Phases) || a.t.inFlight() >= int64(a.cfg.Outstanding) ||
+		(a.dep != nil && a.dep.t.completed < a.cfg.AfterCount)
 }
 
 func (a *agent) currentPhase() *Phase {
@@ -197,32 +188,15 @@ func (a *agent) currentPhase() *Phase {
 	return &a.cfg.Phases[a.phase]
 }
 
-// Generator is the IPTG component: a gated sim.Clocked initiator owning its
-// port.
+// Generator is the IPTG component: a gated sim.Clocked initiator whose
+// Issuer tags each request with its agent's index.
 type Generator struct {
-	act    sim.Activity
-	cfg    Config
-	port   *bus.InitiatorPort
-	clk    *sim.Clock
-	rng    *sim.Rand
-	ids    *bus.IDSource
-	origin int
+	Issuer
+	cfg Config
+	rng *sim.Rand
 
-	agents  []*agent
-	byReqID map[uint64]*agent
-	rr      int
-
-	// pool recycles this generator's requests (nil outside platform
-	// builds): tracked transactions return on their final response beat;
-	// posted writes are reclaimed by the component that consumes them.
-	pool *bus.RequestPool
-
-	// attrCol, when set, closes each tracked transaction's attribution
-	// record at final-beat consumption (see UseAttribution).
-	attrCol *attr.Collector
-
-	issuedTotal    int64
-	completedTotal int64
+	agents []*agent
+	rr     int
 }
 
 // New builds a generator. ids must hand out request IDs no other initiator
@@ -233,17 +207,17 @@ func New(cfg Config, clk *sim.Clock, ids *bus.IDSource, origin int) (*Generator,
 		return nil, err
 	}
 	g := &Generator{
-		cfg:     cfg,
-		port:    bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth),
-		clk:     clk,
-		rng:     sim.NewRand(cfg.Seed ^ 0x5eed),
-		ids:     ids,
-		origin:  origin,
-		byReqID: map[uint64]*agent{},
+		cfg: cfg,
+		rng: sim.NewRand(cfg.Seed ^ 0x5eed),
 	}
+	names := make([]string, len(cfg.Agents))
+	for i, ac := range cfg.Agents {
+		names[i] = ac.Name
+	}
+	g.Init(bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth), clk, ids, origin, names, nil)
 	byName := map[string]*agent{}
-	for _, ac := range cfg.Agents {
-		a := &agent{cfg: ac, cursor: ac.RegionBase}
+	for i, ac := range cfg.Agents {
+		a := &agent{cfg: ac, cursor: ac.RegionBase, t: &g.tallies[i]}
 		for _, p := range ac.Phases {
 			a.total += p.Count
 		}
@@ -253,7 +227,6 @@ func New(cfg Config, clk *sim.Clock, ids *bus.IDSource, origin int) (*Generator,
 	for _, a := range g.agents {
 		a.dep = byName[a.cfg.After]
 	}
-	g.port.OwnedBy(&g.act)
 	return g, nil
 }
 
@@ -265,25 +238,6 @@ func MustNew(cfg Config, clk *sim.Clock, ids *bus.IDSource, origin int) *Generat
 	}
 	return g
 }
-
-// UseRequestPool makes the generator mint requests from (and return them
-// to) the given pool. Call before simulation starts.
-func (g *Generator) UseRequestPool(p *bus.RequestPool) { g.pool = p }
-
-// UseAttribution makes the generator finish each tracked transaction's
-// latency-attribution record when it consumes the final response beat
-// (posted writes finish at the consuming memory instead). Call before
-// simulation starts.
-func (g *Generator) UseAttribution(col *attr.Collector) { g.attrCol = col }
-
-// Port returns the initiator port to attach to a fabric.
-func (g *Generator) Port() *bus.InitiatorPort { return g.port }
-
-// Name returns the IP name.
-func (g *Generator) Name() string { return g.cfg.Name }
-
-// Origin returns the platform-wide initiator identity.
-func (g *Generator) Origin() int { return g.origin }
 
 // Done reports whether every agent has issued and completed its workload.
 func (g *Generator) Done() bool {
@@ -307,7 +261,7 @@ func (g *Generator) MaxConcurrent() int64 {
 
 // Eval collects responses and issues at most one new transaction per cycle.
 func (g *Generator) Eval() {
-	g.collect()
+	g.Collect()
 	g.tickGaps()
 	g.issue()
 }
@@ -344,44 +298,10 @@ func (g *Generator) Update() {
 	g.act.SleepUntil(g.clk.Cycles() + gap)
 }
 
-// Activity returns the generator's sleep state.
-func (g *Generator) Activity() *sim.Activity { return &g.act }
-
 // CreditIdle books n skipped idle edges: the gap countdowns.
 func (g *Generator) CreditIdle(n int64) {
 	for _, a := range g.agents {
 		a.gapLeft -= min(a.gapLeft, n)
-	}
-}
-
-func (g *Generator) collect() {
-	for g.port.Resp.CanPop() {
-		beat := g.port.Resp.Pop()
-		if !beat.Last {
-			continue
-		}
-		a := g.byReqID[beat.Req.ID]
-		if a == nil {
-			// An ack for a write that completed at issue as posted and
-			// that a non-posting fabric (AHB) turned into a non-posted
-			// one: nobody tracks it, and this beat is its last reference.
-			g.pool.Put(beat.Req)
-			continue
-		}
-		delete(g.byReqID, beat.Req.ID)
-		a.inFlight--
-		a.completed++
-		g.completedTotal++
-		a.latency.Add(g.clk.Cycles() - beat.Req.IssueCycle)
-		if pr := g.port.Probe; pr != nil {
-			pr.RequestCompleted(beat.Req, g.clk.Cycles())
-		}
-		if rec := beat.Req.Attr; rec != nil && g.attrCol != nil {
-			g.attrCol.Finish(rec, g.clk.NowPS())
-		}
-		// The transaction was tracked, so this request is ours and this
-		// beat is its final reference: recycle it.
-		g.pool.Put(beat.Req)
 	}
 }
 
@@ -402,63 +322,43 @@ func (g *Generator) issue() {
 	}
 	n := len(g.agents)
 	for k := 0; k < n; k++ {
-		a := g.agents[(g.rr+k)%n]
+		i := (g.rr + k) % n
+		a := g.agents[i]
 		if !g.ready(a) {
 			continue
 		}
-		g.rr = (g.rr + k + 1) % n
-		g.issueFrom(a)
+		g.rr = (i + 1) % n
+		g.issueFrom(i, a)
 		return
 	}
 }
 
-func (g *Generator) issueFrom(a *agent) {
+func (g *Generator) issueFrom(i int, a *agent) {
 	ph := a.currentPhase()
 	beats := g.rng.Range(ph.BurstMin, ph.BurstMax)
 	isRead := g.rng.Bool(ph.ReadFrac)
-	req := g.pool.Get()
-	*req = bus.Request{
-		ID:           g.ids.Next(),
-		Origin:       g.origin,
+	r := bus.Request{
 		Addr:         g.nextAddr(a, beats),
 		Beats:        beats,
 		BytesPerBeat: g.cfg.BytesPerBeat,
 		Prio:         a.cfg.Prio,
-		IssueCycle:   g.clk.Cycles(),
-		IssuePS:      g.clk.NowPS(),
 		MsgEnd:       true,
 	}
 	if !isRead {
-		req.Op = bus.OpWrite
-		req.Posted = a.cfg.PostedWrites
-		a.writesIssued++
-	} else {
-		a.readsIssued++
+		r.Op = bus.OpWrite
+		r.Posted = a.cfg.PostedWrites
 	}
 	if a.cfg.MsgLen > 1 {
 		if a.msgLeft == 0 {
 			a.msgLeft = a.cfg.MsgLen
 			a.msgSeq++
 		}
-		req.MsgSeq = uint64(g.origin)<<32 | a.msgSeq
+		r.MsgSeq = uint64(g.origin)<<32 | a.msgSeq
 		a.msgLeft--
-		req.MsgEnd = a.msgLeft == 0
+		r.MsgEnd = a.msgLeft == 0
 	}
-	g.port.Req.Push(req)
-	if pr := g.port.Probe; pr != nil {
-		pr.RequestIssued(req)
-	}
-	a.issued++
+	g.Issue(i, r, true)
 	a.inPhase++
-	g.issuedTotal++
-	a.bytes += int64(req.Bytes())
-	if req.Op == bus.OpRead || !req.Posted {
-		a.inFlight++
-		g.byReqID[req.ID] = a
-	} else {
-		a.completed++ // posted writes complete at issue
-		g.completedTotal++
-	}
 	a.gapLeft = int64(g.rng.Geometric(ph.GapMean))
 	if a.inPhase >= ph.Count {
 		a.phase++
@@ -497,66 +397,11 @@ func (g *Generator) nextAddr(a *agent, beats int) uint64 {
 	return addr
 }
 
-// AgentStats reports one agent's activity.
-type AgentStats struct {
-	Name        string
-	Issued      int64
-	Completed   int64
-	Reads       int64
-	Writes      int64
-	Bytes       int64
-	MeanLatency float64
-	MaxLatency  int64
-	// P50Latency/P90Latency are bucketed upper bounds on the latency
-	// quantiles (see stats.Histogram.Quantile).
-	P50Latency   int64
-	P90Latency   int64
-	CurrentPhase int
-}
-
 // Stats returns per-agent statistics, in configuration order.
 func (g *Generator) Stats() []AgentStats {
-	out := make([]AgentStats, 0, len(g.agents))
-	for _, a := range g.agents {
-		out = append(out, AgentStats{
-			Name:         a.cfg.Name,
-			Issued:       a.issued,
-			Completed:    a.completed,
-			Reads:        a.readsIssued,
-			Writes:       a.writesIssued,
-			Bytes:        a.bytes,
-			MeanLatency:  a.latency.Mean(),
-			MaxLatency:   a.latency.Max(),
-			P50Latency:   a.latency.Quantile(0.5),
-			P90Latency:   a.latency.Quantile(0.9),
-			CurrentPhase: a.phase,
-		})
+	out := g.Issuer.Stats()
+	for i, a := range g.agents {
+		out[i].CurrentPhase = a.phase
 	}
 	return out
 }
-
-// RegisterMetrics registers the generator's telemetry under "ip.<name>.*" on
-// the given clock domain: IP-level issue/complete counters and a request-FIFO
-// depth gauge, plus per-agent counters and the per-agent completion-latency
-// histogram under "ip.<name>.<agent>.*". Func-backed: the issue path is
-// untouched.
-func (g *Generator) RegisterMetrics(m *metrics.Registry, clock string) {
-	p := "ip." + g.cfg.Name + "."
-	m.CounterFunc(p+"issued", func() int64 { return g.issuedTotal })
-	m.CounterFunc(p+"completed", func() int64 { return g.completedTotal })
-	m.GaugeFunc(p+"req_depth", clock, func() int64 { return int64(g.port.Req.Len()) })
-	for _, a := range g.agents {
-		a := a
-		ap := p + a.cfg.Name + "."
-		m.CounterFunc(ap+"issued", func() int64 { return a.issued })
-		m.CounterFunc(ap+"completed", func() int64 { return a.completed })
-		m.CounterFunc(ap+"bytes", func() int64 { return a.bytes })
-		m.Histogram(ap+"latency", &a.latency)
-	}
-}
-
-// Issued returns the total transactions issued by all agents.
-func (g *Generator) Issued() int64 { return g.issuedTotal }
-
-// Completed returns the total completed transactions.
-func (g *Generator) Completed() int64 { return g.completedTotal }

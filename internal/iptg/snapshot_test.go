@@ -9,9 +9,10 @@ import (
 )
 
 // TestDecodeStateRejectsOutOfRange corrupts each index the generator acts on
-// after a restore — the round-robin pointer over agents and an agent's
-// phase — and a response beat it would dereference, and requires
-// DecodeState to reject the snapshot instead of letting Run index with it.
+// after a restore — the round-robin pointer over agents, an agent's phase
+// and the agent an in-flight request books into — and a response beat it
+// would dereference, and requires DecodeState to reject the snapshot
+// instead of letting Run index with it.
 func TestDecodeStateRejectsOutOfRange(t *testing.T) {
 	cfg := Config{
 		Name: "ip0",
@@ -30,6 +31,7 @@ func TestDecodeStateRejectsOutOfRange(t *testing.T) {
 		{"rr past agents", func(g *Generator) { g.rr = len(g.agents) }},
 		{"phase negative", func(g *Generator) { g.agents[1].phase = -1 }},
 		{"phase past phases", func(g *Generator) { g.agents[0].phase = 3 }},
+		{"in-flight tag past agents", func(g *Generator) { g.tracked[1] = len(g.agents) }},
 		{"response beat without a request", func(g *Generator) {
 			g.port.Resp.Push(bus.Beat{Last: true})
 			g.port.Resp.Update()

@@ -3,6 +3,7 @@ package platform
 import (
 	"testing"
 
+	"mpsocsim/internal/replay"
 	"mpsocsim/internal/tracecap"
 )
 
@@ -166,5 +167,42 @@ func TestZeroAllocSteadyStateSingleLayer(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Step allocates: %.2f allocs/step (want 0)", allocs)
+	}
+}
+
+// TestZeroAllocSteadyStateWithReplay re-proves the invariant with trace
+// replayers in place of every traffic source, IPTGs and I/O initiators: the
+// reference platform with I/O is captured, then replayed timed and elastic.
+func TestZeroAllocSteadyStateWithReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is slow under -short")
+	}
+	spec := DefaultSpec()
+	spec.IO.Enable = true
+	_, tr := captureRun(t, spec)
+	for _, mode := range []replay.Mode{replay.Timed, replay.Elastic} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := spec
+			s.Replay, s.ReplayMode = tr, mode
+			p := MustBuild(s)
+			p.Kernel.RunCycles(p.CentralClk, 5000)
+
+			allocs := testing.AllocsPerRun(2000, func() {
+				p.Kernel.Step()
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state Step with %s replay allocates: %.2f allocs/step (want 0)", mode, allocs)
+			}
+			live := 0
+			for _, g := range p.gens {
+				if _, ok := g.(*replay.Initiator); ok && !g.Done() {
+					live++
+				}
+			}
+			if live == 0 {
+				t.Fatal("no replayer was live during the measurement")
+			}
+			t.Logf("%d live replayers", live)
+		})
 	}
 }

@@ -29,11 +29,12 @@ const (
 )
 
 // Initiator is the component surface shared by live IP traffic generators
-// (iptg.Generator) and trace-driven replayers (replay.Initiator). The
-// platform treats its traffic sources uniformly through it: run completion,
-// statistics collection, pool wiring and capture attachment all go through
-// this interface, so a Spec with Replay set swaps stimulus without touching
-// any other subsystem.
+// (iptg.Generator), trace-driven replayers (replay.Initiator) and the I/O
+// initiators of internal/io, all built on iptg.Issuer. The platform treats
+// its traffic sources uniformly through it: run completion, statistics
+// collection, pool wiring and capture attachment all go through this
+// interface, so a Spec with Replay set swaps stimulus without touching any
+// other subsystem.
 type Initiator interface {
 	sim.Clocked
 	Name() string

@@ -131,9 +131,9 @@ func TestIOCheckpointMidDescriptorChain(t *testing.T) {
 		t.Fatalf("Restore: %v", err)
 	}
 	ren := findDMA(rp)
-	if ren.DescriptorsFetched() != en.DescriptorsFetched() || ren.BytesMoved() != en.BytesMoved() {
+	if ren.DescriptorsFetched() != en.DescriptorsFetched() || ren.Bytes() != en.Bytes() {
 		t.Fatalf("restored chain state differs: fetched %d/%d, moved %d/%d",
-			ren.DescriptorsFetched(), en.DescriptorsFetched(), ren.BytesMoved(), en.BytesMoved())
+			ren.DescriptorsFetched(), en.DescriptorsFetched(), ren.Bytes(), en.Bytes())
 	}
 	res := rp.Run(5e12)
 	if !res.Done {

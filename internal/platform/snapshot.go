@@ -151,7 +151,9 @@ func Restore(spec Spec, r io.Reader) (*Platform, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if want := spec.Fingerprint(); fp != want {
+	// Snapshot fingerprints the spec as Build normalized it, so compare
+	// with the rebuilt platform's, not the caller's raw spec.
+	if want := p.Spec.Fingerprint(); fp != want {
 		return nil, fmt.Errorf("platform: snapshot was taken from a different spec (fingerprint %#x, this spec is %#x)", fp, want)
 	}
 

@@ -157,7 +157,8 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 // TestCheckpointRestoreChainedAcrossConfigs carries the checkpoint contract
 // to every protocol × topology × memory combination, to the §4.1
 // single-layer bench on every fabric with one memory and with six (one
-// memory state section each), and to every observability variant, across a
+// memory state section each), to a spec with a field Build normalizes
+// (MaxOutstanding 0), and to every observability variant, across a
 // chain of restores: the run is checkpointed at checkpointAt/2, restored,
 // checkpointed again at checkpointAt from the restored platform, restored
 // again and finished. That must still be bit-identical to the
@@ -176,6 +177,10 @@ func TestCheckpointRestoreChainedAcrossConfigs(t *testing.T) {
 			specs[fmt.Sprintf("%v/single-layer/%dmem", proto, memories)] = SingleLayerBench(proto, memories, 300, 2, 1)
 		}
 	}
+	// A spec with a field Build normalizes restores from the same value.
+	unnormalized := quick(STBus, Collapsed, OnChip)
+	unnormalized.MaxOutstanding = 0
+	specs[unnormalized.Name()+"/unnormalized"] = unnormalized
 	for name, spec := range specs {
 		for _, v := range obsVariants {
 			t.Run(name+"/"+v.name, func(t *testing.T) {

@@ -237,10 +237,8 @@ func (s *Spec) normalize() {
 
 // IOSpec configures the I/O subsystem of DESIGN.md §17. The zero value is
 // "disabled"; with Enable set, zero-valued knobs mean "default". Defaults
-// are interpreted at build time (see effective), NOT filled in here or in
-// normalize: Snapshot fingerprints the normalized spec while Restore
-// fingerprints the caller's raw spec, so normalization must never rewrite
-// spec fields.
+// are interpreted where they are used (see effective), not written back by
+// normalize, so the spec keeps the knobs its caller set.
 type IOSpec struct {
 	// Enable attaches the I/O subsystem: its own 125 MHz cluster layer in
 	// the distributed topology (a sixth bridge into the central node), or
@@ -305,8 +303,7 @@ type ioParams struct {
 }
 
 // effective interprets the IOSpec's zero values against the defaults and the
-// workload scale. Pure: it never mutates the spec (see the IOSpec doc for
-// why that matters to checkpoint fingerprints).
+// workload scale. Pure: it never mutates the spec.
 func (s IOSpec) effective(workloadScale float64) ioParams {
 	if workloadScale <= 0 {
 		workloadScale = 1

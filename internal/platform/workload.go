@@ -226,8 +226,8 @@ func referenceWorkload(spec Spec) []clusterSpec {
 // layer of the spec's own IPs, with OutstandingOverride and
 // ForceNonPostedWrites applied to every agent. The spec's IPs are deep
 // copies, because the overrides here and iptg.New's defaults write into
-// the agent and phase arrays, and a spec must keep its Fingerprint through
-// Build for Snapshot and Restore to agree.
+// the agent and phase arrays, and Build must leave the caller's spec as it
+// was.
 func workload(spec Spec) []clusterSpec {
 	var clusters []clusterSpec
 	if len(spec.Workload) > 0 {
@@ -267,9 +267,8 @@ func workload(spec Spec) []clusterSpec {
 // the whole range of memories on-chip memories of 1 wait state and 2-entry
 // response FIFOs. Six memories give the many-to-many traffic of §4.1.1,
 // one the many-to-one, memory-centric traffic of §4.1.2. Every field
-// Build's defaults would fill is set: Snapshot fingerprints the spec as
-// Build normalized it and Restore the caller's, so only a spec that is its
-// own normal form restores.
+// Build's defaults would fill is set, so the spec states the platform it
+// builds.
 func SingleLayerBench(proto Protocol, memories int, txns int64, gapMean float64, seed uint64) Spec {
 	ips := make([]iptg.Config, 6)
 	for i := range ips {

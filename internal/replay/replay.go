@@ -24,12 +24,9 @@ import (
 	"errors"
 	"fmt"
 
-	"mpsocsim/internal/attr"
 	"mpsocsim/internal/bus"
 	"mpsocsim/internal/iptg"
-	"mpsocsim/internal/metrics"
 	"mpsocsim/internal/sim"
-	"mpsocsim/internal/stats"
 	"mpsocsim/internal/tracecap"
 )
 
@@ -84,39 +81,19 @@ type Config struct {
 
 // Initiator re-drives one captured stream. It implements the same component
 // surface as iptg.Generator (sim.Clocked, Port, Done, Stats, pool wiring),
-// so the platform builder can swap one for the other.
+// so the platform builder can swap one for the other; its Issuer books one
+// synthetic agent named after the scheduling mode, so replay results render
+// through the same reporting path and metric names as live runs.
 type Initiator struct {
-	act    sim.Activity
-	cfg    Config
-	port   *bus.InitiatorPort
-	clk    *sim.Clock
-	ids    *bus.IDSource
-	origin int
-	pool   *bus.RequestPool
+	iptg.Issuer
+	cfg Config
 
 	events []tracecap.Event
 	// target holds the issue cycle of each event rescaled into the replay
 	// clock domain (precomputed at construction, identity when the
 	// domains match).
 	target []int64
-
-	// byReqID tracks the in-flight (non-posted) requests this initiator
-	// issued. Some fabric/bridge combinations route acknowledgement beats
-	// even for posted writes the target already consumed (and reclaimed);
-	// like iptg.Generator, the replayer must ignore beats for requests it
-	// is not tracking, or it would double-complete and double-recycle.
-	byReqID map[uint64]struct{}
-	// attrCol, when set, closes each tracked transaction's attribution
-	// record at final-beat consumption (see UseAttribution).
-	attrCol   *attr.Collector
-	next      int
-	inFlight  int
-	issued    int64
-	completed int64
-	reads     int64
-	writes    int64
-	bytes     int64
-	latency   stats.Histogram
+	next   int
 }
 
 // New builds a replay initiator for one stream. The IDSource and origin play
@@ -136,15 +113,12 @@ func New(cfg Config, clk *sim.Clock, ids *bus.IDSource, origin int) (*Initiator,
 		cfg.PortRespDepth = 8
 	}
 	in := &Initiator{
-		cfg:     cfg,
-		port:    bus.NewInitiatorPort(cfg.Stream.Name, cfg.PortReqDepth, cfg.PortRespDepth),
-		clk:     clk,
-		ids:     ids,
-		origin:  origin,
-		events:  cfg.Stream.Events,
-		target:  make([]int64, len(cfg.Stream.Events)),
-		byReqID: make(map[uint64]struct{}, 64),
+		cfg:    cfg,
+		events: cfg.Stream.Events,
+		target: make([]int64, len(cfg.Stream.Events)),
 	}
+	in.Init(bus.NewInitiatorPort(cfg.Stream.Name, cfg.PortReqDepth, cfg.PortRespDepth), clk, ids, origin,
+		[]string{"replay[" + cfg.Mode.String() + "]"}, nil)
 	src, dst := cfg.Stream.PeriodPS, clk.PeriodPS()
 	for i := range in.events {
 		c := in.events[i].IssueCycle
@@ -154,7 +128,6 @@ func New(cfg Config, clk *sim.Clock, ids *bus.IDSource, origin int) (*Initiator,
 		}
 		in.target[i] = c
 	}
-	in.port.OwnedBy(&in.act)
 	return in, nil
 }
 
@@ -167,32 +140,13 @@ func MustNew(cfg Config, clk *sim.Clock, ids *bus.IDSource, origin int) *Initiat
 	return in
 }
 
-// UseRequestPool makes the initiator mint requests from (and return them to)
-// the given pool. Call before simulation starts.
-func (in *Initiator) UseRequestPool(p *bus.RequestPool) { in.pool = p }
-
-// UseAttribution makes the replayer finish each tracked transaction's
-// latency-attribution record when it consumes the final response beat
-// (posted writes finish at the consuming memory instead). Call before
-// simulation starts.
-func (in *Initiator) UseAttribution(col *attr.Collector) { in.attrCol = col }
-
-// Port returns the initiator port to attach to a fabric.
-func (in *Initiator) Port() *bus.InitiatorPort { return in.port }
-
-// Name returns the replayed initiator's name.
-func (in *Initiator) Name() string { return in.cfg.Stream.Name }
-
-// Origin returns the platform-wide initiator identity.
-func (in *Initiator) Origin() int { return in.origin }
-
 // Done reports whether every recorded event has been issued and completed.
-func (in *Initiator) Done() bool { return in.next >= len(in.events) && in.inFlight == 0 }
+func (in *Initiator) Done() bool { return in.next >= len(in.events) && in.InFlight() == 0 }
 
 // Eval collects responses and issues at most one transaction per cycle, the
 // same per-cycle discipline as the generator that recorded the stream.
 func (in *Initiator) Eval() {
-	in.collect()
+	in.Collect()
 	in.issue()
 }
 
@@ -200,73 +154,39 @@ func (in *Initiator) Eval() {
 // while the next issue waits for a response (or the stream is exhausted),
 // for room in the full request FIFO, or for its recorded cycle.
 func (in *Initiator) Update() {
-	in.port.Update()
+	port := in.Port()
+	port.Update()
 	switch {
-	case in.port.Resp.Len() != 0:
+	case port.Resp.Len() != 0:
 		// collects at the next edge
-	case in.next >= len(in.events) || !in.port.Req.CanPush():
-		in.act.Sleep()
+	case in.next >= len(in.events) || !port.Req.CanPush():
+		in.Activity().Sleep()
 	case in.cfg.Mode == Timed:
-		in.act.SleepUntil(in.target[in.next])
-	case in.inFlight >= in.cfg.Outstanding:
-		in.act.Sleep()
+		in.Activity().SleepUntil(in.target[in.next])
+	case in.InFlight() >= in.cfg.Outstanding:
+		in.Activity().Sleep()
 	}
 }
-
-// Activity returns the replayer's sleep state.
-func (in *Initiator) Activity() *sim.Activity { return &in.act }
 
 // CreditIdle books skipped idle edges; an idle replayer counts nothing.
 func (in *Initiator) CreditIdle(int64) {}
 
-func (in *Initiator) collect() {
-	for in.port.Resp.CanPop() {
-		beat := in.port.Resp.Pop()
-		if !beat.Last {
-			continue
-		}
-		if _, ok := in.byReqID[beat.Req.ID]; !ok {
-			// An ack for a write that completed at issue as posted and
-			// that a non-posting fabric (AHB) turned into a non-posted
-			// one: nobody tracks it, and this beat is its last reference.
-			in.pool.Put(beat.Req)
-			continue
-		}
-		delete(in.byReqID, beat.Req.ID)
-		// The transaction was tracked, so this request is ours and this
-		// beat is its final reference: complete it and recycle it.
-		in.inFlight--
-		in.completed++
-		in.latency.Add(in.clk.Cycles() - beat.Req.IssueCycle)
-		if pr := in.port.Probe; pr != nil {
-			pr.RequestCompleted(beat.Req, in.clk.Cycles())
-		}
-		if rec := beat.Req.Attr; rec != nil && in.attrCol != nil {
-			in.attrCol.Finish(rec, in.clk.NowPS())
-		}
-		in.pool.Put(beat.Req)
-	}
-}
-
 func (in *Initiator) issue() {
-	if in.next >= len(in.events) || !in.port.Req.CanPush() {
+	if in.next >= len(in.events) || !in.Port().Req.CanPush() {
 		return
 	}
 	ev := &in.events[in.next]
 	switch in.cfg.Mode {
 	case Timed:
-		if in.clk.Cycles() < in.target[in.next] {
+		if in.Clock().Cycles() < in.target[in.next] {
 			return
 		}
 	case Elastic:
-		if in.inFlight >= in.cfg.Outstanding {
+		if in.InFlight() >= in.cfg.Outstanding {
 			return
 		}
 	}
-	req := in.pool.Get()
-	*req = bus.Request{
-		ID:           in.ids.Next(),
-		Origin:       in.origin,
+	in.Issue(0, bus.Request{
 		Op:           ev.Op,
 		Addr:         ev.Addr,
 		Beats:        ev.Beats,
@@ -275,75 +195,12 @@ func (in *Initiator) issue() {
 		MsgSeq:       ev.MsgSeq,
 		MsgEnd:       ev.MsgEnd,
 		Posted:       ev.Posted,
-		IssueCycle:   in.clk.Cycles(),
-		IssuePS:      in.clk.NowPS(),
-	}
-	in.port.Req.Push(req)
-	if pr := in.port.Probe; pr != nil {
-		pr.RequestIssued(req)
-	}
+	}, true)
 	in.next++
-	in.issued++
-	in.bytes += int64(req.Bytes())
-	if req.Op == bus.OpRead {
-		in.reads++
-	} else {
-		in.writes++
-	}
-	if req.Op == bus.OpRead || !req.Posted {
-		in.inFlight++
-		in.byReqID[req.ID] = struct{}{}
-	} else {
-		in.completed++ // posted writes complete at issue
-	}
 }
-
-// RegisterMetrics registers the replayer's telemetry under "ip.<name>.*" on
-// the given clock domain, mirroring the live generator's IP-level shape (one
-// synthetic agent named "replay") so replayed runs export through the same
-// metric names. Func-backed: the replay issue path is untouched.
-func (in *Initiator) RegisterMetrics(m *metrics.Registry, clock string) {
-	p := "ip." + in.Name() + "."
-	m.CounterFunc(p+"issued", func() int64 { return in.issued })
-	m.CounterFunc(p+"completed", func() int64 { return in.completed })
-	m.GaugeFunc(p+"req_depth", clock, func() int64 { return int64(in.port.Req.Len()) })
-	ap := p + "replay[" + in.cfg.Mode.String() + "]."
-	m.CounterFunc(ap+"issued", func() int64 { return in.issued })
-	m.CounterFunc(ap+"completed", func() int64 { return in.completed })
-	m.CounterFunc(ap+"bytes", func() int64 { return in.bytes })
-	m.Histogram(ap+"latency", &in.latency)
-}
-
-// Issued returns the transactions issued so far.
-func (in *Initiator) Issued() int64 { return in.issued }
-
-// Completed returns the transactions completed so far.
-func (in *Initiator) Completed() int64 { return in.completed }
 
 // Remaining returns the recorded events not yet issued.
 func (in *Initiator) Remaining() int { return len(in.events) - in.next }
 
 // MaxConcurrent returns the initiator's outstanding-transaction cap.
 func (in *Initiator) MaxConcurrent() int64 { return int64(in.cfg.Outstanding) }
-
-// Stats reports the replayer's activity in the generator stats shape: one
-// synthetic agent named after the scheduling mode, so replay results render
-// through the same reporting path as live runs.
-func (in *Initiator) Stats() []iptg.AgentStats {
-	return []iptg.AgentStats{{
-		Name:        "replay[" + in.cfg.Mode.String() + "]",
-		Issued:      in.issued,
-		Completed:   in.completed,
-		Reads:       in.reads,
-		Writes:      in.writes,
-		Bytes:       in.bytes,
-		MeanLatency: in.latency.Mean(),
-		MaxLatency:  in.latency.Max(),
-		P50Latency:  in.latency.Quantile(0.5),
-		P90Latency:  in.latency.Quantile(0.9),
-	}}
-}
-
-// LatencyHistogram exposes the measured completion latencies for
-// differential comparisons against the capture baseline.
-func (in *Initiator) LatencyHistogram() stats.Histogram { return in.latency }

@@ -1,62 +1,22 @@
 package replay
 
 import (
-	"sort"
-
 	"mpsocsim/internal/attr"
-	"mpsocsim/internal/bus"
 	"mpsocsim/internal/snapshot"
 )
 
 // EncodeState serializes the replayer's mutable state (DESIGN.md §16): the
-// owned initiator port, the stream cursor, the in-flight tracking set
-// (sorted so the byte stream is deterministic) and the lifetime counters.
-// The recorded events themselves are spec-derived (the trace travels with
-// the spec, not the snapshot).
+// issue side and the stream cursor. The recorded events themselves are
+// spec-derived (the trace travels with the spec, not the snapshot).
 func (in *Initiator) EncodeState(e *snapshot.Encoder) {
 	e.Tag('Y')
-	bus.EncodeInitiatorPortState(e, in.port)
+	in.EncodeIssuerState(e)
 	e.I(int64(in.next))
-	e.I(int64(in.inFlight))
-	ids := make([]uint64, 0, len(in.byReqID))
-	for id := range in.byReqID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.U(uint64(len(ids)))
-	for _, id := range ids {
-		e.U(id)
-	}
-	e.I(in.issued)
-	e.I(in.completed)
-	e.I(in.reads)
-	e.I(in.writes)
-	e.I(in.bytes)
-	in.latency.EncodeState(e)
 }
 
 // DecodeState restores a replayer serialized by EncodeState.
 func (in *Initiator) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	d.Tag('Y')
-	bus.DecodeInitiatorPortState(d, in.port, col)
-	next := d.I()
-	if next < 0 || next > int64(len(in.events)) {
-		d.Corrupt("replay %q cursor %d outside its %d-event stream", in.Name(), next, len(in.events))
-		return
-	}
-	in.next = int(next)
-	in.inFlight = int(d.I())
-	for id := range in.byReqID {
-		delete(in.byReqID, id)
-	}
-	nid := d.N(1 << 22)
-	for i := 0; i < nid; i++ {
-		in.byReqID[d.U()] = struct{}{}
-	}
-	in.issued = d.I()
-	in.completed = d.I()
-	in.reads = d.I()
-	in.writes = d.I()
-	in.bytes = d.I()
-	in.latency.DecodeState(d)
+	in.DecodeIssuerState(d, col, 1)
+	in.next = d.Int(0, len(in.events), "replay %q cursor", in.Name())
 }

@@ -31,8 +31,10 @@ const Magic = "MPSNAP"
 // Version is the current snapshot format version. Bumped on any
 // incompatible layout change; the decoder rejects unknown versions rather
 // than guessing (same rule as the trace format). Version 2 dropped the FIFO
-// occupancy statistics from every FIFO section.
-const Version = 2
+// occupancy statistics from every FIFO section; version 3 gave the five
+// traffic-source sections (iptg, replay, DMA, IRQ, heap allocator) one
+// shared issue-side layout (iptg.Issuer).
+const Version = 3
 
 // Sentinel decode errors; match with errors.Is.
 var (
