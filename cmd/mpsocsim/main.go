@@ -559,8 +559,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s (load in ui.perfetto.dev)\n", *chromeFile)
 	}
 	// Both non-drained outcomes dump the run-health forensics, independent
-	// of -telemetry/-live: the stall trackers behind the report are always
-	// on, so a wedged overnight run explains itself without a re-run.
+	// of -telemetry/-live: the report reads state every run keeps (each
+	// initiator's in-flight set, the watchdog's counter baselines) and every
+	// checkpoint carries, so a wedged overnight run explains itself without
+	// a re-run, restored or not.
 	switch {
 	case r.Stalled:
 		fmt.Fprintf(os.Stderr,

@@ -124,11 +124,12 @@ type Beat struct {
 	Last bool
 }
 
-// PortProbe observes the transaction lifecycle at an initiator port.
-// Probes are passive: they must not mutate the request, and they run inline
-// on the simulation hot path, so implementations must not allocate in steady
-// state (internal/tracecap's capture streams preallocate their event
-// storage).
+// PortProbe observes the transaction lifecycle at an initiator port. Trace
+// capture (internal/tracecap) is the platform's only probe, and a port
+// carries one only while capture is attached. Probes are passive: they must
+// not mutate the request, and they run inline on the simulation hot path,
+// so implementations must not allocate in steady state (the capture streams
+// preallocate their event storage).
 type PortProbe interface {
 	// RequestIssued fires when the initiator stages r into the port's
 	// request FIFO. The request's IssueCycle is already set; posted writes
@@ -140,34 +141,6 @@ type PortProbe interface {
 	RequestCompleted(r *Request, cycle int64)
 }
 
-// teeProbe fans one port's lifecycle events out to two probes, in order.
-type teeProbe struct{ a, b PortProbe }
-
-func (t teeProbe) RequestIssued(r *Request) {
-	t.a.RequestIssued(r)
-	t.b.RequestIssued(r)
-}
-
-func (t teeProbe) RequestCompleted(r *Request, cycle int64) {
-	t.a.RequestCompleted(r, cycle)
-	t.b.RequestCompleted(r, cycle)
-}
-
-// TeeProbes composes probes into one, dropping nils: a port has a single
-// Probe slot, so a second observer (trace capture over the always-on
-// telemetry stall tracker) chains through a tee rather than displacing the
-// first. Probes fire in argument order; both remain passive, so the order
-// is unobservable in results.
-func TeeProbes(a, b PortProbe) PortProbe {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return teeProbe{a, b}
-}
-
 // InitiatorPort attaches an initiator to a fabric: the initiator pushes
 // Requests into Req and pops response Beats from Resp. The fabric owns the
 // arbitration over when Req entries drain.
@@ -175,11 +148,12 @@ type InitiatorPort struct {
 	Name string
 	Req  *Queue
 	Resp *BeatQueue
-	// Probe, when non-nil, observes every transaction crossing this port.
-	// It is honoured by iptg.Issuer, the issue side every traffic source
-	// embeds (the IPTG generator, the trace replayer and internal/io's DMA
-	// engine, IRQ agents and heap allocator); the DSP core and the bridges
-	// do not fire it. Set it before simulation starts.
+	// Probe, when non-nil, observes every transaction crossing this port;
+	// platform.AttachCapture sets it, and it is nil otherwise. It is
+	// honoured by iptg.Issuer, the issue side every traffic source embeds
+	// (the IPTG generator, the trace replayer and internal/io's DMA engine,
+	// IRQ agents and heap allocator); the DSP core and the bridges do not
+	// fire it. Set it before simulation starts.
 	Probe PortProbe
 }
 

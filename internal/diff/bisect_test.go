@@ -2,6 +2,7 @@ package diff
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"mpsocsim/internal/config"
@@ -182,6 +183,40 @@ func TestBisectIdenticalSpecsReportNoDivergence(t *testing.T) {
 	}
 	if res.GridPoints == 0 {
 		t.Fatalf("grid walk never advanced")
+	}
+}
+
+// TestBisectContextsMatchFreshRuns holds the bisect contexts to the §19
+// contract on the diff-smoke pair (an on-chip platform against the same one
+// with two memory wait states): each context, rendered on a platform
+// restored from the search's grid, must equal the stall report of its spec
+// built fresh and run straight to the divergence cycle.
+func TestBisectContextsMatchFreshRuns(t *testing.T) {
+	sa, sb := specPair(t, "[platform]\nmemory = onchip\nscale = 0.1\n", "waitstates = 2")
+	res, err := Bisect(sa, sb, BisectOptions{GridEvery: 512, Workers: 2})
+	if err != nil {
+		t.Fatalf("Bisect: %v", err)
+	}
+	if res.DivergedAt <= 0 {
+		t.Fatalf("the pair reported no divergence: %+v", res)
+	}
+	for _, side := range []struct {
+		name string
+		spec platform.Spec
+		got  *telemetry.StallReport
+	}{{"A", sa, res.ContextA}, {"B", sb, res.ContextB}} {
+		p, err := platform.Build(side.spec)
+		if err != nil {
+			t.Fatalf("build %s: %v", side.name, err)
+		}
+		p.RunToCycle(res.DivergedAt, bisectBudget)
+		want := p.StallReport(side.got.Reason, 10)
+		if !reflect.DeepEqual(side.got, want) {
+			var g, w bytes.Buffer
+			side.got.Write(&g)
+			want.Write(&w)
+			t.Errorf("context %s differs from a fresh run to cycle %d.\ncontext:\n%s\nfresh:\n%s", side.name, res.DivergedAt, g.String(), w.String())
+		}
 	}
 }
 

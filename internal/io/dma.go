@@ -151,14 +151,6 @@ func (en *Engine) Done() bool { return en.desc >= en.cfg.Descriptors && en.InFli
 // burstBytes is the payload carried by one full programmed burst.
 func (en *Engine) burstBytes() int { return en.cfg.BurstBeats * en.cfg.BytesPerBeat }
 
-// MaxConcurrent bounds the engine's simultaneously in-flight transactions.
-func (en *Engine) MaxConcurrent() int64 {
-	if en.cfg.Outstanding > 1 {
-		return int64(en.cfg.Outstanding)
-	}
-	return 1
-}
-
 // Eval collects responses and issues at most one new transaction per cycle.
 func (en *Engine) Eval() {
 	en.Collect()

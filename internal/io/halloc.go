@@ -143,10 +143,6 @@ func NewAllocator(cfg AllocConfig, clk *sim.Clock, ids *bus.IDSource, origin int
 // Done reports whether every heap operation has completed.
 func (h *Allocator) Done() bool { return h.opsDone >= int64(h.cfg.Ops) }
 
-// MaxConcurrent bounds the allocator's in-flight transactions: the metadata
-// dependency chain serializes them, so at most one.
-func (h *Allocator) MaxConcurrent() int64 { return 1 }
-
 // binAddr maps a size class to its free-list bin slot.
 func (h *Allocator) binAddr(size int) uint64 {
 	return h.cfg.HeapBase + uint64(size/64*8)%binTableBytes

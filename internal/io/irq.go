@@ -154,9 +154,6 @@ func (d *Device) drawPeriod() int64 {
 // Done reports whether every device event has been raised and serviced.
 func (d *Device) Done() bool { return d.serviced >= int64(d.cfg.Events) }
 
-// MaxConcurrent bounds the device's simultaneously in-flight transactions.
-func (d *Device) MaxConcurrent() int64 { return int64(d.cfg.Outstanding) }
-
 // Eval raises due events, collects drain beats and issues at most one new
 // service transaction per cycle.
 func (d *Device) Eval() {

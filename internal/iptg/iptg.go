@@ -249,16 +249,6 @@ func (g *Generator) Done() bool {
 	return true
 }
 
-// MaxConcurrent returns an upper bound on this generator's simultaneously
-// in-flight transactions (the sum of the agents' outstanding windows).
-func (g *Generator) MaxConcurrent() int64 {
-	var n int64
-	for _, a := range g.agents {
-		n += int64(a.cfg.Outstanding)
-	}
-	return n
-}
-
 // Eval collects responses and issues at most one new transaction per cycle.
 func (g *Generator) Eval() {
 	g.Collect()

@@ -1,6 +1,7 @@
 package iptg
 
 import (
+	"math"
 	"sort"
 
 	"mpsocsim/internal/attr"
@@ -36,14 +37,26 @@ type Issuer struct {
 	pool    *bus.RequestPool
 	attrCol *attr.Collector
 
-	// tracked maps each in-flight request's ID to its owner tag; done, when
-	// set, is handed the tag of each tracked request that completes.
-	tracked map[uint64]int
+	// tracked maps each in-flight request's ID to its owner tag and issue
+	// cycle; done, when set, is handed the tag of each tracked request that
+	// completes.
+	tracked map[uint64]pending
 	done    func(tag int)
 
 	issued    int64
 	completed int64
-	tallies   []tally
+	// lastIssue is the cycle of the newest issue (a posted write included),
+	// lastComplete that of the newest tracked completion; -1 until one
+	// happens.
+	lastIssue    int64
+	lastComplete int64
+	tallies      []tally
+}
+
+// pending is one tracked request: its owner tag and the cycle it issued at.
+type pending struct {
+	tag   int
+	cycle int64
 }
 
 // tally is one agent's activity: the row AgentStats renders.
@@ -71,8 +84,9 @@ func (s *Issuer) Init(port *bus.InitiatorPort, clk *sim.Clock, ids *bus.IDSource
 	s.clk = clk
 	s.ids = ids
 	s.origin = origin
-	s.tracked = map[uint64]int{}
+	s.tracked = map[uint64]pending{}
 	s.done = done
+	s.lastIssue, s.lastComplete = -1, -1
 	s.tallies = make([]tally, len(agents))
 	for i, name := range agents {
 		s.tallies[i].name = name
@@ -123,6 +137,27 @@ func (s *Issuer) Bytes() int64 {
 // InFlight returns how many tracked transactions await their final beat.
 func (s *Issuer) InFlight() int { return len(s.tracked) }
 
+// Oldest returns the tracked transaction issued longest ago and its issue
+// cycle; ok is false when nothing is in flight. A source issues at most
+// once per cycle, so the oldest is unique (the lower ID wins a tie only in
+// a hand-made snapshot).
+func (s *Issuer) Oldest() (id uint64, cycle int64, ok bool) {
+	for rid, f := range s.tracked {
+		if !ok || f.cycle < cycle || f.cycle == cycle && rid < id {
+			id, cycle, ok = rid, f.cycle, true
+		}
+	}
+	return id, cycle, ok
+}
+
+// LastIssueCycle returns the cycle of the newest issue, posted writes
+// included (-1 when nothing was issued).
+func (s *Issuer) LastIssueCycle() int64 { return s.lastIssue }
+
+// LastCompleteCycle returns the cycle of the newest tracked completion (-1
+// when nothing completed).
+func (s *Issuer) LastCompleteCycle() int64 { return s.lastComplete }
+
 // tallyOf returns the statistics row a tag books into.
 func (s *Issuer) tallyOf(tag int) *tally {
 	if len(s.tallies) == 1 {
@@ -147,6 +182,7 @@ func (s *Issuer) Issue(tag int, r bus.Request, payload bool) {
 	if pr := s.port.Probe; pr != nil {
 		pr.RequestIssued(req)
 	}
+	s.lastIssue = req.IssueCycle
 	t := s.tallyOf(tag)
 	s.issued++
 	t.issued++
@@ -159,7 +195,7 @@ func (s *Issuer) Issue(tag int, r bus.Request, payload bool) {
 		t.bytes += int64(req.Bytes())
 	}
 	if req.Op == bus.OpRead || !req.Posted {
-		s.tracked[req.ID] = tag
+		s.tracked[req.ID] = pending{tag, req.IssueCycle}
 	} else {
 		s.completed++ // posted writes complete at issue
 		t.completed++
@@ -178,14 +214,15 @@ func (s *Issuer) Collect() {
 		if !beat.Last {
 			continue
 		}
-		tag, ok := s.tracked[beat.Req.ID]
+		f, ok := s.tracked[beat.Req.ID]
 		if !ok {
 			s.pool.Put(beat.Req)
 			continue
 		}
 		delete(s.tracked, beat.Req.ID)
 		now := s.clk.Cycles()
-		t := s.tallyOf(tag)
+		s.lastComplete = now
+		t := s.tallyOf(f.tag)
 		s.completed++
 		t.completed++
 		t.latency.Add(now - beat.Req.IssueCycle)
@@ -196,7 +233,7 @@ func (s *Issuer) Collect() {
 			s.attrCol.Finish(rec, s.clk.NowPS())
 		}
 		if s.done != nil {
-			s.done(tag)
+			s.done(f.tag)
 		}
 		s.pool.Put(beat.Req)
 	}
@@ -261,10 +298,13 @@ func (s *Issuer) RegisterMetrics(m *metrics.Registry, clock string) {
 }
 
 // EncodeIssuerState serializes the issue side (DESIGN.md §16): the owned
-// port, the tracked (ID, tag) set sorted by ID so the stream is
-// deterministic, the totals and every agent's tally.
+// port, the last-issue and last-completion cycles, the tracked (ID, tag,
+// issue cycle) set sorted by ID so the stream is deterministic, the totals
+// and every agent's tally.
 func (s *Issuer) EncodeIssuerState(e *snapshot.Encoder) {
 	bus.EncodeInitiatorPortState(e, s.port)
+	e.I(s.lastIssue)
+	e.I(s.lastComplete)
 	ids := make([]uint64, 0, len(s.tracked))
 	for id := range s.tracked {
 		ids = append(ids, id)
@@ -272,8 +312,10 @@ func (s *Issuer) EncodeIssuerState(e *snapshot.Encoder) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	e.U(uint64(len(ids)))
 	for _, id := range ids {
+		f := s.tracked[id]
 		e.U(id)
-		e.I(int64(s.tracked[id]))
+		e.I(int64(f.tag))
+		e.I(f.cycle)
 	}
 	e.I(s.issued)
 	e.I(s.completed)
@@ -294,18 +336,23 @@ func (s *Issuer) EncodeIssuerState(e *snapshot.Encoder) {
 const maxTracked = 1 << 22
 
 // DecodeIssuerState restores an issue side serialized by EncodeIssuerState.
-// tags is the owner's tag range: a tracked request tagged outside [0, tags)
-// makes the stream corrupt.
+// tags is the owner's tag range: a tracked request tagged outside [0, tags),
+// a last cycle below -1, or a tracked request issued before cycle 0 or after
+// the last issue makes the stream corrupt.
 func (s *Issuer) DecodeIssuerState(d *snapshot.Decoder, col *attr.Collector, tags int) {
 	bus.DecodeInitiatorPortState(d, s.port, col)
+	s.lastIssue = int64(d.Int(-1, math.MaxInt, "%s last issue cycle", s.Name()))
+	s.lastComplete = int64(d.Int(-1, math.MaxInt, "%s last completion cycle", s.Name()))
 	clear(s.tracked)
 	n := d.N(maxTracked)
 	for i := 0; i < n; i++ {
 		id := d.U()
-		s.tracked[id] = d.Int(0, tags-1, "%s in-flight request tag", s.Name())
+		tag := d.Int(0, tags-1, "%s in-flight request tag", s.Name())
+		cycle := d.Int(0, int(s.lastIssue), "%s in-flight request issue cycle", s.Name())
 		if d.Err() != nil {
 			return
 		}
+		s.tracked[id] = pending{tag, int64(cycle)}
 	}
 	s.issued = d.I()
 	s.completed = d.I()

@@ -18,9 +18,12 @@ func (p *countProbe) RequestIssued(*bus.Request)           { p.issued++ }
 func (p *countProbe) RequestCompleted(*bus.Request, int64) { p.completed++ }
 
 // bareIssuer is an Issuer on a port no fabric drains: the test plays the
-// fabric, popping requests and pushing response beats itself.
+// fabric, popping requests and pushing response beats itself, and advances
+// the issuer's clock with tick.
 type bareIssuer struct {
 	s     *Issuer
+	k     *sim.Kernel
+	clk   *sim.Clock
 	pool  *bus.RequestPool
 	probe *countProbe
 	col   *attr.Collector
@@ -30,9 +33,9 @@ type bareIssuer struct {
 }
 
 func newBareIssuer(agents ...string) *bareIssuer {
-	b := &bareIssuer{s: &Issuer{}, pool: &bus.RequestPool{}, probe: &countProbe{}, col: attr.NewCollector(0)}
-	clk := sim.NewKernel().NewClock("clk", 250)
-	b.s.Init(bus.NewInitiatorPort("ip", 4, 8), clk, &bus.IDSource{}, 3, agents, func(tag int) {
+	b := &bareIssuer{s: &Issuer{}, k: sim.NewKernel(), pool: &bus.RequestPool{}, probe: &countProbe{}, col: attr.NewCollector(0)}
+	b.clk = b.k.NewClock("clk", 250)
+	b.s.Init(bus.NewInitiatorPort("ip", 4, 8), b.clk, &bus.IDSource{}, 3, agents, func(tag int) {
 		b.done = append(b.done, tag)
 		b.free = append(b.free, b.pool.Free())
 	})
@@ -41,6 +44,9 @@ func newBareIssuer(agents ...string) *bareIssuer {
 	b.s.Port().Probe = b.probe
 	return b
 }
+
+// tick advances the issuer's clock to cycle c.
+func (b *bareIssuer) tick(c int64) { b.k.RunCycles(b.clk, c-b.clk.Cycles()) }
 
 // accept commits the request FIFO and pops the request the fabric takes.
 func (b *bareIssuer) accept() *bus.Request {
@@ -120,13 +126,89 @@ func TestIssuerTrackedCompletion(t *testing.T) {
 	}
 }
 
+// TestIssuerOldestInFlight checks what the stall report reads of an
+// initiator: the in-flight request issued longest ago, whose issue time is
+// the edge after its issue cycle, and how completing it hands the title to
+// the next oldest.
+func TestIssuerOldestInFlight(t *testing.T) {
+	b := newBareIssuer("a", "b")
+	if _, _, ok := b.s.Oldest(); ok || b.s.LastIssueCycle() != -1 || b.s.LastCompleteCycle() != -1 {
+		t.Fatal("a fresh issuer claims progress")
+	}
+	b.tick(10)
+	b.s.Issue(1, bus.Request{Op: bus.OpRead, Beats: 1, BytesPerBeat: 8}, true)
+	b.tick(12)
+	b.s.Issue(0, bus.Request{Op: bus.OpWrite, Beats: 1, BytesPerBeat: 8}, true)
+	first, second := b.accept(), b.accept()
+	if id, cycle, ok := b.s.Oldest(); !ok || id != first.ID || cycle != 10 {
+		t.Fatalf("oldest = %#x at cycle %d (%v), want %#x at 10", id, cycle, ok, first.ID)
+	}
+	if want := (10 + 1) * b.clk.PeriodPS(); first.IssuePS != want {
+		t.Fatalf("oldest request issued at %d ps, want %d: the report ages it from (cycle+1)*period", first.IssuePS, want)
+	}
+	b.tick(20)
+	b.respond(first, 1)
+	b.s.Collect()
+	if id, cycle, ok := b.s.Oldest(); !ok || id != second.ID || cycle != 12 || b.s.InFlight() != 1 {
+		t.Fatalf("after completing the oldest: %#x at cycle %d (%v), %d in flight; want %#x at 12, 1", id, cycle, ok, b.s.InFlight(), second.ID)
+	}
+}
+
+// TestIssuerPostedWriteMovesLastIssueOnly checks that a posted write, which
+// completes at issue, moves the last-issue cycle but never enters the
+// in-flight set, and that its ack from a non-posting fabric is no
+// completion.
+func TestIssuerPostedWriteMovesLastIssueOnly(t *testing.T) {
+	b := newBareIssuer("a")
+	b.tick(5)
+	b.s.Issue(0, bus.Request{Op: bus.OpWrite, Posted: true, Beats: 1, BytesPerBeat: 8}, true)
+	if _, _, ok := b.s.Oldest(); ok || b.s.InFlight() != 0 || b.s.LastIssueCycle() != 5 {
+		t.Fatalf("posted write: oldest found %v, %d in flight, last issue %d; want none, 0, 5", ok, b.s.InFlight(), b.s.LastIssueCycle())
+	}
+	b.tick(9)
+	b.respond(b.accept(), 1)
+	b.s.Collect()
+	if b.s.LastCompleteCycle() != -1 {
+		t.Fatalf("the untracked ack moved the last completion to %d", b.s.LastCompleteCycle())
+	}
+}
+
+// TestIssuerCompletionMovesLastComplete checks that consuming a tracked
+// request's final beat moves the last-completion cycle to the cycle it is
+// consumed in, and that an earlier beat does not.
+func TestIssuerCompletionMovesLastComplete(t *testing.T) {
+	b := newBareIssuer("a")
+	b.tick(3)
+	b.s.Issue(0, bus.Request{Op: bus.OpRead, Beats: 2, BytesPerBeat: 8}, true)
+	req := b.accept()
+	b.tick(7)
+	b.s.Port().Resp.Push(bus.Beat{Req: req})
+	b.s.Port().Update()
+	b.s.Collect()
+	if b.s.LastCompleteCycle() != -1 || b.s.InFlight() != 1 {
+		t.Fatalf("a non-final beat completed the read: last completion %d, %d in flight", b.s.LastCompleteCycle(), b.s.InFlight())
+	}
+	b.tick(8)
+	b.s.Port().Resp.Push(bus.Beat{Req: req, Idx: 1, Last: true})
+	b.s.Port().Update()
+	b.s.Collect()
+	if b.s.LastCompleteCycle() != 8 || b.s.LastIssueCycle() != 3 || b.s.InFlight() != 0 {
+		t.Fatalf("last completion %d, last issue %d, %d in flight; want 8, 3, 0", b.s.LastCompleteCycle(), b.s.LastIssueCycle(), b.s.InFlight())
+	}
+}
+
 func TestIssuerCodecRoundTrips(t *testing.T) {
 	b := newBareIssuer("a", "b")
+	b.tick(2)
 	b.s.Issue(0, bus.Request{Op: bus.OpRead, Beats: 1, BytesPerBeat: 8}, true)
+	b.tick(4)
 	b.s.Issue(1, bus.Request{Op: bus.OpWrite, Posted: true, Beats: 4, BytesPerBeat: 8}, true)
+	b.tick(6)
 	b.s.Issue(1, bus.Request{Op: bus.OpWrite, Beats: 2, BytesPerBeat: 8}, false)
+	b.tick(9)
 	b.respond(b.accept(), 1) // the read completes
 	b.s.Collect()
+	b.tick(11)
 	b.s.Issue(0, bus.Request{Op: bus.OpRead, Beats: 1, BytesPerBeat: 8}, true)
 	b.s.Port().Update() // leave requests staged in the port
 
@@ -149,5 +231,12 @@ func TestIssuerCodecRoundTrips(t *testing.T) {
 	if r.s.InFlight() != b.s.InFlight() || r.s.Issued() != 4 || r.s.Completed() != 2 ||
 		!reflect.DeepEqual(r.s.Stats(), b.s.Stats()) {
 		t.Fatalf("decoded issuer differs: in flight %d/%d, issued %d, completed %d", r.s.InFlight(), b.s.InFlight(), r.s.Issued(), r.s.Completed())
+	}
+	if !reflect.DeepEqual(r.s.tracked, b.s.tracked) || r.s.LastIssueCycle() != 11 || r.s.LastCompleteCycle() != 9 {
+		t.Fatalf("decoded in-flight set %v, last issue %d, last completion %d; want %v, 11, 9",
+			r.s.tracked, r.s.LastIssueCycle(), r.s.LastCompleteCycle(), b.s.tracked)
+	}
+	if id, cycle, _ := r.s.Oldest(); cycle != 6 {
+		t.Fatalf("decoded oldest %#x issued at cycle %d, want the non-posted write of cycle 6", id, cycle)
 	}
 }

@@ -12,7 +12,10 @@ import (
 // after a restore — the round-robin pointer over agents, an agent's phase
 // and the agent an in-flight request books into — and a response beat it
 // would dereference, and requires DecodeState to reject the snapshot
-// instead of letting Run index with it.
+// instead of letting Run index with it. The issue side's cycles (an
+// in-flight request's issue cycle, the last issue and completion) index
+// nothing, but a stall report ages requests from them, so they must lie
+// within the issue history.
 func TestDecodeStateRejectsOutOfRange(t *testing.T) {
 	cfg := Config{
 		Name: "ip0",
@@ -31,7 +34,11 @@ func TestDecodeStateRejectsOutOfRange(t *testing.T) {
 		{"rr past agents", func(g *Generator) { g.rr = len(g.agents) }},
 		{"phase negative", func(g *Generator) { g.agents[1].phase = -1 }},
 		{"phase past phases", func(g *Generator) { g.agents[0].phase = 3 }},
-		{"in-flight tag past agents", func(g *Generator) { g.tracked[1] = len(g.agents) }},
+		{"in-flight tag past agents", func(g *Generator) { g.tracked[1] = pending{tag: len(g.agents)} }},
+		{"in-flight issue cycle negative", func(g *Generator) { g.lastIssue, g.tracked[1] = 5, pending{cycle: -1} }},
+		{"in-flight issue cycle past the last issue", func(g *Generator) { g.lastIssue, g.tracked[1] = 5, pending{cycle: 6} }},
+		{"last issue cycle below -1", func(g *Generator) { g.lastIssue = -2 }},
+		{"last completion cycle below -1", func(g *Generator) { g.lastComplete = -2 }},
 		{"response beat without a request", func(g *Generator) {
 			g.port.Resp.Push(bus.Beat{Last: true})
 			g.port.Resp.Update()

@@ -33,9 +33,9 @@ func TestWriteChromeTraceShape(t *testing.T) {
 	var depth int64
 	r.GaugeFunc("lmi.queue_depth", "central", func() int64 { return depth })
 	s := r.NewSampler("central", 4000, 2, 64)
-	for i := 0; i < 20; i++ {
-		depth = int64(i % 5)
-		s.Eval()
+	for c := int64(2); c <= 20; c += 2 {
+		depth = (c - 1) % 5
+		s.Sample(c)
 	}
 	snap := r.Snapshot()
 

@@ -76,10 +76,9 @@ func TestSamplerRecordsAndWraps(t *testing.T) {
 	}
 	// 100 cycles at every=10 -> 10 samples into a 4-slot ring: 6 dropped,
 	// slots hold cycles 70..100.
-	for c := int64(1); c <= 100; c++ {
+	for c := int64(10); c <= 100; c += 10 {
 		level = c
-		s.Eval()
-		s.Update()
+		s.Sample(c)
 	}
 	tl := r.Snapshot().Timelines[0]
 	if tl.Clock != "clk" || tl.PeriodPS != 4000 || tl.Every != 10 {
@@ -109,16 +108,16 @@ func TestSamplerNoAllocSteadyState(t *testing.T) {
 		name := string(rune('a'+i)) + ".depth"
 		r.GaugeFunc(name, "clk", func() int64 { return level })
 	}
-	s := r.NewSampler("clk", 4000, 1, 16) // sample every cycle, wrap fast
-	for i := 0; i < 100; i++ {
-		s.Eval()
+	s := r.NewSampler("clk", 4000, 1, 16) // wraps fast
+	for i := int64(1); i <= 100; i++ {
+		s.Sample(i)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		level++
-		s.Eval()
+		s.Sample(level)
 	})
 	if allocs != 0 {
-		t.Fatalf("sampler Eval allocates: %.2f allocs/cycle (want 0)", allocs)
+		t.Fatalf("sampler Sample allocates: %.2f allocs/sample (want 0)", allocs)
 	}
 }
 

@@ -7,11 +7,11 @@ package metrics
 // samples are overwritten (and counted in Dropped) rather than the storage
 // regrown.
 //
-// A sampler is passive: something must call Sample (or the self-clocked
-// Eval) to record a row. Driving many samplers from one shared trigger is
-// deliberately cheap — per-cycle cost lives in the trigger (one decrement
-// and one branch), not in per-sampler clock registrations, whose interface
-// dispatch on every domain edge measurably slows the kernel's hot loop.
+// A sampler is passive: something must call Sample to record a row.
+// Driving many samplers from one shared trigger is deliberately cheap —
+// per-cycle cost lives in the trigger (one decrement and one branch), not in
+// per-sampler clock registrations, whose interface dispatch on every domain
+// edge measurably slows the kernel's hot loop.
 type Sampler struct {
 	clock    string
 	periodPS int64
@@ -20,8 +20,6 @@ type Sampler struct {
 
 	gauges []*Gauge
 
-	cycle int64
-	next  int64 // next self-clocked sample cycle (Eval path)
 	n     int64 // total samples taken (may exceed cap)
 	head  int   // next ring slot to write
 	times []int64
@@ -38,11 +36,10 @@ const DefaultSampleCap = 4096
 
 // NewSampler attaches a sampler for the named clock domain: it records every
 // gauge registered with that clock name. every is the sampling window in
-// driving-clock cycles; capSamples bounds the ring (both fall back to the
-// package defaults when <= 0). The sampler must be created after all gauges
-// of the domain are registered, then driven either by an external trigger
-// calling Sample or by registering it on a clock (Eval samples every
-// `every` of its own calls).
+// driving-clock cycles, which the timeline reports; capSamples bounds the
+// ring (both fall back to the package defaults when <= 0). The sampler must
+// be created after all gauges of the domain are registered, then driven by
+// an external trigger calling Sample once per window.
 func (r *Registry) NewSampler(clock string, periodPS, every int64, capSamples int) *Sampler {
 	if every <= 0 {
 		every = DefaultSampleEvery
@@ -50,7 +47,7 @@ func (r *Registry) NewSampler(clock string, periodPS, every int64, capSamples in
 	if capSamples <= 0 {
 		capSamples = DefaultSampleCap
 	}
-	s := &Sampler{clock: clock, periodPS: periodPS, every: every, cap: capSamples, next: every}
+	s := &Sampler{clock: clock, periodPS: periodPS, every: every, cap: capSamples}
 	for _, g := range r.gauges {
 		if g.clock == clock {
 			s.gauges = append(s.gauges, g)
@@ -65,25 +62,9 @@ func (r *Registry) NewSampler(clock string, periodPS, every int64, capSamples in
 // Tracks returns the number of gauges the sampler records.
 func (s *Sampler) Tracks() int { return len(s.gauges) }
 
-// Eval advances the self-clocked cycle count and records one sample at each
-// window boundary (a comparison, not a modulo — this runs every cycle when
-// the sampler is clock-registered). Zero allocations: the ring storage is
-// preallocated.
-func (s *Sampler) Eval() {
-	s.cycle++
-	if s.cycle != s.next {
-		return
-	}
-	s.next += s.every
-	s.Sample(s.cycle)
-}
-
-// Update is a no-op; the sampler owns no two-phase state.
-func (s *Sampler) Update() {}
-
 // Sample records one row stamped with the given domain-cycle count. Called
-// by an external trigger (one per platform, not per domain) or by Eval.
-// Zero allocations.
+// by an external trigger (one per platform, not per domain). Zero
+// allocations: the ring storage is preallocated.
 func (s *Sampler) Sample(cycle int64) {
 	s.times[s.head] = cycle
 	base := s.head * len(s.gauges)

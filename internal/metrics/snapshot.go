@@ -3,7 +3,7 @@ package metrics
 import "mpsocsim/internal/snapshot"
 
 // EncodeState serializes the sampler's mutable state (DESIGN.md §16): the
-// self-clocked counters and the ring contents, re-packed oldest-first so the
+// sample count and the ring contents, re-packed oldest-first so the
 // byte stream is independent of where the head happened to sit. Gauge values
 // themselves are live reads of component counters — those are restored by the
 // components — so only the recorded rows travel. The clock name, track count
@@ -13,8 +13,6 @@ func (s *Sampler) EncodeState(e *snapshot.Encoder) {
 	e.Str(s.clock)
 	e.U(uint64(len(s.gauges)))
 	e.U(uint64(s.cap))
-	e.I(s.cycle)
-	e.I(s.next)
 	e.I(s.n)
 	kept := int(s.n)
 	start := 0
@@ -51,8 +49,6 @@ func (s *Sampler) DecodeState(d *snapshot.Decoder) {
 			clock, nt, rcap, s.clock, len(s.gauges), s.cap)
 		return
 	}
-	s.cycle = d.I()
-	s.next = d.I()
 	s.n = d.I()
 	kept := d.N(s.cap)
 	if d.Err() != nil {

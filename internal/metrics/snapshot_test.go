@@ -28,8 +28,6 @@ func TestSamplerDecodeRejectsBadCount(t *testing.T) {
 		e.Str("clk")
 		e.U(1)
 		e.U(rcap)
-		e.I(0)
-		e.I(10)
 		e.I(n)
 		e.U(uint64(kept))
 		for i := 0; i < kept; i++ {

@@ -43,9 +43,12 @@ type Initiator interface {
 	Done() bool
 	Issued() int64
 	Completed() int64
-	// MaxConcurrent bounds the simultaneously in-flight count; the stall
-	// trackers size their depth from it.
-	MaxConcurrent() int64
+	// InFlight, Oldest, LastIssueCycle and LastCompleteCycle read the
+	// issuer's in-flight set and last-progress cycles for the stall report.
+	InFlight() int
+	Oldest() (id uint64, issueCycle int64, ok bool)
+	LastIssueCycle() int64
+	LastCompleteCycle() int64
 	Stats() []iptg.AgentStats
 	UseRequestPool(*bus.RequestPool)
 	UseAttribution(*attr.Collector)
@@ -143,10 +146,6 @@ type Platform struct {
 	teleNext      int64
 	teleLastCycle int64
 
-	// stallTrackers are the always-on run-health probes, one per traffic
-	// source, parallel to gens. Build attaches them; StallReport reads them.
-	stallTrackers []*telemetry.PortTracker
-
 	// resumedCycles marks the restore point (zero for a fresh Build);
 	// Result.ResumedFromCycle reports it.
 	resumedCycles int64
@@ -226,7 +225,6 @@ func Build(spec Spec) (*Platform, error) {
 	}
 	p.wirePool()
 	p.registerMetrics()
-	p.attachStallTrackers()
 	p.wdCounters = make([]metrics.CounterValue, len(p.Metrics.Counters()))
 	p.wdPrevCounters = make([]metrics.CounterValue, len(p.Metrics.Counters()))
 	return p, nil
@@ -619,9 +617,7 @@ func (p *Platform) addInitiator(fab bus.Fabric, clk *sim.Clock, name string, req
 // round-trip determinism suite proves bit-identical reproduction.
 func (p *Platform) AttachCapture(c *tracecap.Capture) {
 	for i, g := range p.gens {
-		// Tee over the always-on stall tracker rather than displacing it —
-		// a port has a single Probe slot.
-		g.Port().Probe = bus.TeeProbes(g.Port().Probe, c.Probe(g.Name(), p.genClk[i].PeriodPS()))
+		g.Port().Probe = c.Probe(g.Name(), p.genClk[i].PeriodPS())
 	}
 	p.capture = c
 }

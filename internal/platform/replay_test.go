@@ -145,3 +145,22 @@ func TestReplayDeterminism(t *testing.T) {
 		t.Fatalf("replay runs diverged: %d vs %d cycles", a.CentralCycles, b.CentralCycles)
 	}
 }
+
+// TestPortsCarryProbeOnlyWithCapture checks that no traffic-source port
+// carries a probe until capture is attached, and that each then carries
+// exactly its capture stream: the stall report needs none, so the issue and
+// completion paths of an unobserved run make no probe call.
+func TestPortsCarryProbeOnlyWithCapture(t *testing.T) {
+	p := MustBuild(quickIO(STBus, Distributed, LMIDDR))
+	for _, g := range p.gens {
+		if g.Port().Probe != nil {
+			t.Fatalf("%s carries a %T probe without capture", g.Name(), g.Port().Probe)
+		}
+	}
+	p.AttachCapture(tracecap.NewCapture(p.Spec.Name(), 0))
+	for _, g := range p.gens {
+		if _, ok := g.Port().Probe.(*tracecap.StreamProbe); !ok {
+			t.Fatalf("%s carries a %T probe under capture, want its *tracecap.StreamProbe", g.Name(), g.Port().Probe)
+		}
+	}
+}

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"sort"
 
 	"mpsocsim/internal/ahb"
 	"mpsocsim/internal/attr"
 	"mpsocsim/internal/axi"
 	"mpsocsim/internal/bridge"
+	"mpsocsim/internal/metrics"
 	"mpsocsim/internal/snapshot"
 	"mpsocsim/internal/stbus"
 	"mpsocsim/internal/tracecap"
@@ -77,9 +79,18 @@ func (p *Platform) Snapshot(w io.Writer) error {
 		e.I(0)
 	}
 
-	// Run-loop state: watchdog history and the timeline countdown.
+	// Run-loop state: watchdog history with its counter baselines (values
+	// in registry order), and the timeline countdown.
 	e.I(p.wdLastProg)
 	e.I(p.wdLastCheck)
+	e.I(p.wdObservations)
+	e.I(p.wdObservedCycle)
+	for _, base := range [][]metrics.CounterValue{p.wdCounters, p.wdPrevCounters} {
+		e.U(uint64(len(base)))
+		for _, c := range base {
+			e.I(c.Value)
+		}
+	}
 	e.I(p.timelineLeft)
 
 	p.encodeComponents(e)
@@ -196,6 +207,10 @@ func Restore(spec Spec, r io.Reader) (*Platform, error) {
 
 	p.wdLastProg = d.I()
 	p.wdLastCheck = d.I()
+	p.wdObservations = int64(d.Int(0, math.MaxInt, "watchdog observation count"))
+	p.wdObservedCycle = int64(d.Int(0, math.MaxInt, "watchdog observation cycle"))
+	p.decodeBaseline(d, p.wdCounters)
+	p.decodeBaseline(d, p.wdPrevCounters)
 	p.timelineLeft = d.I()
 
 	p.decodeComponents(d)
@@ -207,6 +222,22 @@ func Restore(spec Spec, r io.Reader) (*Platform, error) {
 	}
 	p.resumedCycles = p.CentralClk.Cycles()
 	return p, nil
+}
+
+// decodeBaseline restores one watchdog counter baseline into dst: a value
+// per registry counter, named from the registry. A baseline of any other
+// length comes from a different registry and is refused.
+func (p *Platform) decodeBaseline(d *snapshot.Decoder, dst []metrics.CounterValue) {
+	ctrs := p.Metrics.Counters()
+	if n := d.N(1 << 20); d.Err() == nil && n != len(ctrs) {
+		d.Corrupt("watchdog baseline of %d counters, the registry has %d", n, len(ctrs))
+	}
+	if d.Err() != nil {
+		return
+	}
+	for i, c := range ctrs {
+		dst[i] = metrics.CounterValue{Name: c.Name(), Value: d.I()}
+	}
 }
 
 // ResumedCycles returns the central-clock cycle the platform was restored

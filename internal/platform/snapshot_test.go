@@ -297,7 +297,8 @@ func TestSnapshotDeterministic(t *testing.T) {
 }
 
 // TestSnapshotValidation pins the refusal cases: restores reject a
-// different spec, truncation and corruption with the sentinel errors.
+// different spec, truncation and corruption with the sentinel errors, and a
+// watchdog counter baseline whose length is not the registry's.
 func TestSnapshotValidation(t *testing.T) {
 	spec := quick(STBus, Distributed, LMIDDR)
 	p := MustBuild(spec)
@@ -342,6 +343,17 @@ func TestSnapshotValidation(t *testing.T) {
 		bad := append(append([]byte(nil), data...), 0x00)
 		if _, err := Restore(spec, bytes.NewReader(bad)); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("want ErrCorrupt for trailing bytes, got %v", err)
+		}
+	})
+	t.Run("watchdog-baseline-length", func(t *testing.T) {
+		q := MustBuild(spec)
+		q.wdPrevCounters = q.wdPrevCounters[1:]
+		var bad bytes.Buffer
+		if err := q.Snapshot(&bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(spec, &bad); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("want ErrCorrupt for a baseline one counter short, got %v", err)
 		}
 	})
 }

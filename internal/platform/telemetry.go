@@ -79,24 +79,6 @@ func (p *Platform) finishTelemetry() {
 	p.tele.Finish()
 }
 
-// attachStallTrackers installs the always-on run-health probes on every
-// traffic-source port at Build time. Trackers are passive and
-// allocation-free on the hot path; they exist so a wedged run can answer
-// which transactions have been stuck the longest and when each clock domain
-// last made progress (StallReport), whether or not telemetry was enabled.
-func (p *Platform) attachStallTrackers() {
-	p.stallTrackers = make([]*telemetry.PortTracker, len(p.gens))
-	for i, g := range p.gens {
-		depth := int(g.MaxConcurrent()) + 8
-		if depth > 1024 || depth < 0 {
-			depth = 1024
-		}
-		t := telemetry.NewPortTracker(g.Name(), p.genClk[i].Name(), depth)
-		p.stallTrackers[i] = t
-		g.Port().Probe = bus.TeeProbes(g.Port().Probe, t)
-	}
-}
-
 // observeWatchdogCounters copies every registry counter into the
 // preallocated watchdog baseline, demoting the old baseline to the previous
 // slot first. The run loops call it at each watchdog observation that saw
@@ -140,8 +122,12 @@ func appendTargetPort(rows []telemetry.FifoFill, p *bus.TargetPort) []telemetry.
 // FIFOs across every port of the platform (10 when <= 0), each initiator's
 // oldest outstanding transaction, each clock domain's last-progress cycle
 // and the counters that moved during the last watchdog window. Valid after
-// Run returns with Stalled (watchdog fired, exit 2) or over budget (exit 3);
-// works whether or not telemetry streaming was enabled.
+// Run returns with Stalled (watchdog fired, exit 2) or over budget (exit 3),
+// or between any two steps; works whether or not telemetry streaming was
+// enabled. The initiator and domain rows read each traffic source's
+// iptg.Issuer, and the counter rows the watchdog baselines, all of which
+// travel in snapshots: a restored platform reports what the uninterrupted
+// run would at the same cycle.
 func (p *Platform) StallReport(reason string, topFifos int) *telemetry.StallReport {
 	if topFifos <= 0 {
 		topFifos = 10
@@ -181,19 +167,20 @@ func (p *Platform) StallReport(reason string, topFifos int) *telemetry.StallRepo
 	for i, g := range p.gens {
 		rep.Issued += g.Issued()
 		rep.Completed += g.Completed()
-		t := p.stallTrackers[i]
 		row := telemetry.InitiatorHealth{
 			Name:              g.Name(),
 			Clock:             p.genClk[i].Name(),
 			Issued:            g.Issued(),
 			Completed:         g.Completed(),
-			InFlight:          t.InFlight(),
-			LastIssueCycle:    t.LastIssueCycle(),
-			LastCompleteCycle: t.LastCompleteCycle(),
+			InFlight:          g.InFlight(),
+			LastIssueCycle:    g.LastIssueCycle(),
+			LastCompleteCycle: g.LastCompleteCycle(),
 		}
-		if id, issuePS, ok := t.Oldest(); ok {
+		if id, cycle, ok := g.Oldest(); ok {
+			// The request was stamped at the edge after its issue cycle
+			// (sim.Clock.NowPS).
 			row.OldestID = id
-			row.OldestAgePS = rep.TimePS - issuePS
+			row.OldestAgePS = rep.TimePS - (cycle+1)*p.genClk[i].PeriodPS()
 		}
 		rep.Initiators = append(rep.Initiators, row)
 	}
@@ -213,16 +200,11 @@ func (p *Platform) StallReport(reason string, topFifos int) *telemetry.StallRepo
 	}
 	for _, clk := range clocks {
 		d := telemetry.DomainHealth{Clock: clk.Name(), Cycles: clk.Cycles(), LastProgressCycle: -1}
-		for i, t := range p.stallTrackers {
+		for i, g := range p.gens {
 			if p.genClk[i] != clk {
 				continue
 			}
-			if v := t.LastIssueCycle(); v > d.LastProgressCycle {
-				d.LastProgressCycle = v
-			}
-			if v := t.LastCompleteCycle(); v > d.LastProgressCycle {
-				d.LastProgressCycle = v
-			}
+			d.LastProgressCycle = max(d.LastProgressCycle, g.LastIssueCycle(), g.LastCompleteCycle())
 		}
 		rep.Domains = append(rep.Domains, d)
 	}

@@ -3,11 +3,13 @@ package platform
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"mpsocsim/internal/telemetry"
+	"mpsocsim/internal/tracecap"
 )
 
 // drainNDJSON renders every record the collector holds as NDJSON bytes.
@@ -316,5 +318,77 @@ func TestStallReportAfterBudgetExhaustion(t *testing.T) {
 	}
 	if inFlight == 0 {
 		t.Fatal("mid-run cut shows no transaction in flight")
+	}
+}
+
+// TestStallReportRestoreInvariant holds the stall report to the checkpoint
+// contract (DESIGN.md §16, §19): a platform restored at cycle c and advanced
+// to cycle h must report exactly what the uninterrupted run reports at h —
+// the in-flight sets, oldest requests, last-progress cycles and the counters
+// that moved in the last watchdog window. The late case restores past the
+// first watchdog observation (central cycle 200,000), so its baselines come
+// from the snapshot. Each spec runs as generated traffic, with the I/O
+// subsystem, and as a replay of the I/O spec's capture.
+func TestStallReportRestoreInvariant(t *testing.T) {
+	const budget = 5e12
+	cases := []struct {
+		name  string
+		scale float64
+		c, h  int64
+	}{
+		{"early", 1, 7_400, 7_500},
+		{"late", 8, 220_000, 225_000},
+	}
+	for _, tc := range cases {
+		ref := DefaultSpec()
+		ref.WorkloadScale = tc.scale
+		withIO := ref
+		withIO.IO.Enable = true
+		// A capture of the I/O spec up to h is all the replay can issue
+		// before the report.
+		cp := MustBuild(withIO)
+		capt := tracecap.NewCapture(withIO.Name(), 0)
+		cp.AttachCapture(capt)
+		cp.RunToCycle(tc.h, budget)
+		replayed := withIO
+		replayed.Replay = capt.Trace()
+		for _, s := range []struct {
+			name string
+			spec Spec
+		}{{"reference", ref}, {"io", withIO}, {"io-replay", replayed}} {
+			t.Run(tc.name+"/"+s.name, func(t *testing.T) {
+				reason := fmt.Sprintf("report at cycle %d", tc.h)
+				p := MustBuild(s.spec)
+				if !p.RunToCycle(tc.h, budget) {
+					t.Fatalf("the run ended before cycle %d", tc.h)
+				}
+				want := p.StallReport(reason, 10)
+				if want.Issued == want.Completed {
+					t.Fatalf("nothing in flight at cycle %d: the comparison would show nothing", tc.h)
+				}
+
+				rp := MustBuild(s.spec)
+				rp.RunToCycle(tc.c, budget)
+				var buf bytes.Buffer
+				if err := rp.Snapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				rp, err := Restore(s.spec, &buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rp.RunToCycle(tc.h, budget)
+				got := rp.StallReport(reason, 10)
+				if !reflect.DeepEqual(got, want) {
+					var g, w bytes.Buffer
+					got.Write(&g)
+					want.Write(&w)
+					t.Fatalf("restored at cycle %d, the report at %d differs from the uninterrupted run's.\nrestored:\n%s\nuninterrupted:\n%s", tc.c, tc.h, g.String(), w.String())
+				}
+				if len(want.Moved) == 0 && tc.c > 200_000 {
+					t.Fatalf("no counter moved in the last watchdog window at cycle %d", tc.h)
+				}
+			})
+		}
 	}
 }

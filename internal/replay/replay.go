@@ -201,6 +201,3 @@ func (in *Initiator) issue() {
 
 // Remaining returns the recorded events not yet issued.
 func (in *Initiator) Remaining() int { return len(in.events) - in.next }
-
-// MaxConcurrent returns the initiator's outstanding-transaction cap.
-func (in *Initiator) MaxConcurrent() int64 { return int64(in.cfg.Outstanding) }

@@ -33,8 +33,11 @@ const Magic = "MPSNAP"
 // than guessing (same rule as the trace format). Version 2 dropped the FIFO
 // occupancy statistics from every FIFO section; version 3 gave the five
 // traffic-source sections (iptg, replay, DMA, IRQ, heap allocator) one
-// shared issue-side layout (iptg.Issuer).
-const Version = 3
+// shared issue-side layout (iptg.Issuer); version 4 added the issue cycle
+// of each in-flight request and the last issue and completion cycles to
+// that layout, the watchdog's counter baselines to the run-loop state, and
+// dropped the timeline samplers' self-clocked counters.
+const Version = 4
 
 // Sentinel decode errors; match with errors.Is.
 var (

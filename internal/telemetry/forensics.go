@@ -5,110 +5,9 @@ import (
 	"io"
 	"sort"
 
-	"mpsocsim/internal/bus"
 	"mpsocsim/internal/metrics"
 	"mpsocsim/internal/stats"
 )
-
-// PortTracker is the always-on run-health probe on one initiator port: a
-// preallocated in-flight table keyed by request ID, plus the last cycle the
-// initiator issued or completed anything. It implements bus.PortProbe and is
-// passive and allocation-free, so attaching one to every port (platform
-// Build does) costs nothing observable. On a wedged run the trackers answer
-// the two forensic questions the watchdog cannot: which transactions have
-// been in flight the longest, and when each clock domain last made progress.
-//
-// Posted writes are recorded for last-issue tracking but not entered into
-// the in-flight table: they complete at issue (the fabric acks them at
-// acceptance) and never produce a RequestCompleted call.
-type PortTracker struct {
-	name  string
-	clock string
-
-	ids []uint64
-	iss []int64 // issue instants, absolute picoseconds
-	n   int
-	// overflow counts issues dropped because the table was full (only
-	// possible if an initiator exceeds its declared MaxConcurrent bound).
-	overflow int64
-
-	lastIssueCycle    int64
-	lastCompleteCycle int64
-}
-
-// NewPortTracker builds a tracker for the named initiator in the named clock
-// domain, with table capacity cap (clamped to >= 4).
-func NewPortTracker(name, clock string, cap int) *PortTracker {
-	if cap < 4 {
-		cap = 4
-	}
-	return &PortTracker{
-		name: name, clock: clock,
-		ids: make([]uint64, cap), iss: make([]int64, cap),
-		lastIssueCycle: -1, lastCompleteCycle: -1,
-	}
-}
-
-// Name returns the tracked initiator's name.
-func (t *PortTracker) Name() string { return t.name }
-
-// Clock returns the initiator's clock-domain name.
-func (t *PortTracker) Clock() string { return t.clock }
-
-// RequestIssued implements bus.PortProbe. Allocation-free.
-func (t *PortTracker) RequestIssued(r *bus.Request) {
-	t.lastIssueCycle = r.IssueCycle
-	if r.Posted {
-		return
-	}
-	if t.n == len(t.ids) {
-		t.overflow++
-		return
-	}
-	t.ids[t.n] = r.ID
-	t.iss[t.n] = r.IssuePS
-	t.n++
-}
-
-// RequestCompleted implements bus.PortProbe. Allocation-free.
-func (t *PortTracker) RequestCompleted(r *bus.Request, cycle int64) {
-	t.lastCompleteCycle = cycle
-	for i := 0; i < t.n; i++ {
-		if t.ids[i] == r.ID {
-			t.n--
-			t.ids[i], t.iss[i] = t.ids[t.n], t.iss[t.n]
-			return
-		}
-	}
-}
-
-// InFlight returns the tracked in-flight count.
-func (t *PortTracker) InFlight() int { return t.n }
-
-// Oldest returns the longest-outstanding tracked transaction.
-func (t *PortTracker) Oldest() (id uint64, issuePS int64, ok bool) {
-	if t.n == 0 {
-		return 0, 0, false
-	}
-	best := 0
-	for i := 1; i < t.n; i++ {
-		if t.iss[i] < t.iss[best] {
-			best = i
-		}
-	}
-	return t.ids[best], t.iss[best], true
-}
-
-// LastIssueCycle returns the initiator-domain cycle of the last issue (-1
-// when nothing was ever issued).
-func (t *PortTracker) LastIssueCycle() int64 { return t.lastIssueCycle }
-
-// LastCompleteCycle returns the initiator-domain cycle of the last tracked
-// completion (-1 when nothing completed).
-func (t *PortTracker) LastCompleteCycle() int64 { return t.lastCompleteCycle }
-
-// Overflow returns how many issues the table could not record.
-func (t *PortTracker) Overflow() int64 { return t.overflow }
 
 // FifoFill is one FIFO's occupancy row of a stall report.
 type FifoFill struct {

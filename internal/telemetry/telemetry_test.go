@@ -6,14 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"mpsocsim/internal/bus"
 	"mpsocsim/internal/metrics"
 )
-
-// req builds the minimal bus.Request a PortTracker reads.
-func req(id uint64, cycle, ps int64, posted bool) bus.Request {
-	return bus.Request{ID: id, IssueCycle: cycle, IssuePS: ps, Posted: posted}
-}
 
 // fakeInit is a scripted InitiatorSource.
 type fakeInit struct {
@@ -258,50 +252,6 @@ func TestVCDIDsUnique(t *testing.T) {
 			t.Fatalf("duplicate VCD id %q at %d", id, i)
 		}
 		seen[id] = true
-	}
-}
-
-func TestPortTrackerLifecycle(t *testing.T) {
-	tr := NewPortTracker("video", "cluster0", 4)
-	if tr.Name() != "video" || tr.Clock() != "cluster0" {
-		t.Fatal("identity lost")
-	}
-	if tr.LastIssueCycle() != -1 || tr.LastCompleteCycle() != -1 {
-		t.Fatal("fresh tracker claims progress")
-	}
-	r1 := req(1, 10, 40_000, false)
-	r2 := req(2, 12, 48_000, false)
-	rp := req(3, 14, 56_000, true)
-	tr.RequestIssued(&r1)
-	tr.RequestIssued(&r2)
-	tr.RequestIssued(&rp) // posted: last-issue moves, table does not
-	if tr.InFlight() != 2 {
-		t.Fatalf("in flight = %d, want 2 (posted write tracked)", tr.InFlight())
-	}
-	if tr.LastIssueCycle() != 14 {
-		t.Fatalf("last issue cycle = %d, want 14", tr.LastIssueCycle())
-	}
-	if id, ps, ok := tr.Oldest(); !ok || id != 1 || ps != 40_000 {
-		t.Fatalf("oldest = %d @%d %v", id, ps, ok)
-	}
-	tr.RequestCompleted(&r1, 20)
-	if tr.InFlight() != 1 || tr.LastCompleteCycle() != 20 {
-		t.Fatalf("after completion: inflight=%d last=%d", tr.InFlight(), tr.LastCompleteCycle())
-	}
-	if id, _, ok := tr.Oldest(); !ok || id != 2 {
-		t.Fatalf("oldest after completion = %d %v", id, ok)
-	}
-}
-
-func TestPortTrackerOverflow(t *testing.T) {
-	tr := NewPortTracker("x", "central", 4)
-	reqs := make([]bus.Request, 6)
-	for i := range reqs {
-		reqs[i] = req(uint64(i+1), int64(i), int64(i*4000), false)
-		tr.RequestIssued(&reqs[i])
-	}
-	if tr.InFlight() != 4 || tr.Overflow() != 2 {
-		t.Fatalf("inflight=%d overflow=%d, want 4/2", tr.InFlight(), tr.Overflow())
 	}
 }
 
