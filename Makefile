@@ -71,15 +71,15 @@ benchpins:
 diff-smoke:
 	rm -rf .diffsmoke && mkdir -p .diffsmoke
 	$(GO) build -o .diffsmoke/mpsocsim ./cmd/mpsocsim
-	.diffsmoke/mpsocsim -scale 0.2 -capture .diffsmoke/trace.bin >/dev/null
-	.diffsmoke/mpsocsim -scale 0.2 -replay .diffsmoke/trace.bin -report .diffsmoke/a.json >/dev/null
-	.diffsmoke/mpsocsim -scale 0.2 -protocol ahb -replay .diffsmoke/trace.bin -replay-mode elastic -report .diffsmoke/b.json >/dev/null
+	.diffsmoke/mpsocsim -set scale=0.2 -capture .diffsmoke/trace.bin >/dev/null
+	.diffsmoke/mpsocsim -set scale=0.2 -replay .diffsmoke/trace.bin -report .diffsmoke/a.json >/dev/null
+	.diffsmoke/mpsocsim -set scale=0.2 -set protocol=ahb -replay .diffsmoke/trace.bin -replay-mode elastic -report .diffsmoke/b.json >/dev/null
 	.diffsmoke/mpsocsim diff .diffsmoke/a.json .diffsmoke/b.json > .diffsmoke/d1.json
 	.diffsmoke/mpsocsim diff .diffsmoke/a.json .diffsmoke/b.json > .diffsmoke/d2.json
 	cmp .diffsmoke/d1.json .diffsmoke/d2.json
 	grep -q '"schema": "mpsocsim.diff/1"' .diffsmoke/d1.json
 	printf '[platform]\nmemory = onchip\nwaitstates = 2\nscale = 0.1\n' > .diffsmoke/b.conf
-	.diffsmoke/mpsocsim -memory onchip -scale 0.1 -bisect .diffsmoke/b.conf -bisect-grid 512 > .diffsmoke/bisect.json
+	.diffsmoke/mpsocsim -set memory=onchip -set scale=0.1 -bisect .diffsmoke/b.conf -bisect-grid 512 > .diffsmoke/bisect.json
 	grep -q '"kind": "bisect"' .diffsmoke/bisect.json
 	grep -q '"diverged_at": [0-9]' .diffsmoke/bisect.json
 	rm -rf .diffsmoke
@@ -101,7 +101,7 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # Short coverage-guided fuzz of the decoders of external input: the trace
-# and snapshot binaries, the platform config parser, and the report/2 JSON
+# and snapshot binaries, the platform spec reader, and the report/2 JSON
 # and telemetry NDJSON readers behind `mpsocsim diff` (seed corpora live in
 # each package's testdata/fuzz). Ten seconds apiece is enough to exercise
 # the mutation engine against every validation path on each run; longer
@@ -114,7 +114,7 @@ cover:
 fuzz-short:
 	$(GO) test ./internal/tracecap -run '^$$' -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/platform -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s -fuzzminimizetime 20x
-	$(GO) test ./internal/config -run '^$$' -fuzz FuzzParsePlatform -fuzztime 10s
+	$(GO) test ./internal/platform -run '^$$' -fuzz FuzzParsePlatform -fuzztime 10s
 	$(GO) test ./internal/diff -run '^$$' -fuzz FuzzReports -fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/diff -run '^$$' -fuzz FuzzStreams -fuzztime 10s -fuzzminimizetime 20x
 

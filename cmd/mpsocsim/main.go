@@ -3,9 +3,14 @@
 // utilization and (for the LMI variant) the Fig.6-style bus-interface
 // monitor totals.
 //
-//	mpsocsim -protocol stbus -topology distributed -memory lmi
-//	mpsocsim -protocol ahb -memory onchip -waitstates 4 -scale 0.5
-//	mpsocsim -protocol axi -topology collapsed -memory lmi -split-lmi-bridge
+// The platform is the reference one (platform.DefaultSpec) changed by a
+// -config spec file, a [platform] section of key = value lines, and then by
+// -set key=value pairs in command-line order. Both take the keys of
+// platform.Keys, which -h lists with their values:
+//
+//	mpsocsim -set protocol=ahb -set memory=onchip -set waitstates=4 -set scale=0.5
+//	mpsocsim -set protocol=axi -set topology=collapsed -set splitlmi=true
+//	mpsocsim -config variant.conf -set seed=7
 //
 // Transaction traces close the capture/replay loop: -capture records the
 // full per-initiator stimulus of the run into a compact binary trace, and
@@ -14,7 +19,7 @@
 // measured under identical traffic:
 //
 //	mpsocsim -capture ref.trc
-//	mpsocsim -protocol ahb -replay ref.trc
+//	mpsocsim -set protocol=ahb -replay ref.trc
 //
 // Observability exports render the run's metrics registry: -report writes
 // the schema-versioned JSON run report (every counter, gauge, histogram and
@@ -79,30 +84,31 @@
 // flips, deadline regressions — byte-identical across invocations. In run
 // mode, -diff BASELINE.json diffs the finished run against a stored report,
 // -diff-stream BASELINE.ndjson diffs the freshly written -telemetry stream,
-// and -bisect B.conf skips the normal run entirely: it drives the run-flag
-// spec (variant A) and the config-file spec (variant B) in lockstep along a
-// shared snapshot grid and binary-searches the exact first central-clock
-// cycle where observable state diverges, with a forensics context block for
-// that instant:
+// and -bisect B.conf skips the normal run entirely: it drives the -config
+// and -set spec (variant A) and the spec file B.conf (variant B), which
+// takes the same keys, in lockstep along a shared snapshot grid and
+// binary-searches the exact first central-clock cycle where observable
+// state diverges, with a forensics context block for that instant:
 //
 //	mpsocsim diff a.json b.json
-//	mpsocsim -protocol ahb -diff stbus.json
+//	mpsocsim -set protocol=ahb -diff stbus.json
 //	mpsocsim -bisect variant-b.conf -bisect-grid 512
 //
-// The I/O subsystem (-io) attaches a descriptor-chain DMA engine, two
+// The I/O subsystem (io=true) attaches a descriptor-chain DMA engine, two
 // interrupt-driven device agents whose per-event service deadlines are
 // tracked in the report's deadlines section, and a heap-allocator traffic
-// source. The -io-* knobs shape it (defaults in parentheses below); negative
-// counts disable the corresponding initiator family:
+// source. The io.* keys shape it; negative counts disable the corresponding
+// initiator family:
 //
-//	mpsocsim -io
-//	mpsocsim -io -io-dma-desc -1            # storm off: devices + allocator only
-//	mpsocsim -io -io-irq-deadline 128 -attr # tighter deadlines, phase-attributed
+//	mpsocsim -set io=true
+//	mpsocsim -set io=true -set io.dma.descriptors=-1      # storm off: devices + allocator only
+//	mpsocsim -set io=true -set io.irq.deadline=128 -attr  # tighter deadlines, phase-attributed
 //
-// Exit status: 0 on a drained run, 2 on a usage error (contradictory flags,
-// like -io-* knobs without -io or with -replay) and when the run deadlocked
-// (the progress watchdog saw no transaction move), 3 when the simulated-time
-// budget ran out first, 1 on I/O errors. Both non-drained outcomes dump a
+// Exit status: 0 on a drained run; 1 on I/O errors and on a key or value
+// the key table or Build rejects; 2 on a usage error (contradictory flags,
+// like an io.* pair without io=true or with -replay) and when the run
+// deadlocked (the progress watchdog saw no transaction move); 3 when the
+// simulated-time budget ran out first. Both non-drained outcomes dump a
 // structured stall report to stderr — fullest FIFOs, per-initiator oldest
 // outstanding transaction, last progress per clock domain, counters still
 // moving in the final watchdog window — whether or not telemetry was on.
@@ -115,9 +121,9 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 
 	"mpsocsim/internal/attr"
-	"mpsocsim/internal/config"
 	"mpsocsim/internal/diff"
 	"mpsocsim/internal/metrics"
 	"mpsocsim/internal/platform"
@@ -141,16 +147,19 @@ func main() {
 		runDiffCommand(os.Args[2:])
 		return
 	}
-	configFile := flag.String("config", "", "platform specification file (flags set explicitly override it)")
-	proto := flag.String("protocol", "stbus", "communication protocol: stbus|ahb|axi")
-	topo := flag.String("topology", "distributed", "topology: distributed|collapsed")
-	memKind := flag.String("memory", "lmi", "memory subsystem: onchip|lmi")
-	waits := flag.Int("waitstates", 1, "on-chip memory wait states")
-	scale := flag.Float64("scale", 1.0, "workload scale factor")
-	seed := flag.Uint64("seed", 1, "traffic generator seed")
-	twoPhase := flag.Bool("twophase", false, "two-regime workload (Fig.6 profile)")
-	splitLMI := flag.Bool("split-lmi-bridge", false, "split-capable LMI conversion bridge")
-	noDSP := flag.Bool("no-dsp", false, "omit the ST220 core")
+	configFile := flag.String("config", "", "platform spec file: a [platform] section of key = value lines, with the keys of -set")
+	var sets []string
+	var keyList strings.Builder
+	for _, k := range platform.Keys() {
+		fmt.Fprintf(&keyList, "\n  %-18s  %-21s  %s", k.Name, k.Values, k.Doc)
+	}
+	flag.Func("set", "set one platform spec `key=value`, after -config (repeatable; applied in command-line order). Keys:"+keyList.String(), func(kv string) error {
+		if !strings.Contains(kv, "=") {
+			return fmt.Errorf("want key=value")
+		}
+		sets = append(sets, kv)
+		return nil
+	})
 	budgetMS := flag.Float64("budget", 50, "simulated-time budget in ms")
 	traceFile := flag.String("trace", "", "write the telemetry records as CSV to this file, one row per -telemetry-every cadence instant: cycle, time_ps, issued, completed and every gauge")
 	vcdFile := flag.String("vcd", "", "write the telemetry records as a VCD waveform (1 ps timescale) to this file: issued, completed and every gauge at each -telemetry-every cadence instant")
@@ -164,108 +173,38 @@ func main() {
 	attrTop := flag.Int("attr-top", 0, "print the top-N initiators by attributed latency, with their dominant phase, to stderr (implies -attr)")
 	checkpointFile := flag.String("checkpoint", "", "write a full-state checkpoint to this file at -checkpoint-at, then finish the run")
 	checkpointAt := flag.Int64("checkpoint-at", 0, "central-clock cycle to take the -checkpoint at (> 0)")
-	restoreFile := flag.String("restore", "", "resume from a checkpoint written by -checkpoint instead of simulating the prefix (spec flags must rebuild the same platform; observability travels with the checkpoint)")
-	ioOn := flag.Bool("io", false, "attach the I/O subsystem: descriptor-chain DMA engine, interrupt-driven device agents with deadline tracking, and a heap-allocator traffic source")
-	ioDMADesc := flag.Int("io-dma-desc", 0, "DMA descriptor-chain length (0 = default, negative disables the engine; needs -io)")
-	ioDMABurst := flag.Int("io-dma-burst", 0, "DMA programmed burst length in beats (0 = default 16; needs -io)")
-	ioIRQAgents := flag.Int("io-irq-agents", 0, "interrupt-driven device agents (0 = default 2, negative disables them; needs -io)")
-	ioIRQPeriod := flag.Int64("io-irq-period", 0, "device event period in I/O-clock cycles (0 = default 400; needs -io)")
-	ioIRQDeadline := flag.Int64("io-irq-deadline", 0, "per-event service deadline in I/O-clock cycles (0 = default 256; needs -io)")
-	ioIRQEvents := flag.Int("io-irq-events", 0, "events per device agent (0 = default, scaled by -scale; needs -io)")
-	ioAllocOps := flag.Int("io-alloc-ops", 0, "heap-allocator malloc/free operations (0 = default, negative disables it; needs -io)")
+	restoreFile := flag.String("restore", "", "resume from a checkpoint written by -checkpoint instead of simulating the prefix (-config and -set must rebuild the same platform; observability travels with the checkpoint)")
 	telemetryFile := flag.String("telemetry", "", "stream NDJSON telemetry records (schema mpsocsim.telemetry/1) to this file while the run executes")
 	telemetryEvery := flag.Int64("telemetry-every", platform.DefaultTelemetryEvery, "telemetry snapshot cadence in central cycles (for -telemetry/-trace/-vcd/-live)")
 	liveAddr := flag.String("live", "", "serve live run telemetry over HTTP on this address (/metrics Prometheus text, /events SSE, /progress JSON)")
 	diffFile := flag.String("diff", "", "after the run, diff its report against the baseline report/2 JSON in this file and write the mpsocsim.diff/1 document to stdout instead of the text summary")
 	diffStreamFile := flag.String("diff-stream", "", "after the run, diff its -telemetry NDJSON stream against the baseline stream in this file and write the mpsocsim.diff/1 document to stdout instead of the text summary")
-	bisectFile := flag.String("bisect", "", "localize divergence instead of running: treat the run flags as variant A and this platform config file as variant B, binary-search the first central-clock cycle where observable state differs, and write the mpsocsim.diff/1 bisect document to stdout")
+	bisectFile := flag.String("bisect", "", "localize divergence instead of running: treat the -config/-set spec as variant A and this platform spec file as variant B, binary-search the first central-clock cycle where observable state differs, and write the mpsocsim.diff/1 bisect document to stdout")
 	bisectGrid := flag.Int64("bisect-grid", 0, "checkpoint grid spacing in central cycles for -bisect (0 = default 2048; rounded up to a power of two)")
 	flag.Parse()
 
-	spec := platform.DefaultSpec()
-	if *configFile != "" {
-		f, err := os.Open(*configFile)
-		if err != nil {
-			fatalf("config: %v", err)
-		}
-		parsed, err := config.ParsePlatform(f)
-		f.Close()
-		if err != nil {
-			fatalf("config: %s: %v", *configFile, err)
-		}
-		spec = parsed
+	spec, err := loadSpec(*configFile, sets)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	// flags given explicitly on the command line override the file
-	set := map[string]bool{}
-	flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-	applyIf := func(name string, apply func()) {
-		if *configFile == "" || set[name] {
-			apply()
-		}
-	}
-	applyIf("scale", func() { spec.WorkloadScale = *scale })
-	applyIf("seed", func() { spec.Seed = *seed })
-	applyIf("twophase", func() { spec.TwoPhase = *twoPhase })
-	applyIf("split-lmi-bridge", func() { spec.SplitLMIBridge = *splitLMI })
-	applyIf("no-dsp", func() { spec.WithDSP = !*noDSP })
-	applyIf("waitstates", func() { spec.OnChipWaitStates = *waits })
-	applyIf("protocol", func() {
-		switch *proto {
-		case "stbus":
-			spec.Protocol = platform.STBus
-		case "ahb":
-			spec.Protocol = platform.AHB
-		case "axi":
-			spec.Protocol = platform.AXI
-		default:
-			fatalf("unknown protocol %q", *proto)
-		}
-	})
-	applyIf("topology", func() {
-		switch *topo {
-		case "distributed":
-			spec.Topology = platform.Distributed
-		case "collapsed":
-			spec.Topology = platform.Collapsed
-		default:
-			fatalf("unknown topology %q", *topo)
-		}
-	})
-	applyIf("memory", func() {
-		switch *memKind {
-		case "onchip":
-			spec.Memory = platform.OnChip
-		case "lmi":
-			spec.Memory = platform.LMIDDR
-		default:
-			fatalf("unknown memory kind %q", *memKind)
-		}
-	})
-	applyIf("io", func() { spec.IO.Enable = *ioOn })
-	applyIf("io-dma-desc", func() { spec.IO.DMADescriptors = *ioDMADesc })
-	applyIf("io-dma-burst", func() { spec.IO.DMABurstBeats = *ioDMABurst })
-	applyIf("io-irq-agents", func() { spec.IO.IRQAgents = *ioIRQAgents })
-	applyIf("io-irq-period", func() { spec.IO.IRQPeriodCycles = *ioIRQPeriod })
-	applyIf("io-irq-deadline", func() { spec.IO.IRQDeadlineCycles = *ioIRQDeadline })
-	applyIf("io-irq-events", func() { spec.IO.IRQEvents = *ioIRQEvents })
-	applyIf("io-alloc-ops", func() { spec.IO.AllocOps = *ioAllocOps })
 
 	// Contradictory flag combinations are usage errors (exit 2), not silent
-	// no-ops: an -io-* knob shapes nothing without the subsystem, replayed
+	// no-ops: an io.* key shapes nothing without the subsystem, replayed
 	// traffic comes from the trace rather than the generators, a restored
 	// run's observability travels inside the checkpoint, and a checkpoint
 	// needs both its file and its cycle.
-	ioShaping := []string{"io-dma-desc", "io-dma-burst", "io-irq-agents",
-		"io-irq-period", "io-irq-deadline", "io-irq-events", "io-alloc-ops"}
-	for _, name := range ioShaping {
-		if !set[name] {
+	set := map[string]bool{}
+	flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	for _, kv := range sets {
+		key, _, _ := strings.Cut(kv, "=")
+		if !strings.HasPrefix(key, "io.") {
 			continue
 		}
 		if !spec.IO.Enable {
-			usagef("-%s needs -io (or io = true in -config): the I/O subsystem is not attached", name)
+			usagef("-set %s needs io=true (from -config or -set): the I/O subsystem is not attached", key)
 		}
 		if *replayFile != "" {
-			usagef("-%s conflicts with -replay: replayed traffic comes from the trace, not the generators — re-capture with the desired I/O configuration instead", name)
+			usagef("-set %s conflicts with -replay: replayed traffic comes from the trace, not the generators — re-capture with the desired I/O configuration instead", key)
 		}
 	}
 	if *restoreFile != "" && (*attrOn || *attrTop > 0) {
@@ -337,14 +276,9 @@ func main() {
 	if *bisectFile != "" {
 		// Variant B comes from its own platform config; the replayed stimulus
 		// (if any) is shared so both variants see identical traffic.
-		f, err := os.Open(*bisectFile)
+		specB, err := loadSpec(*bisectFile, nil)
 		if err != nil {
 			fatalf("bisect: %v", err)
-		}
-		specB, err := config.ParsePlatform(f)
-		f.Close()
-		if err != nil {
-			fatalf("bisect: %s: %v", *bisectFile, err)
 		}
 		specB.Replay = spec.Replay
 		specB.ReplayMode = spec.ReplayMode
@@ -385,7 +319,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "restored %s at central cycle %d\n", *restoreFile, p.ResumedCycles())
 	} else {
-		var err error
 		p, err = platform.Build(spec)
 		if err != nil {
 			fatalf("build: %v", err)
@@ -572,11 +505,35 @@ func main() {
 		os.Exit(exitStalled)
 	case !r.Done:
 		fmt.Fprintf(os.Stderr,
-			"mpsocsim: run did not drain within the %v ms budget (issued=%d completed=%d) — raise -budget or shrink -scale\n\n",
+			"mpsocsim: run did not drain within the %v ms budget (issued=%d completed=%d) — raise -budget or lower scale\n\n",
 			*budgetMS, r.Issued, r.Completed)
 		p.StallReport(fmt.Sprintf("simulated-time budget (%v ms) exhausted with work in flight", *budgetMS), 10).Write(os.Stderr)
 		os.Exit(exitOverBudget)
 	}
+}
+
+// loadSpec returns the spec of the spec file at path (DefaultSpec when path
+// is empty) with the key=value pairs applied in order.
+func loadSpec(path string, sets []string) (platform.Spec, error) {
+	spec := platform.DefaultSpec()
+	if path != "" {
+		f, err := os.Open(path)
+		if err != nil {
+			return spec, err
+		}
+		spec, err = platform.ParseSpec(f)
+		f.Close()
+		if err != nil {
+			return spec, fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	for _, kv := range sets {
+		key, val, _ := strings.Cut(kv, "=")
+		if err := platform.SetKey(&spec, key, val); err != nil {
+			return spec, fmt.Errorf("-set %s: %w", kv, err)
+		}
+	}
+	return spec, nil
 }
 
 // writeAttrTop renders the -attr-top bottleneck view: the n heaviest

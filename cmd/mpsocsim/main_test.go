@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpsocsim/internal/platform"
 	"mpsocsim/internal/telemetry"
 )
 
@@ -51,12 +52,12 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string, exitCode int) 
 // telemetry flag set.
 func TestDeadlockExitsWithStallReport(t *testing.T) {
 	_, stderr, code := runCLI(t,
-		"-scale", "0.05",
-		"-io",
-		"-io-irq-period", "4000000",
-		"-io-irq-events", "4",
-		"-io-dma-desc", "-1",
-		"-io-alloc-ops", "-1",
+		"-set", "scale=0.05",
+		"-set", "io=true",
+		"-set", "io.irq.period=4000000",
+		"-set", "io.irq.events=4",
+		"-set", "io.dma.descriptors=-1",
+		"-set", "io.alloc.ops=-1",
 		"-budget", "5000",
 	)
 	if code != 2 {
@@ -77,9 +78,11 @@ func TestDeadlockExitsWithStallReport(t *testing.T) {
 
 // TestBudgetExhaustionExitsWithStallReport covers the exit-3 path: a budget
 // far too small to drain the default workload still produces the forensic
-// dump.
+// dump. The run ends at central cycle 2,500, before the watchdog's first
+// window closes, so the report says that no window was observed instead of
+// calling a run that was still issuing fully wedged.
 func TestBudgetExhaustionExitsWithStallReport(t *testing.T) {
-	_, stderr, code := runCLI(t, "-scale", "0.3", "-budget", "0.01")
+	_, stderr, code := runCLI(t, "-set", "scale=0.3", "-budget", "0.01")
 	if code != 3 {
 		t.Fatalf("exit code = %d, want 3 (over budget)\nstderr:\n%s", code, stderr)
 	}
@@ -87,10 +90,14 @@ func TestBudgetExhaustionExitsWithStallReport(t *testing.T) {
 		"did not drain",
 		"stall report: simulated-time budget",
 		"fullest FIFOs",
+		"no watchdog window has closed yet",
 	} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("stderr missing %q:\n%s", want, stderr)
 		}
+	}
+	if strings.Contains(stderr, "fully wedged") {
+		t.Errorf("stderr calls the run fully wedged before any watchdog window closed:\n%s", stderr)
 	}
 }
 
@@ -100,7 +107,7 @@ func TestBudgetExhaustionExitsWithStallReport(t *testing.T) {
 func TestTelemetryFlagWritesNDJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tele.ndjson")
 	_, stderr, code := runCLI(t,
-		"-scale", "0.2",
+		"-set", "scale=0.2",
 		"-telemetry", path,
 		"-telemetry-every", "256",
 	)
@@ -145,7 +152,7 @@ func TestWaveformFlagsWriteCSVAndVCD(t *testing.T) {
 		t.Run(tc.memory, func(t *testing.T) {
 			dir := t.TempDir()
 			csvPath, vcdPath := filepath.Join(dir, "run.csv"), filepath.Join(dir, "run.vcd")
-			_, stderr, code := runCLI(t, "-scale", "0.2", "-memory", tc.memory,
+			_, stderr, code := runCLI(t, "-set", "scale=0.2", "-set", "memory="+tc.memory,
 				"-trace", csvPath, "-vcd", vcdPath, "-telemetry-every", "256")
 			if code != 0 {
 				t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, stderr)
@@ -194,7 +201,7 @@ func TestWaveformAcrossCheckpointRestore(t *testing.T) {
 		{"-trace", path("cold.csv"), "-checkpoint-at", "3000", "-checkpoint", path("run.ckpt")},
 		{"-trace", path("warm.csv"), "-vcd", path("warm.vcd"), "-restore", path("run.ckpt")},
 	} {
-		args = append([]string{"-scale", "0.2", "-telemetry-every", "100"}, args...)
+		args = append([]string{"-set", "scale=0.2", "-telemetry-every", "100"}, args...)
 		if _, stderr, code := runCLI(t, args...); code != 0 {
 			t.Fatalf("%v: exit code = %d, want 0\nstderr:\n%s", args, code, stderr)
 		}
@@ -292,6 +299,12 @@ func TestFlagConflictsExitUsage(t *testing.T) {
 		{"restore with checkpoint",
 			[]string{"-restore", "warm.ckpt", "-checkpoint", "run.ckpt", "-checkpoint-at", "3000"},
 			"-restore is mutually exclusive with -checkpoint"},
+		{"io key without io",
+			[]string{"-set", "io.irq.agents=3"},
+			"-set io.irq.agents needs io=true"},
+		{"io key with replay",
+			[]string{"-set", "io=true", "-set", "io.irq.agents=3", "-replay", "ref.trc"},
+			"-set io.irq.agents conflicts with -replay"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -317,10 +330,10 @@ func TestDiffSubcommandComparesReports(t *testing.T) {
 	dir := t.TempDir()
 	aPath := filepath.Join(dir, "a.json")
 	bPath := filepath.Join(dir, "b.json")
-	if _, stderr, code := runCLI(t, "-scale", "0.1", "-report", aPath); code != 0 {
+	if _, stderr, code := runCLI(t, "-set", "scale=0.1", "-report", aPath); code != 0 {
 		t.Fatalf("run A exit %d:\n%s", code, stderr)
 	}
-	if _, stderr, code := runCLI(t, "-scale", "0.1", "-protocol", "ahb", "-report", bPath); code != 0 {
+	if _, stderr, code := runCLI(t, "-set", "scale=0.1", "-set", "protocol=ahb", "-report", bPath); code != 0 {
 		t.Fatalf("run B exit %d:\n%s", code, stderr)
 	}
 	out1, stderr, code := runCLI(t, "diff", aPath, bPath)
@@ -353,7 +366,7 @@ func TestBisectFlagLocalizesPerturbation(t *testing.T) {
 		t.Fatal(err)
 	}
 	stdout, stderr, code := runCLI(t,
-		"-memory", "onchip", "-scale", "0.05",
+		"-set", "memory=onchip", "-set", "scale=0.05",
 		"-bisect", conf, "-bisect-grid", "256",
 	)
 	if code != 0 {
@@ -372,5 +385,122 @@ func TestBisectFlagLocalizesPerturbation(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "diverge at central cycle") {
 		t.Errorf("stderr missing the divergence note:\n%s", stderr)
+	}
+}
+
+// TestSetOverridesConfig runs a -config file under -set pairs and reads the
+// spec back from the report: a pair overrides the file's key, keys no pair
+// names keep the file's values, and the last of two pairs for one key wins.
+func TestSetOverridesConfig(t *testing.T) {
+	dir := t.TempDir()
+	conf, report := filepath.Join(dir, "plat.conf"), filepath.Join(dir, "run.json")
+	text := "[platform]\nprotocol = ahb\nmemory = onchip\nscale = 0.1\nseed = 5\n"
+	if err := os.WriteFile(conf, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code := runCLI(t, "-config", conf,
+		"-set", "seed=9", "-set", "protocol=axi", "-set", "protocol=stbus", "-report", report)
+	if code != 0 {
+		t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, stderr)
+	}
+	data, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Spec struct {
+			Protocol string  `json:"protocol"`
+			Memory   string  `json:"memory"`
+			Scale    float64 `json:"workload_scale"`
+			Seed     uint64  `json:"seed"`
+		} `json:"spec"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.Spec; got.Protocol != "STBus" || got.Seed != 9 || got.Memory != "onchip" || got.Scale != 0.1 {
+		t.Fatalf("report spec = %+v, want protocol STBus and seed 9 from -set, memory onchip and scale 0.1 from the file", got)
+	}
+}
+
+// TestSetRejectsOutOfRangeValues: values the spec file rejects fail the
+// same way as -set pairs, with the key's own message and exit status 1,
+// instead of running with a substituted default.
+func TestSetRejectsOutOfRangeValues(t *testing.T) {
+	for _, c := range []struct {
+		pairs []string
+		want  string
+	}{
+		{[]string{"scale=0"}, `scale wants a number in (0, 1000], got "0"`},
+		{[]string{"scale=-1"}, `scale wants a number in (0, 1000], got "-1"`},
+		{[]string{"waitstates=-3"}, `waitstates wants an integer >= 0, got "-3"`},
+		{[]string{"io=true", "io.irq.deadline=-4"}, `io.irq.deadline wants an integer >= 0, got "-4"`},
+		{[]string{"io=true", "io.irq.events=-3"}, `io.irq.events wants an integer >= 0, got "-3"`},
+		{[]string{"protocol=pci"}, `protocol wants stbus|ahb|axi, got "pci"`},
+	} {
+		t.Run(c.pairs[len(c.pairs)-1], func(t *testing.T) {
+			var args []string
+			text := "[platform]\n"
+			for _, kv := range c.pairs {
+				args = append(args, "-set", kv)
+				key, val, _ := strings.Cut(kv, "=")
+				text += key + " = " + val + "\n"
+			}
+			conf := filepath.Join(t.TempDir(), "plat.conf")
+			if err := os.WriteFile(conf, []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, args := range [][]string{args, {"-config", conf}} {
+				_, stderr, code := runCLI(t, args...)
+				if code != 1 || !strings.Contains(stderr, c.want) {
+					t.Errorf("%v: exit code %d, want 1 with %q\nstderr:\n%s", args, code, c.want, stderr)
+				}
+			}
+		})
+	}
+}
+
+// TestKeyTableThroughFileAndSet walks the key table: every key, set to a
+// value other than its default, gives the same spec as a spec-file line and
+// as a -set pair, and -h names it. A key missing from the test values
+// fails the test, so a new row needs one here.
+func TestKeyTableThroughFileAndSet(t *testing.T) {
+	values := map[string]string{
+		"protocol": "axi", "topology": "collapsed", "memory": "onchip",
+		"waitstates": "4", "lmi.sdram.cas": "5", "stbustype": "2",
+		"scale": "0.5", "seed": "7", "twophase": "true", "splitlmi": "true",
+		"dsp": "false", "messaging": "false", "io": "true",
+		"io.dma.descriptors": "-1", "io.dma.burst": "8", "io.irq.agents": "3",
+		"io.irq.period": "300", "io.irq.deadline": "128", "io.irq.events": "12",
+		"io.alloc.ops": "-1",
+	}
+	_, help, code := runCLI(t, "-h")
+	if code != 0 {
+		t.Fatalf("-h exit code = %d, want 0", code)
+	}
+	def := platform.DefaultSpec()
+	for _, k := range platform.Keys() {
+		val, ok := values[k.Name]
+		if !ok {
+			t.Errorf("key %s has no test value", k.Name)
+			continue
+		}
+		fromFile, err := platform.ParseSpec(strings.NewReader("[platform]\n" + k.Name + " = " + val + "\n"))
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		fromSet, err := loadSpec("", []string{k.Name + "=" + val})
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		if reflect.DeepEqual(fromFile, def) {
+			t.Errorf("%s = %s leaves the default spec unchanged", k.Name, val)
+		}
+		if !reflect.DeepEqual(fromFile, fromSet) {
+			t.Errorf("%s = %s: the spec file gives %+v, -set %+v", k.Name, val, fromFile, fromSet)
+		}
+		if !strings.Contains(help, "\n    \t  "+k.Name+" ") {
+			t.Errorf("-h does not list key %s", k.Name)
+		}
 	}
 }

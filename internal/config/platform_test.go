@@ -8,8 +8,15 @@ import (
 	"mpsocsim/internal/stbus"
 )
 
+// The [platform] spec files of mpsocsim -config and -bisect are read by
+// platform.ParseSpec, through the key table in internal/platform; these
+// tests hold that file syntax beside the IPTG syntax tests of this package.
+func parsePlatform(text string) (platform.Spec, error) {
+	return platform.ParseSpec(strings.NewReader(text))
+}
+
 func TestParsePlatform(t *testing.T) {
-	spec, err := ParsePlatformString(`
+	spec, err := parsePlatform(`
 # comment
 [platform]
 protocol   = ahb
@@ -42,7 +49,7 @@ messaging  = no
 }
 
 func TestParsePlatformDefaults(t *testing.T) {
-	spec, err := ParsePlatformString("[platform]\n")
+	spec, err := parsePlatform("[platform]\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +60,7 @@ func TestParsePlatformDefaults(t *testing.T) {
 }
 
 func TestParsePlatformBuilds(t *testing.T) {
-	spec, err := ParsePlatformString("[platform]\nprotocol = axi\nscale = 0.05\n")
+	spec, err := parsePlatform("[platform]\nprotocol = axi\nscale = 0.05\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +84,9 @@ func TestParsePlatformErrors(t *testing.T) {
 		{"missing-section", "# nothing", "no [platform] section"},
 		{"wrong-section", "[chip]", "unknown section"},
 		{"bad-kv", "[platform]\nprotocol stbus", "key = value"},
-		{"bad-protocol", "[platform]\nprotocol = pci", "unknown protocol"},
-		{"bad-topology", "[platform]\ntopology = ring", "unknown topology"},
-		{"bad-memory", "[platform]\nmemory = sram", "unknown memory"},
+		{"bad-protocol", "[platform]\nprotocol = pci", "protocol wants stbus|ahb|axi"},
+		{"bad-topology", "[platform]\ntopology = ring", "topology wants distributed|collapsed"},
+		{"bad-memory", "[platform]\nmemory = sram", "memory wants onchip|lmi"},
 		{"bad-waits", "[platform]\nwaitstates = -1", "waitstates"},
 		{"bad-type", "[platform]\nstbustype = 5", "stbustype"},
 		{"bad-scale", "[platform]\nscale = 0", "scale"},
@@ -93,7 +100,7 @@ func TestParsePlatformErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParsePlatformString(tc.text)
+			_, err := parsePlatform(tc.text)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v should contain %q", err, tc.want)
 			}

@@ -3,23 +3,23 @@ package diff
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
-	"mpsocsim/internal/config"
 	"mpsocsim/internal/platform"
 	"mpsocsim/internal/telemetry"
 )
 
 // specPair builds variant A from a config text and variant B from the same
-// text plus one perturbation line — the ISSUE's "one-parameter perturbation
-// via config" shape.
+// text plus one perturbation line: a one-parameter change through the spec
+// text.
 func specPair(t *testing.T, base, perturb string) (platform.Spec, platform.Spec) {
 	t.Helper()
-	sa, err := config.ParsePlatformString(base)
+	sa, err := platform.ParseSpec(strings.NewReader(base))
 	if err != nil {
 		t.Fatalf("parse base config: %v", err)
 	}
-	sb, err := config.ParsePlatformString(base + perturb + "\n")
+	sb, err := platform.ParseSpec(strings.NewReader(base + perturb + "\n"))
 	if err != nil {
 		t.Fatalf("parse perturbed config: %v", err)
 	}
@@ -170,7 +170,7 @@ func teleRecords(t *testing.T, spec platform.Spec, div int64) []telemetry.Record
 // same spec against itself must walk the grid to the end of the run and
 // come back with diverged_at = -1.
 func TestBisectIdenticalSpecsReportNoDivergence(t *testing.T) {
-	sa, err := config.ParsePlatformString("[platform]\nmemory = onchip\nscale = 0.05\n")
+	sa, err := platform.ParseSpec(strings.NewReader("[platform]\nmemory = onchip\nscale = 0.05\n"))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
-	"mpsocsim/internal/config"
 	"mpsocsim/internal/metrics"
 	"mpsocsim/internal/platform"
 	"mpsocsim/internal/telemetry"
@@ -14,7 +14,7 @@ import (
 
 func runReport(t *testing.T, text string, attr bool) *platform.Report {
 	t.Helper()
-	spec, err := config.ParsePlatformString(text)
+	spec, err := platform.ParseSpec(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}

@@ -172,22 +172,15 @@ type instrumented interface {
 	RegisterMetrics(*metrics.Registry, string)
 }
 
-// Build assembles a platform instance from the spec.
+// Build assembles a platform instance from the spec. Before building
+// anything it rejects a spec with an enum outside its range or a sizing
+// knob past its bound (Spec.check), whichever entry point the spec came
+// from: a spec file, mpsocsim -set pairs or a Go caller.
 func Build(spec Spec) (*Platform, error) {
+	if err := spec.check(); err != nil {
+		return nil, err
+	}
 	spec.normalize()
-	switch spec.Protocol {
-	case STBus, AHB, AXI:
-	default:
-		return nil, fmt.Errorf("platform: unknown protocol %d", spec.Protocol)
-	}
-	switch spec.Topology {
-	case Distributed, Collapsed:
-	default:
-		return nil, fmt.Errorf("platform: unknown topology %d", spec.Topology)
-	}
-	if spec.OnChipMemories < 0 || spec.OnChipMemories > 1 && spec.Memory != OnChip {
-		return nil, fmt.Errorf("platform: %d on-chip memories with the %s memory subsystem", spec.OnChipMemories, spec.Memory)
-	}
 	p := &Platform{
 		Spec:       spec,
 		Kernel:     sim.NewKernel(),

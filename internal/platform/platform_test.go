@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -315,7 +316,10 @@ func TestSpecNameAndStrings(t *testing.T) {
 // address (no banks or no bytes per column, either not a power of two,
 // negative row or column bits, more than 63 address bits), a protocol or
 // topology outside its enum, more than one on-chip memory beside the LMI or
-// a negative count of them, and a Workload IP the generator rejects.
+// a negative count of them, a Workload IP the generator rejects, and the
+// sizing bounds: a scale that is not finite or above 1000, more than 64 IRQ
+// agents, and more than 3,072,000 IRQ events in all after scaling (the
+// quick specs run two agents at scale 0.2).
 func TestBuildRejectsBadSpecs(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -337,6 +341,11 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 		{"onchip-memories-with-lmi", func(s *Spec) { s.OnChipMemories = 2 }, "on-chip memories"},
 		{"onchip-memories-negative", func(s *Spec) { s.Memory, s.OnChipMemories = OnChip, -1 }, "on-chip memories"},
 		{"workload-ip-without-agents", func(s *Spec) { s.Workload = []iptg.Config{{Name: "bare"}} }, "no agents"},
+		{"scale-1001", func(s *Spec) { s.WorkloadScale = 1001 }, "scale wants a finite number up to 1000"},
+		{"scale-nan", func(s *Spec) { s.WorkloadScale = math.NaN() }, "scale wants a finite number up to 1000"},
+		{"scale-inf", func(s *Spec) { s.WorkloadScale = math.Inf(1) }, "scale wants a finite number up to 1000"},
+		{"irq-agents-65", func(s *Spec) { s.IO.Enable, s.IO.IRQAgents = true, 65 }, "io.irq.agents wants at most 64"},
+		{"irq-events-past-cap", func(s *Spec) { s.IO.Enable, s.IO.IRQEvents = true, 7_680_001 }, "io.irq.agents × io.irq.events × scale wants at most 3072000"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := quick(STBus, Distributed, LMIDDR)

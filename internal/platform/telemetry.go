@@ -210,6 +210,7 @@ func (p *Platform) StallReport(reason string, topFifos int) *telemetry.StallRepo
 	}
 
 	if p.wdObservations > 0 {
+		rep.Observed = true
 		// A run that ends on the exact cycle of a baseline refresh (whole-ms
 		// budgets are often watchdog-window multiples) would diff a zero-
 		// width window; use the previous baseline so the report still covers

@@ -62,6 +62,10 @@ type StallReport struct {
 	// Moved lists the registry counters that advanced during the last
 	// watchdog observation window, with their deltas.
 	Moved []metrics.CounterValue `json:"moved,omitempty"`
+	// Observed is set once the watchdog has closed a window; before that
+	// Moved is empty for want of a baseline, not because nothing moved.
+	// It stays out of the JSON form, which bisect documents embed.
+	Observed bool `json:"-"`
 }
 
 // SortFifos orders rows fullest-first (name-ascending tie-break) and
@@ -123,16 +127,17 @@ func (r *StallReport) Write(w io.Writer) error {
 		return err
 	}
 
-	if len(r.Moved) > 0 {
+	switch {
+	case len(r.Moved) > 0:
 		fmt.Fprint(w, "\ncounters still moving in the last watchdog window:\n")
 		mtbl := stats.NewTable("counter", "delta")
 		for _, m := range r.Moved {
 			mtbl.AddRow(m.Name, fmt.Sprint(m.Value))
 		}
-		if err := mtbl.Write(w); err != nil {
-			return err
-		}
-	} else {
+		return mtbl.Write(w)
+	case !r.Observed:
+		fmt.Fprint(w, "\nno watchdog window has closed yet, so no counter movement is known\n")
+	default:
 		fmt.Fprint(w, "\nno counter moved in the last watchdog window (fully wedged)\n")
 	}
 	return nil

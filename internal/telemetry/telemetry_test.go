@@ -296,7 +296,16 @@ func TestStallReportRender(t *testing.T) {
 	if err := rep.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if out := buf.String(); strings.Contains(out, "fully wedged") || !strings.Contains(out, "no watchdog window has closed yet") {
+		t.Errorf("render before any watchdog window must say so, not call the run wedged:\n%s", out)
+	}
+
+	rep.Observed = true
+	buf.Reset()
+	if err := rep.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(buf.String(), "fully wedged") {
-		t.Error("render without moved counters missing the fully-wedged note")
+		t.Error("render of an observed window without moved counters missing the fully-wedged note")
 	}
 }
