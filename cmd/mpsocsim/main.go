@@ -106,7 +106,7 @@
 //
 // Exit status: 0 on a drained run; 1 on I/O errors and on a key or value
 // the key table or Build rejects; 2 on a usage error (contradictory flags,
-// like an io.* pair without io=true or with -replay) and when the run
+// like an io.* key without io=true or with -replay) and when the run
 // deadlocked (the progress watchdog saw no transaction move); 3 when the
 // simulated-time budget ran out first. Both non-drained outcomes dump a
 // structured stall report to stderr — fullest FIFOs, per-initiator oldest
@@ -189,22 +189,18 @@ func main() {
 	}
 
 	// Contradictory flag combinations are usage errors (exit 2), not silent
-	// no-ops: an io.* key shapes nothing without the subsystem, replayed
-	// traffic comes from the trace rather than the generators, a restored
-	// run's observability travels inside the checkpoint, and a checkpoint
-	// needs both its file and its cycle.
+	// no-ops: an io.* key (from -config or -set) shapes nothing without the
+	// subsystem, replayed traffic comes from the trace rather than the
+	// generators, a restored run's observability travels inside the
+	// checkpoint, and a checkpoint needs both its file and its cycle.
 	set := map[string]bool{}
 	flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-	for _, kv := range sets {
-		key, _, _ := strings.Cut(kv, "=")
-		if !strings.HasPrefix(key, "io.") {
-			continue
-		}
+	if spec.IO != (platform.IOSpec{Enable: spec.IO.Enable}) {
 		if !spec.IO.Enable {
-			usagef("-set %s needs io=true (from -config or -set): the I/O subsystem is not attached", key)
+			usagef("io.* keys need io=true (from -config or -set): the I/O subsystem is not attached")
 		}
 		if *replayFile != "" {
-			usagef("-set %s conflicts with -replay: replayed traffic comes from the trace, not the generators — re-capture with the desired I/O configuration instead", key)
+			usagef("io.* keys conflict with -replay: replayed traffic comes from the trace, not the generators — re-capture with the desired I/O configuration instead")
 		}
 	}
 	if *restoreFile != "" && (*attrOn || *attrTop > 0) {

@@ -253,8 +253,19 @@ func readCSV(t *testing.T, path string) [][]string {
 
 // TestFlagConflictsExitUsage pins the exit-2 contract for contradictory
 // flag combinations: each must be rejected with the usage-error prefix
-// before any file is opened or any cycle simulated.
+// before any file but the -config spec is opened or any cycle simulated.
+// The io.* keys get the same checks from a -config file as from -set.
 func TestFlagConflictsExitUsage(t *testing.T) {
+	dir := t.TempDir()
+	conf := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("[platform]\n"+body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	noIO := conf("noio.conf", "scale = 0.2\nio.irq.agents = 3\n")
+	withIO := conf("io.conf", "io = true\nio.irq.agents = 3\n")
 	cases := []struct {
 		name string
 		args []string
@@ -301,10 +312,16 @@ func TestFlagConflictsExitUsage(t *testing.T) {
 			"-restore is mutually exclusive with -checkpoint"},
 		{"io key without io",
 			[]string{"-set", "io.irq.agents=3"},
-			"-set io.irq.agents needs io=true"},
+			"io.* keys need io=true"},
 		{"io key with replay",
 			[]string{"-set", "io=true", "-set", "io.irq.agents=3", "-replay", "ref.trc"},
-			"-set io.irq.agents conflicts with -replay"},
+			"io.* keys conflict with -replay"},
+		{"io key from config without io",
+			[]string{"-config", noIO},
+			"io.* keys need io=true"},
+		{"io key from config with replay",
+			[]string{"-config", withIO, "-replay", "ref.trc"},
+			"io.* keys conflict with -replay"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -3,8 +3,8 @@ package dspcore
 import (
 	"fmt"
 
-	"mpsocsim/internal/attr"
 	"mpsocsim/internal/bus"
+	"mpsocsim/internal/iptg"
 	"mpsocsim/internal/metrics"
 	"mpsocsim/internal/sim"
 )
@@ -49,14 +49,15 @@ type pendingOp struct {
 	addr  uint64
 }
 
-// Core is the VLIW ISS; a gated sim.Clocked initiator owning its bus port.
+// Core is the VLIW ISS, a gated sim.Clocked initiator. Like the platform's
+// traffic sources it embeds iptg.Issuer, which owns the bus port and the
+// request lifecycle: a line refill is the core's one tracked request (the
+// core stalls until it completes), and write-backs and write-through stores
+// are posted writes. The core's own Stats and RegisterMetrics ("dsp.<name>.*")
+// stand in for the Issuer's per-agent ones.
 type Core struct {
-	act    sim.Activity
-	cfg    Config
-	port   *bus.InitiatorPort
-	clk    *sim.Clock
-	ids    *bus.IDSource
-	origin int
+	iptg.Issuer
+	cfg Config
 
 	prog   Program
 	regs   [NumRegs]int64
@@ -66,20 +67,9 @@ type Core struct {
 	icache *cache
 	dcache *cache
 
-	// pool recycles bus requests (nil outside platform builds): refills
-	// return on their final beat; posted writes are reclaimed by the
-	// component that consumes them.
-	pool *bus.RequestPool
-
-	// attrCol, when set, closes each refill's attribution record at
-	// final-beat consumption (see UseAttribution).
-	attrCol *attr.Collector
-
 	// pipeline state
-	fetchDone  bool        // current bundle's fetch completed
-	memOps     []pendingOp // memory ops of the current bundle, in order
-	refillID   uint64      // outstanding miss transaction, 0 when none
-	refillWait bool
+	fetchDone bool        // current bundle's fetch completed
+	memOps    []pendingOp // memory ops of the current bundle, in order
 	// per-op micro-state: the cache is accessed exactly once per op; the
 	// resulting write-back and refill are then issued over as many cycles
 	// as bus backpressure requires.
@@ -121,17 +111,8 @@ func New(cfg Config, prog Program, clk *sim.Clock, ids *bus.IDSource, origin int
 	if err != nil {
 		return nil, err
 	}
-	c := &Core{
-		cfg:    cfg,
-		port:   bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth),
-		clk:    clk,
-		ids:    ids,
-		origin: origin,
-		prog:   prog,
-		icache: ic,
-		dcache: dc,
-	}
-	c.port.OwnedBy(&c.act)
+	c := &Core{cfg: cfg, prog: prog, icache: ic, dcache: dc}
+	c.Init(bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth), clk, ids, origin, []string{cfg.Name}, nil)
 	return c, nil
 }
 
@@ -144,21 +125,6 @@ func MustNew(cfg Config, prog Program, clk *sim.Clock, ids *bus.IDSource, origin
 	return c
 }
 
-// UseRequestPool makes the core mint requests from (and return them to) the
-// given pool. Call before simulation starts.
-func (c *Core) UseRequestPool(p *bus.RequestPool) { c.pool = p }
-
-// UseAttribution makes the core finish each refill's latency-attribution
-// record when the final beat arrives (posted writes finish at the consuming
-// memory instead). Call before simulation starts.
-func (c *Core) UseAttribution(col *attr.Collector) { c.attrCol = col }
-
-// Port returns the initiator port to attach to a fabric.
-func (c *Core) Port() *bus.InitiatorPort { return c.port }
-
-// Name returns the core instance name.
-func (c *Core) Name() string { return c.cfg.Name }
-
 // Halted reports whether the program has executed HALT.
 func (c *Core) Halted() bool { return c.halted }
 
@@ -168,12 +134,12 @@ func (c *Core) Reg(i int) int64 { return c.regs[i] }
 // Eval advances the core one cycle. A halted core still collects response
 // beats: the acks of its last writes return their requests to the pool.
 func (c *Core) Eval() {
-	c.collectRefill()
+	c.Collect()
 	if c.halted {
 		return
 	}
 	c.cycles++
-	if c.refillWait {
+	if c.InFlight() > 0 {
 		c.stallCycles++
 		return
 	}
@@ -186,7 +152,7 @@ func (c *Core) Eval() {
 	}
 	if len(c.memOps) > 0 {
 		c.issueMemOps()
-		if c.refillWait || len(c.memOps) > 0 {
+		if c.InFlight() > 0 || len(c.memOps) > 0 {
 			c.stallCycles++
 			return
 		}
@@ -198,9 +164,10 @@ func (c *Core) Eval() {
 // with no response beat to collect: until the refill arrives, or until the
 // full request FIFO gives up an entry for the head memory op.
 func (c *Core) Update() {
-	c.port.Update()
-	if c.halted || (c.port.Resp.Len() == 0 && c.stalled()) {
-		c.act.Sleep()
+	port := c.Port()
+	port.Update()
+	if c.halted || (port.Resp.Len() == 0 && c.stalled()) {
+		c.Activity().Sleep()
 	}
 }
 
@@ -209,10 +176,10 @@ func (c *Core) Update() {
 // D-cache (or is a write-through store) and waits to issue into the full
 // request FIFO.
 func (c *Core) stalled() bool {
-	if c.refillWait {
+	if c.InFlight() > 0 {
 		return true
 	}
-	if len(c.memOps) == 0 || c.port.Req.CanPush() {
+	if len(c.memOps) == 0 || c.Port().Req.CanPush() {
 		return false
 	}
 	if !c.opAccessed {
@@ -220,9 +187,6 @@ func (c *Core) stalled() bool {
 	}
 	return c.needWB || c.needRefill
 }
-
-// Activity returns the core's sleep state.
-func (c *Core) Activity() *sim.Activity { return &c.act }
 
 // CreditIdle books n skipped edges: a halted core counts nothing, a core
 // waiting on a refill counts a stalled cycle each.
@@ -232,28 +196,6 @@ func (c *Core) CreditIdle(n int64) {
 	}
 	c.cycles += n
 	c.stallCycles += n
-}
-
-// collectRefill consumes response beats; the refill completes on Last.
-// Every other final beat acks one of the core's writes, which it posts and
-// never tracks, turned into a non-posted write by a non-posting fabric
-// (AHB). A final beat is the request's last reference either way, so both
-// are recycled.
-func (c *Core) collectRefill() {
-	for c.port.Resp.CanPop() {
-		beat := c.port.Resp.Pop()
-		if !beat.Last {
-			continue
-		}
-		if beat.Req.ID == c.refillID {
-			c.refillWait = false
-			c.refillID = 0
-			if rec := beat.Req.Attr; rec != nil && c.attrCol != nil {
-				c.attrCol.Finish(rec, c.clk.NowPS())
-			}
-		}
-		c.pool.Put(beat.Req)
-	}
 }
 
 // fetch looks the current bundle up in the I-cache; a miss issues a line
@@ -266,7 +208,7 @@ func (c *Core) fetch() {
 	addr := c.prog.Base + uint64(c.pc)*8
 	hit, _, _ := c.icache.access(addr, false)
 	if !hit {
-		if !c.issueRefill(c.icache.lineAddr(addr), c.iLineBeats()) {
+		if !c.issue(bus.OpRead, c.icache.lineAddr(addr), c.iLineBeats()) {
 			return // port full: retry next cycle
 		}
 		c.refills++
@@ -321,7 +263,7 @@ func (c *Core) issueMemOps() {
 		if c.cfg.WriteThrough && write {
 			// write-through variant: every store is a posted write
 			// on the bus, no D-cache allocation.
-			if c.issueWrite(op.addr, 1, true) {
+			if c.issue(bus.OpWrite, op.addr, 1) {
 				c.popMemOp()
 			}
 			return
@@ -335,14 +277,14 @@ func (c *Core) issueMemOps() {
 		}
 	}
 	if c.needWB {
-		if !c.issueWrite(c.wbAddr, c.dLineBeats(), true) {
+		if !c.issue(bus.OpWrite, c.wbAddr, c.dLineBeats()) {
 			return
 		}
 		c.writebacks++
 		c.needWB = false
 	}
 	if c.needRefill {
-		if !c.issueRefill(c.dcache.lineAddr(op.addr), c.dLineBeats()) {
+		if !c.issue(bus.OpRead, c.dcache.lineAddr(op.addr), c.dLineBeats()) {
 			return
 		}
 		c.refills++
@@ -383,54 +325,22 @@ func pseudoValue(addr uint64) int64 {
 	return int64((x >> 17) & 0xffff8) // 8-byte aligned, bounded offset
 }
 
-// issueRefill sends a read burst for one cache line; returns false when the
-// port is full this cycle.
-func (c *Core) issueRefill(lineAddr uint64, beats int) bool {
-	if !c.port.Req.CanPush() {
+// issue sends one burst through the Issuer: a read is a line refill, the
+// request the core stalls on; a write (write-back or write-through store) is
+// posted. It returns false when the port is full this cycle.
+func (c *Core) issue(op bus.Op, addr uint64, beats int) bool {
+	if !c.Port().Req.CanPush() {
 		return false
 	}
-	req := c.pool.Get()
-	*req = bus.Request{
-		ID:           c.ids.Next(),
-		Origin:       c.origin,
-		Op:           bus.OpRead,
-		Addr:         lineAddr,
-		Beats:        beats,
-		BytesPerBeat: c.cfg.BytesPerBeat,
-		Prio:         c.cfg.Prio,
-		IssueCycle:   c.clk.Cycles(),
-		IssuePS:      c.clk.NowPS(),
-		MsgEnd:       true,
-	}
-	c.port.Req.Push(req)
-	c.refillID = req.ID
-	c.refillWait = true
-	return true
-}
-
-// issueWrite sends a posted write burst (write-back or write-through).
-func (c *Core) issueWrite(addr uint64, beats int, posted bool) bool {
-	if !c.port.Req.CanPush() {
-		return false
-	}
-	if beats < 1 {
-		beats = 1
-	}
-	req := c.pool.Get()
-	*req = bus.Request{
-		ID:           c.ids.Next(),
-		Origin:       c.origin,
-		Op:           bus.OpWrite,
+	c.Issue(0, bus.Request{
+		Op:           op,
 		Addr:         addr,
 		Beats:        beats,
 		BytesPerBeat: c.cfg.BytesPerBeat,
 		Prio:         c.cfg.Prio,
-		Posted:       posted,
-		IssueCycle:   c.clk.Cycles(),
-		IssuePS:      c.clk.NowPS(),
+		Posted:       op == bus.OpWrite,
 		MsgEnd:       true,
-	}
-	c.port.Req.Push(req)
+	}, true)
 	return true
 }
 
@@ -459,12 +369,7 @@ func (c *Core) RegisterMetrics(m *metrics.Registry, clock string) {
 	m.CounterFunc(p+"icache_misses", func() int64 { return c.icache.misses })
 	m.CounterFunc(p+"dcache_hits", func() int64 { return c.dcache.hits })
 	m.CounterFunc(p+"dcache_misses", func() int64 { return c.dcache.misses })
-	m.GaugeFunc(p+"refill_outstanding", clock, func() int64 {
-		if c.refillWait {
-			return 1
-		}
-		return 0
-	})
+	m.GaugeFunc(p+"refill_outstanding", clock, func() int64 { return int64(c.InFlight()) })
 }
 
 // Stats reports core activity.

@@ -2,7 +2,6 @@ package dspcore
 
 import (
 	"mpsocsim/internal/attr"
-	"mpsocsim/internal/bus"
 	"mpsocsim/internal/snapshot"
 )
 
@@ -69,12 +68,13 @@ func decodeCacheState(d *snapshot.Decoder, c *cache) {
 	c.writebacks = d.I()
 }
 
-// EncodeState serializes the core's mutable state (DESIGN.md §16): the owned
-// port, architectural registers, both cache arrays, the pipeline micro-state
-// and the counters. The program is spec-derived.
+// EncodeState serializes the core's mutable state (DESIGN.md §16): the issue
+// side (its port and the in-flight refill), architectural registers, both
+// cache arrays, the pipeline micro-state and the counters. The program is
+// spec-derived.
 func (c *Core) EncodeState(e *snapshot.Encoder) {
 	e.Tag('V')
-	bus.EncodeInitiatorPortState(e, c.port)
+	c.EncodeIssuerState(e)
 	for i := range c.regs {
 		e.I(c.regs[i])
 	}
@@ -92,8 +92,6 @@ func (c *Core) EncodeState(e *snapshot.Encoder) {
 		e.I(op.instr.Imm)
 		e.U(op.addr)
 	}
-	e.U(c.refillID)
-	e.Bool(c.refillWait)
 	e.Bool(c.opAccessed)
 	e.Bool(c.needWB)
 	e.U(c.wbAddr)
@@ -108,10 +106,15 @@ func (c *Core) EncodeState(e *snapshot.Encoder) {
 	e.I(c.writebacks)
 }
 
-// DecodeState restores a core serialized by EncodeState.
+// DecodeState restores a core serialized by EncodeState. The core stalls on
+// one refill at a time, so more than one request in flight makes the stream
+// corrupt.
 func (c *Core) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 	d.Tag('V')
-	bus.DecodeInitiatorPortState(d, c.port, col)
+	c.DecodeIssuerState(d, col, 1)
+	if n := c.InFlight(); n > 1 {
+		d.Corrupt("dspcore %q has %d refills in flight, at most 1", c.cfg.Name, n)
+	}
 	for i := range c.regs {
 		c.regs[i] = d.I()
 	}
@@ -135,8 +138,6 @@ func (c *Core) DecodeState(d *snapshot.Decoder, col *attr.Collector) {
 		}
 		c.memOps = append(c.memOps, op)
 	}
-	c.refillID = d.U()
-	c.refillWait = d.Bool()
 	c.opAccessed = d.Bool()
 	c.needWB = d.Bool()
 	c.wbAddr = d.U()

@@ -12,13 +12,15 @@ import (
 	"mpsocsim/internal/stats"
 )
 
-// Issuer is the issue side every traffic source of the platform shares: the
-// IPTG generator, the trace replayer and the I/O initiators of internal/io
-// embed one. It owns the bus interface and the request lifecycle behind it:
-// minting requests from the pool, tracking each non-posted one until its
-// final response beat, closing its probe event and attribution record,
-// recycling it, and booking the per-agent statistics the report renders.
-// The embedding owner decides only what to issue next and when to sleep.
+// Issuer is the issue side every initiator of the platform shares: the IPTG
+// generator, the trace replayer, the I/O initiators of internal/io and the
+// DSP core of internal/dspcore embed one. It owns the bus interface and the
+// request lifecycle behind it: minting requests from the pool, tracking
+// each non-posted one until its final response beat, closing its probe
+// event and attribution record, recycling it, and booking the per-agent
+// statistics the report renders. The embedding owner decides only what to
+// issue next and when to sleep. Besides the Issuer, only the bridges mint
+// requests: the downstream clones of what they forward.
 //
 // Tracked requests carry an owner tag. With several agents (an IPTG's), the
 // tag is the issuing agent's index; with one agent every tag books into it,

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"sort"
 
 	"mpsocsim/internal/ahb"
 	"mpsocsim/internal/attr"
@@ -28,30 +27,39 @@ const (
 	CPUMHz     = 400
 )
 
+// issueSide is the surface of iptg.Issuer the platform reads and wires
+// uniformly on every issue side it builds: the traffic sources and the DSP
+// core, all of which embed an Issuer. The stall report reads the in-flight
+// set and last-progress cycles through it; Build and EnableAttribution hand
+// it the request pool and the attribution collector.
+type issueSide interface {
+	Name() string
+	Origin() int
+	Port() *bus.InitiatorPort
+	Clock() *sim.Clock
+	Issued() int64
+	Completed() int64
+	InFlight() int
+	Oldest() (id uint64, issueCycle int64, ok bool)
+	LastIssueCycle() int64
+	LastCompleteCycle() int64
+	UseRequestPool(*bus.RequestPool)
+	UseAttribution(*attr.Collector)
+}
+
 // Initiator is the component surface shared by live IP traffic generators
 // (iptg.Generator), trace-driven replayers (replay.Initiator) and the I/O
 // initiators of internal/io, all built on iptg.Issuer. The platform treats
 // its traffic sources uniformly through it: run completion, statistics
 // collection, pool wiring and capture attachment all go through this
 // interface, so a Spec with Replay set swaps stimulus without touching any
-// other subsystem.
+// other subsystem. The DSP core shares only the issue side: it never gates
+// a run, and its statistics are its own.
 type Initiator interface {
 	sim.Clocked
-	Name() string
-	Origin() int
-	Port() *bus.InitiatorPort
+	issueSide
 	Done() bool
-	Issued() int64
-	Completed() int64
-	// InFlight, Oldest, LastIssueCycle and LastCompleteCycle read the
-	// issuer's in-flight set and last-progress cycles for the stall report.
-	InFlight() int
-	Oldest() (id uint64, issueCycle int64, ok bool)
-	LastIssueCycle() int64
-	LastCompleteCycle() int64
 	Stats() []iptg.AgentStats
-	UseRequestPool(*bus.RequestPool)
-	UseAttribution(*attr.Collector)
 	RegisterMetrics(*metrics.Registry, string)
 }
 
@@ -73,7 +81,6 @@ type Platform struct {
 
 	centralFab bus.Fabric
 	gens       []Initiator
-	genClk     []*sim.Clock
 	bridges    map[string]*bridge.Bridge
 	core       *dspcore.Core
 	// dspLink is the point-to-point node at the DSP core interface; the
@@ -236,12 +243,7 @@ func (p *Platform) registerMetrics() {
 			in.RegisterMetrics(p.Metrics, fe.clock)
 		}
 	}
-	names := make([]string, 0, len(p.bridges))
-	for name := range p.bridges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedBridgeNames(p.bridges) {
 		p.bridges[name].RegisterMetrics(p.Metrics)
 	}
 	for _, m := range p.onchip {
@@ -253,8 +255,8 @@ func (p *Platform) registerMetrics() {
 	if p.core != nil {
 		p.core.RegisterMetrics(p.Metrics, "cpu")
 	}
-	for i, g := range p.gens {
-		g.RegisterMetrics(p.Metrics, p.genClk[i].Name())
+	for _, g := range p.gens {
+		g.RegisterMetrics(p.Metrics, g.Clock().Name())
 	}
 }
 
@@ -326,11 +328,9 @@ func (p *Platform) EnableAttribution(retain int) *attr.Collector {
 		return p.attrCol
 	}
 	col := attr.NewCollector(0)
-	for _, g := range p.gens {
-		col.AddInitiator(g.Origin(), g.Name())
-	}
-	if p.core != nil {
-		col.AddInitiator(dspOrigin, p.core.Name())
+	sides := p.issueSides()
+	for _, s := range sides {
+		col.AddInitiator(s.Origin(), s.Name())
 	}
 	if retain > 0 {
 		col.EnableRetention(retain)
@@ -355,11 +355,8 @@ func (p *Platform) EnableAttribution(retain int) *attr.Collector {
 	if p.ctrl != nil {
 		p.ctrl.EnableAttribution(col, p.CentralClk.NowPS)
 	}
-	for _, g := range p.gens {
-		g.UseAttribution(col)
-	}
-	if p.core != nil {
-		p.core.UseAttribution(col)
+	for _, s := range sides {
+		s.UseAttribution(col)
 	}
 	p.attrCol = col
 	return col
@@ -373,8 +370,8 @@ func (p *Platform) Attribution() *attr.Collector { return p.attrCol }
 // state mints no new bus.Request values. A platform is stepped from a single
 // goroutine, so one unsynchronized pool is safe.
 func (p *Platform) wirePool() {
-	for _, g := range p.gens {
-		g.UseRequestPool(&p.pool)
+	for _, s := range p.issueSides() {
+		s.UseRequestPool(&p.pool)
 	}
 	for _, br := range p.bridges {
 		br.UseRequestPool(&p.pool)
@@ -384,9 +381,6 @@ func (p *Platform) wirePool() {
 	}
 	if p.ctrl != nil {
 		p.ctrl.UseRequestPool(&p.pool)
-	}
-	if p.core != nil {
-		p.core.UseRequestPool(&p.pool)
 	}
 }
 
@@ -597,7 +591,6 @@ func (p *Platform) addInitiator(fab bus.Fabric, clk *sim.Clock, name string, req
 	fab.AttachInitiator(gen.Port())
 	clk.Register(gen)
 	p.gens = append(p.gens, gen)
-	p.genClk = append(p.genClk, clk)
 	return nil
 }
 
@@ -609,8 +602,8 @@ func (p *Platform) addInitiator(fab bus.Fabric, clk *sim.Clock, name string, req
 // enabled. Capture composes with replay: capturing a replayed run is how the
 // round-trip determinism suite proves bit-identical reproduction.
 func (p *Platform) AttachCapture(c *tracecap.Capture) {
-	for i, g := range p.gens {
-		g.Port().Probe = c.Probe(g.Name(), p.genClk[i].PeriodPS())
+	for _, g := range p.gens {
+		g.Port().Probe = c.Probe(g.Name(), g.Clock().PeriodPS())
 	}
 	p.capture = c
 }
@@ -677,6 +670,19 @@ func (p *Platform) buildDSP() error {
 // Initiators returns the platform's traffic sources (live generators or
 // trace-driven replayers), in attachment order.
 func (p *Platform) Initiators() []Initiator { return p.gens }
+
+// issueSides returns every issue side of the platform: the traffic sources
+// in attachment order, then the DSP core when present.
+func (p *Platform) issueSides() []issueSide {
+	sides := make([]issueSide, 0, len(p.gens)+1)
+	for _, g := range p.gens {
+		sides = append(sides, g)
+	}
+	if p.core != nil {
+		sides = append(sides, p.core)
+	}
+	return sides
+}
 
 // Core returns the DSP core (nil when WithDSP is false).
 func (p *Platform) Core() *dspcore.Core { return p.core }

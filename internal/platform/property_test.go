@@ -1,9 +1,13 @@
 package platform
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"mpsocsim/internal/telemetry"
 )
 
 // randomSpec draws one platform configuration from the property-test space:
@@ -147,6 +151,129 @@ func TestRandomSpecInvariants(t *testing.T) {
 		if v := invariantViolation(spec); v != "" {
 			min := shrinkWhile(spec, func(s Spec) bool { return invariantViolation(s) != "" })
 			t.Fatalf("case %d: %s\nspec: %s\nminimal failing spec: %s", i, v, specSummary(spec), specSummary(min))
+		}
+	}
+}
+
+// restoreViolation holds spec, with attribution on, to the checkpoint
+// contract at two seeded points of its run: fh places the stall report at
+// cycle h and fc the snapshot at cycle c, both as fractions of the run's
+// length, so c < h comes before the drain of any spec the shrinker tries.
+// A second build restored from the snapshot at c must report at h what the
+// uninterrupted run reports there, finish with the same report (but for
+// resumed_from_cycle), and stream the same telemetry records past c. It
+// describes the first difference ("" when there is none).
+func restoreViolation(spec Spec, fc, fh float64) string {
+	const budget, every = 5e12, 128
+	p, err := Build(spec)
+	if err != nil {
+		return fmt.Sprintf("Build: %v", err)
+	}
+	n := p.Run(budget).CentralCycles
+	h := max(int64(fh*float64(n)), 2)
+	c := min(max(int64(fc*float64(n)), 1), h-1)
+	reason := fmt.Sprintf("report at cycle %d", h)
+	// finish runs a platform from the stall report at h to the drain and
+	// returns the report, the final JSON report and the telemetry records.
+	finish := func(p *Platform, col *telemetry.Collector) (*telemetry.StallReport, []byte, []telemetry.Record, string) {
+		if !p.RunToCycle(h, budget) {
+			return nil, nil, nil, fmt.Sprintf("the run ended before cycle %d of %d", h, n)
+		}
+		rep := p.StallReport(reason, 10)
+		r := p.Run(budget)
+		if !r.Done {
+			return nil, nil, nil, fmt.Sprintf("the run did not drain (stalled=%v)", r.Stalled)
+		}
+		if r.ResumedFromCycle != p.ResumedCycles() {
+			return nil, nil, nil, fmt.Sprintf("Result.ResumedFromCycle = %d, want %d", r.ResumedFromCycle, p.ResumedCycles())
+		}
+		r.ResumedFromCycle = 0
+		var js bytes.Buffer
+		if err := r.WriteJSON(&js); err != nil {
+			return nil, nil, nil, err.Error()
+		}
+		if d := col.Dropped(); d != 0 {
+			return nil, nil, nil, fmt.Sprintf("the telemetry ring dropped %d records", d)
+		}
+		recs, _ := col.Drain(0)
+		for i := range recs {
+			recs[i].Seq, recs[i].WallNS = 0, 0
+		}
+		return rep, js.Bytes(), recs, ""
+	}
+
+	ring := int(n/every) + 2 // room for every record of the run
+	p = MustBuild(spec)
+	p.EnableAttribution(0)
+	wantRep, wantJSON, cold, v := finish(p, p.EnableTelemetry(every, ring))
+	if v != "" {
+		return "uninterrupted: " + v
+	}
+
+	rp := MustBuild(spec)
+	rp.EnableAttribution(0)
+	if !rp.RunToCycle(c, budget) {
+		return fmt.Sprintf("the run ended before the snapshot at cycle %d", c)
+	}
+	var buf bytes.Buffer
+	if err := rp.Snapshot(&buf); err != nil {
+		return fmt.Sprintf("Snapshot at cycle %d: %v", c, err)
+	}
+	if rp, err = Restore(spec, &buf); err != nil {
+		return fmt.Sprintf("Restore at cycle %d: %v", c, err)
+	}
+	at := rp.ResumedCycles()
+	gotRep, gotJSON, warm, v := finish(rp, rp.EnableTelemetry(every, ring))
+	if v != "" {
+		return fmt.Sprintf("restored at cycle %d: %s", at, v)
+	}
+	if !reflect.DeepEqual(gotRep, wantRep) {
+		var g, w bytes.Buffer
+		gotRep.Write(&g)
+		wantRep.Write(&w)
+		return fmt.Sprintf("restored at cycle %d, the stall report at %d differs.\nrestored:\n%s\nuninterrupted:\n%s", at, h, g.String(), w.String())
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		return fmt.Sprintf("restored at cycle %d, the final report differs (%d vs %d bytes)", at, len(gotJSON), len(wantJSON))
+	}
+	var want []telemetry.Record
+	for _, rec := range cold {
+		if rec.Cycle > at {
+			want = append(want, rec)
+		}
+	}
+	if len(warm) != len(want) {
+		return fmt.Sprintf("restored at cycle %d, %d telemetry records against the uninterrupted run's %d", at, len(warm), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(warm[i], want[i]) {
+			return fmt.Sprintf("restored at cycle %d, telemetry record %d (cycle %d) differs from the uninterrupted run's", at, i, want[i].Cycle)
+		}
+	}
+	return ""
+}
+
+// TestRandomSpecRestoreInvariance carries the checkpoint contract
+// (DESIGN.md §16) from the fixed matrices of the checkpoint tests to seeded
+// random specs: every protocol, topology and memory, with and without the
+// DSP core and the I/O subsystem, restored at a seeded cycle. The seed's
+// ten draws put the DSP core on every protocol, topology and memory, and
+// into one of the three draws of -short. Failures are shrunk to a minimal
+// reproducing spec before reporting.
+func TestRandomSpecRestoreInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5EED_002A))
+	n := 10
+	if testing.Short() {
+		n = 3
+	}
+	for i := 0; i < n; i++ {
+		spec := randomSpec(rng)
+		fh := 0.2 + 0.6*rng.Float64()
+		fc := fh * (0.1 + 0.8*rng.Float64())
+		if v := restoreViolation(spec, fc, fh); v != "" {
+			min := shrinkWhile(spec, func(s Spec) bool { return restoreViolation(s, fc, fh) != "" })
+			t.Fatalf("case %d (snapshot at %.2f, report at %.2f of the run): %s\nspec: %s\nminimal failing spec: %s",
+				i, fc, fh, v, specSummary(spec), specSummary(min))
 		}
 	}
 }

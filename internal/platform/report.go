@@ -19,8 +19,8 @@ import (
 //
 // /2 added the optional "attribution" section (per-initiator × per-phase
 // latency breakdown) and the timeline "dropped" counters; every /1 field is
-// unchanged. The optional "deadlines" section (I/O deadline accounting) and
-// the spec's io_* fields are additive to /2.
+// unchanged. The optional "deadlines" section (I/O deadline accounting), the
+// spec's io_* fields and its lmi_sdram_cas are additive to /2.
 const ReportSchema = "mpsocsim.report/2"
 
 // SpecReport is the JSON-stable description of the run's configuration: the
@@ -34,6 +34,7 @@ type SpecReport struct {
 	Memory   string `json:"memory"`
 
 	STBusType            string  `json:"stbus_type,omitempty"`
+	LMISDRAMCAS          int     `json:"lmi_sdram_cas,omitempty"`
 	MaxOutstanding       int     `json:"max_outstanding"`
 	TargetRespDepth      int     `json:"target_resp_depth"`
 	SplitLMIBridge       bool    `json:"split_lmi_bridge,omitempty"`
@@ -129,6 +130,9 @@ func (r Result) Report() Report {
 	}
 	if s.Protocol == STBus {
 		sr.STBusType = s.STBusType.String()
+	}
+	if s.Memory == LMIDDR {
+		sr.LMISDRAMCAS = s.LMI.SDRAM.Timing.TCAS
 	}
 	if s.Replay != nil {
 		sr.Replay = true

@@ -3,6 +3,7 @@ package platform
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -93,5 +94,43 @@ func TestReportDeterministic(t *testing.T) {
 	a, b := render(), render()
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical runs produced different reports")
+	}
+}
+
+// TestReportSpecNamesEveryKey walks the key table: every row, set to a value
+// other than the base spec's, must change the report's spec object, so two
+// runs that differ in one knob of the text form never carry the same
+// description. The base attaches the I/O subsystem and the LMI memory, so
+// every io.* and lmi.* row shapes the run.
+func TestReportSpecNamesEveryKey(t *testing.T) {
+	values := map[string]string{
+		"protocol": "axi", "topology": "collapsed", "memory": "onchip",
+		"waitstates": "4", "lmi.sdram.cas": "5", "stbustype": "2",
+		"scale": "0.5", "seed": "7", "twophase": "true", "splitlmi": "true",
+		"dsp": "false", "messaging": "false", "io": "false",
+		"io.dma.descriptors": "-1", "io.dma.burst": "8", "io.irq.agents": "3",
+		"io.irq.period": "300", "io.irq.deadline": "128", "io.irq.events": "12",
+		"io.alloc.ops": "-1",
+	}
+	base := DefaultSpec()
+	base.IO.Enable = true
+	base.Memory = LMIDDR
+	want := Result{Spec: base}.Report().Spec
+	for _, k := range Keys() {
+		val, ok := values[k.Name]
+		if !ok {
+			t.Errorf("key %s has no test value", k.Name)
+			continue
+		}
+		spec := base
+		if err := SetKey(&spec, k.Name, val); err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(spec, base) {
+			t.Fatalf("%s = %s leaves the base spec unchanged", k.Name, val)
+		}
+		if got := (Result{Spec: spec}).Report().Spec; reflect.DeepEqual(got, want) {
+			t.Errorf("%s = %s leaves the report's spec object unchanged", k.Name, val)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package platform
 
 import (
-	"sort"
+	"slices"
 
 	"mpsocsim/internal/bus"
 	"mpsocsim/internal/metrics"
@@ -119,15 +119,16 @@ func appendTargetPort(rows []telemetry.FifoFill, p *bus.TargetPort) []telemetry.
 }
 
 // StallReport assembles the run-health forensics dump: the topFifos fullest
-// FIFOs across every port of the platform (10 when <= 0), each initiator's
+// FIFOs across every port of the platform (10 when <= 0), each issue side's
 // oldest outstanding transaction, each clock domain's last-progress cycle
 // and the counters that moved during the last watchdog window. Valid after
 // Run returns with Stalled (watchdog fired, exit 2) or over budget (exit 3),
 // or between any two steps; works whether or not telemetry streaming was
-// enabled. The initiator and domain rows read each traffic source's
-// iptg.Issuer, and the counter rows the watchdog baselines, all of which
-// travel in snapshots: a restored platform reports what the uninterrupted
-// run would at the same cycle.
+// enabled. The initiator and domain rows read the iptg.Issuer of every
+// issue side, the DSP core's included, and the counter rows the watchdog
+// baselines, all of which travel in snapshots: a restored platform reports
+// what the uninterrupted run would at the same cycle. The header's totals
+// are the traffic sources' alone, as are Result's.
 func (p *Platform) StallReport(reason string, topFifos int) *telemetry.StallReport {
 	if topFifos <= 0 {
 		topFifos = 10
@@ -138,17 +139,33 @@ func (p *Platform) StallReport(reason string, topFifos int) *telemetry.StallRepo
 		Cycle:  p.CentralClk.Cycles(),
 		TimePS: p.Kernel.Now(),
 	}
-
-	var fifos []telemetry.FifoFill
 	for _, g := range p.gens {
-		fifos = appendInitiatorPort(fifos, g.Port())
+		rep.Issued += g.Issued()
+		rep.Completed += g.Completed()
 	}
-	names := make([]string, 0, len(p.bridges))
-	for name := range p.bridges {
-		names = append(names, name)
+
+	sides := p.issueSides()
+	var fifos []telemetry.FifoFill
+	for _, s := range sides {
+		fifos = appendInitiatorPort(fifos, s.Port())
+		row := telemetry.InitiatorHealth{
+			Name:              s.Name(),
+			Clock:             s.Clock().Name(),
+			Issued:            s.Issued(),
+			Completed:         s.Completed(),
+			InFlight:          s.InFlight(),
+			LastIssueCycle:    s.LastIssueCycle(),
+			LastCompleteCycle: s.LastCompleteCycle(),
+		}
+		if id, cycle, ok := s.Oldest(); ok {
+			// The request was stamped at the edge after its issue cycle
+			// (sim.Clock.NowPS).
+			row.OldestID = id
+			row.OldestAgePS = rep.TimePS - (cycle+1)*s.Clock().PeriodPS()
+		}
+		rep.Initiators = append(rep.Initiators, row)
 	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedBridgeNames(p.bridges) {
 		br := p.bridges[name]
 		fifos = appendTargetPort(fifos, br.TargetPort())
 		fifos = appendInitiatorPort(fifos, br.InitiatorPort())
@@ -159,52 +176,22 @@ func (p *Platform) StallReport(reason string, topFifos int) *telemetry.StallRepo
 	if p.ctrl != nil {
 		fifos = appendTargetPort(fifos, p.ctrl.Port())
 	}
-	if p.core != nil {
-		fifos = appendInitiatorPort(fifos, p.core.Port())
-	}
 	rep.Fifos = telemetry.SortFifos(fifos, topFifos)
 
-	for i, g := range p.gens {
-		rep.Issued += g.Issued()
-		rep.Completed += g.Completed()
-		row := telemetry.InitiatorHealth{
-			Name:              g.Name(),
-			Clock:             p.genClk[i].Name(),
-			Issued:            g.Issued(),
-			Completed:         g.Completed(),
-			InFlight:          g.InFlight(),
-			LastIssueCycle:    g.LastIssueCycle(),
-			LastCompleteCycle: g.LastCompleteCycle(),
-		}
-		if id, cycle, ok := g.Oldest(); ok {
-			// The request was stamped at the edge after its issue cycle
-			// (sim.Clock.NowPS).
-			row.OldestID = id
-			row.OldestAgePS = rep.TimePS - (cycle+1)*p.genClk[i].PeriodPS()
-		}
-		rep.Initiators = append(rep.Initiators, row)
-	}
-
-	// Per-clock-domain last progress: the central clock, each initiator
-	// clock in first-use order, then the CPU clock.
+	// Per-clock-domain last progress: the central clock, then each issue
+	// side's clock in first-use order.
 	clocks := []*sim.Clock{p.CentralClk}
-	seen := map[*sim.Clock]bool{p.CentralClk: true}
-	for _, clk := range p.genClk {
-		if !seen[clk] {
-			seen[clk] = true
-			clocks = append(clocks, clk)
+	for _, s := range sides {
+		if !slices.Contains(clocks, s.Clock()) {
+			clocks = append(clocks, s.Clock())
 		}
-	}
-	if p.CPUClk != nil && !seen[p.CPUClk] {
-		clocks = append(clocks, p.CPUClk)
 	}
 	for _, clk := range clocks {
 		d := telemetry.DomainHealth{Clock: clk.Name(), Cycles: clk.Cycles(), LastProgressCycle: -1}
-		for i, g := range p.gens {
-			if p.genClk[i] != clk {
-				continue
+		for _, s := range sides {
+			if s.Clock() == clk {
+				d.LastProgressCycle = max(d.LastProgressCycle, s.LastIssueCycle(), s.LastCompleteCycle())
 			}
-			d.LastProgressCycle = max(d.LastProgressCycle, g.LastIssueCycle(), g.LastCompleteCycle())
 		}
 		rep.Domains = append(rep.Domains, d)
 	}

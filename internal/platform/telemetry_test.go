@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -296,7 +297,8 @@ func TestForcedDeadlockForensics(t *testing.T) {
 
 // TestStallReportAfterBudgetExhaustion covers the exit-3 forensics path: a
 // run stopped by the simulated-time budget (not the watchdog) still
-// assembles a coherent report.
+// assembles a coherent report, and it shows the DSP core as an issue side:
+// an st220 row on the cpu clock, and the cpu domain's last progress.
 func TestStallReportAfterBudgetExhaustion(t *testing.T) {
 	spec := DefaultSpec()
 	spec.WorkloadScale = 0.3
@@ -310,14 +312,26 @@ func TestStallReportAfterBudgetExhaustion(t *testing.T) {
 		t.Fatalf("top-5 FIFO list has %d rows", len(rep.Fifos))
 	}
 	var inFlight int
+	dsp := false
 	for _, in := range rep.Initiators {
 		inFlight += in.InFlight
 		if in.InFlight > 0 && in.OldestAgePS <= 0 {
 			t.Errorf("%s has %d in flight but oldest age %d ps", in.Name, in.InFlight, in.OldestAgePS)
 		}
+		dsp = dsp || in.Name == "st220" && in.Clock == "cpu"
 	}
 	if inFlight == 0 {
 		t.Fatal("mid-run cut shows no transaction in flight")
+	}
+	if !dsp {
+		t.Errorf("no st220 row on the cpu clock among the %d initiator rows", len(rep.Initiators))
+	}
+	cpu := slices.IndexFunc(rep.Domains, func(d telemetry.DomainHealth) bool { return d.Clock == "cpu" })
+	if cpu < 0 {
+		t.Fatal("the report has no cpu domain row")
+	}
+	if lp := rep.Domains[cpu].LastProgressCycle; lp < 0 {
+		t.Errorf("the cpu domain's last progress is %d: the DSP core's issue side is not read", lp)
 	}
 }
 

@@ -36,8 +36,10 @@ const Magic = "MPSNAP"
 // shared issue-side layout (iptg.Issuer); version 4 added the issue cycle
 // of each in-flight request and the last issue and completion cycles to
 // that layout, the watchdog's counter baselines to the run-loop state, and
-// dropped the timeline samplers' self-clocked counters.
-const Version = 4
+// dropped the timeline samplers' self-clocked counters; version 5 gave the
+// DSP core's section the same issue-side layout in place of its port state
+// and its refill ID and wait flag.
+const Version = 5
 
 // Sentinel decode errors; match with errors.Is.
 var (
