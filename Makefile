@@ -101,7 +101,7 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # Short coverage-guided fuzz of the decoders of external input: the trace
-# and snapshot binaries, the platform spec reader, and the report/2 JSON
+# and snapshot binaries, the platform spec reader, and the run report JSON
 # and telemetry NDJSON readers behind `mpsocsim diff` (seed corpora live in
 # each package's testdata/fuzz). Ten seconds apiece is enough to exercise
 # the mutation engine against every validation path on each run; longer

@@ -22,10 +22,12 @@
 //	mpsocsim -set protocol=ahb -replay ref.trc
 //
 // Observability exports render the run's metrics registry: -report writes
-// the schema-versioned JSON run report (every counter, gauge, histogram and
-// sampled timeline), and -chrome-trace writes a Chrome trace-event file —
-// per-initiator transaction lifecycles plus queue-occupancy counter tracks —
-// loadable in ui.perfetto.dev or chrome://tracing:
+// the schema-versioned JSON run report (schema mpsocsim.report/3: the final
+// value of every counter, gauge and histogram), and -chrome-trace writes a
+// Chrome trace-event file — per-initiator transaction lifecycles plus one
+// counter track per gauge, read from the telemetry records taken every
+// -telemetry-every central cycles — loadable in ui.perfetto.dev or
+// chrome://tracing:
 //
 //	mpsocsim -report run.json -chrome-trace trace.json
 //
@@ -46,8 +48,8 @@
 // -restore FILE resumes a later invocation from that snapshot instead of
 // re-simulating the prefix. The restored run is bit-identical to an
 // uninterrupted one — same report, same trace, same attribution. The
-// observability configuration (capture, timelines, attribution) travels
-// inside the checkpoint:
+// observability configuration (capture, attribution) travels inside the
+// checkpoint:
 //
 //	mpsocsim -checkpoint-at 8000 -checkpoint warm.ckpt -report cold.json
 //	mpsocsim -restore warm.ckpt -report warm.json   # identical modulo resumed_from_cycle
@@ -70,15 +72,17 @@
 // mem.shmem.queue_depth or bridge.n5_dma_br.outstanding) and -vcd a Value
 // Change Dump stamped in picoseconds, for GTKWave and other waveform viewers.
 // Each record is the committed state at a -telemetry-every multiple, plus a
-// final one at the run's end. All three outputs compose with checkpoints: a
-// -checkpoint run's files cover the whole run, and a -restore run's cover
-// the resumed suffix, equal to the uninterrupted run's records past the
-// checkpoint cycle:
+// final one at the run's end; the -chrome-trace counter tracks read the same
+// records. All of these outputs compose with checkpoints: a -checkpoint
+// run's files cover the whole run, and a -restore run's cover the resumed
+// suffix, equal to the uninterrupted run's records past the checkpoint cycle
+// (a restored Chrome trace's lifecycle slices still cover the whole run,
+// since the capture travels in the checkpoint):
 //
 //	mpsocsim -trace run.csv -vcd run.vcd -telemetry-every 256
 //
 // Differential observability compares two runs. `mpsocsim diff A B` diffs
-// two report/2 JSON documents (or, with -stream, two telemetry NDJSON
+// two JSON run reports (or, with -stream, two telemetry NDJSON
 // streams) into a schema-versioned mpsocsim.diff/1 document: counter/gauge/
 // histogram deltas ranked by relative magnitude, attribution dominant-phase
 // flips, deadline regressions — byte-identical across invocations. In run
@@ -125,7 +129,6 @@ import (
 
 	"mpsocsim/internal/attr"
 	"mpsocsim/internal/diff"
-	"mpsocsim/internal/metrics"
 	"mpsocsim/internal/platform"
 	"mpsocsim/internal/replay"
 	"mpsocsim/internal/stats"
@@ -167,17 +170,16 @@ func main() {
 	replayFile := flag.String("replay", "", "replace the IP traffic generators with trace-driven replay from this file")
 	replayMode := flag.String("replay-mode", "timed", "replay scheduling: timed|elastic")
 	reportFile := flag.String("report", "", "write the JSON run report (full metrics snapshot) to this file")
-	chromeFile := flag.String("chrome-trace", "", "write a Chrome trace-event/Perfetto file to this file")
-	sampleEvery := flag.Int64("sample-every", metrics.DefaultSampleEvery, "gauge sampling window in central cycles (for -report/-chrome-trace timelines)")
+	chromeFile := flag.String("chrome-trace", "", "write a Chrome trace-event/Perfetto file to this file: the transaction lifecycles and one counter track per gauge, sampled every -telemetry-every central cycles")
 	attrOn := flag.Bool("attr", false, "enable per-transaction latency attribution (adds the report's attribution section and the Chrome-trace phase sub-slices)")
 	attrTop := flag.Int("attr-top", 0, "print the top-N initiators by attributed latency, with their dominant phase, to stderr (implies -attr)")
 	checkpointFile := flag.String("checkpoint", "", "write a full-state checkpoint to this file at -checkpoint-at, then finish the run")
 	checkpointAt := flag.Int64("checkpoint-at", 0, "central-clock cycle to take the -checkpoint at (> 0)")
 	restoreFile := flag.String("restore", "", "resume from a checkpoint written by -checkpoint instead of simulating the prefix (-config and -set must rebuild the same platform; observability travels with the checkpoint)")
 	telemetryFile := flag.String("telemetry", "", "stream NDJSON telemetry records (schema mpsocsim.telemetry/1) to this file while the run executes")
-	telemetryEvery := flag.Int64("telemetry-every", platform.DefaultTelemetryEvery, "telemetry snapshot cadence in central cycles (for -telemetry/-trace/-vcd/-live)")
+	telemetryEvery := flag.Int64("telemetry-every", platform.DefaultTelemetryEvery, "telemetry snapshot cadence in central cycles (for -telemetry/-trace/-vcd/-live/-chrome-trace)")
 	liveAddr := flag.String("live", "", "serve live run telemetry over HTTP on this address (/metrics Prometheus text, /events SSE, /progress JSON)")
-	diffFile := flag.String("diff", "", "after the run, diff its report against the baseline report/2 JSON in this file and write the mpsocsim.diff/1 document to stdout instead of the text summary")
+	diffFile := flag.String("diff", "", "after the run, diff its report against the baseline run report JSON in this file and write the mpsocsim.diff/1 document to stdout instead of the text summary")
 	diffStreamFile := flag.String("diff-stream", "", "after the run, diff its -telemetry NDJSON stream against the baseline stream in this file and write the mpsocsim.diff/1 document to stdout instead of the text summary")
 	bisectFile := flag.String("bisect", "", "localize divergence instead of running: treat the -config/-set spec as variant A and this platform spec file as variant B, binary-search the first central-clock cycle where observable state differs, and write the mpsocsim.diff/1 bisect document to stdout")
 	bisectGrid := flag.Int64("bisect-grid", 0, "checkpoint grid spacing in central cycles for -bisect (0 = default 2048; rounded up to a power of two)")
@@ -298,8 +300,8 @@ func main() {
 	var capture *tracecap.Capture
 	if *restoreFile != "" {
 		// The checkpoint carries the observability configuration: Restore
-		// re-applies capture/timelines/attribution as they were at snapshot
-		// time, so the CLI's own enable flags do not apply here.
+		// re-applies capture/attribution as they were at snapshot time, so
+		// the CLI's own enable flags do not apply here.
 		f, err := os.Open(*restoreFile)
 		if err != nil {
 			fatalf("restore: %v", err)
@@ -323,11 +325,6 @@ func main() {
 			capture = tracecap.NewCapture(spec.Name(), 0)
 			p.AttachCapture(capture)
 		}
-		if *reportFile != "" || *chromeFile != "" {
-			// Timelines feed the report's series and the Chrome counter
-			// tracks; the ring storage is preallocated here, before Run.
-			p.EnableTimelines(*sampleEvery, 0)
-		}
 		if *attrTop > 0 {
 			*attrOn = true
 		}
@@ -345,7 +342,8 @@ func main() {
 	// collector is not part of a checkpoint (it observes, never simulates),
 	// so a restored run re-enables it here and snapshots at exactly the
 	// cadence instants the uninterrupted run would. Each output flag
-	// streams the same records in its own encoding.
+	// streams the same records in its own encoding, and -chrome-trace
+	// renders them as counter tracks after the run.
 	type stream struct {
 		flag, path string
 		enc        telemetry.Encoding
@@ -357,7 +355,7 @@ func main() {
 		{flag: "trace", path: *traceFile, enc: telemetry.CSV},
 		{flag: "vcd", path: *vcdFile, enc: telemetry.VCD},
 	}
-	if *telemetryFile != "" || *traceFile != "" || *vcdFile != "" || *liveAddr != "" {
+	if *telemetryFile != "" || *traceFile != "" || *vcdFile != "" || *liveAddr != "" || *chromeFile != "" {
 		col := p.EnableTelemetry(*telemetryEvery, 0)
 		for _, st := range streams {
 			if st.path == "" {
@@ -446,13 +444,6 @@ func main() {
 			fatalf("attr-top: %v", err)
 		}
 	}
-	for _, tl := range r.Metrics.Timelines {
-		if tl.Dropped > 0 {
-			fmt.Fprintf(os.Stderr,
-				"mpsocsim: warning: %s timeline ring overflowed, %d oldest samples dropped — raise -sample-every to keep the whole run\n",
-				tl.Clock, tl.Dropped)
-		}
-	}
 	if capture != nil && *captureFile != "" {
 		tr := capture.Trace()
 		if err := tr.WriteFile(*captureFile); err != nil {
@@ -482,7 +473,13 @@ func main() {
 			fatalf("chrome-trace: %v", err)
 		}
 		defer f.Close()
-		if err := metrics.WriteChromeTrace(f, capture.Trace(), r.Metrics, p.Attribution()); err != nil {
+		col := p.Telemetry()
+		recs, _ := col.Drain(0)
+		if n := col.Dropped(); n > 0 {
+			fmt.Fprintf(os.Stderr,
+				"mpsocsim: warning: telemetry ring overflowed, the counter tracks of %s lost their %d oldest records — raise -telemetry-every\n", *chromeFile, n)
+		}
+		if err := telemetry.WriteChromeTrace(f, capture.Trace(), recs, p.Attribution()); err != nil {
 			fatalf("chrome-trace: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (load in ui.perfetto.dev)\n", *chromeFile)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -231,6 +232,118 @@ func TestWaveformAcrossCheckpointRestore(t *testing.T) {
 	if len(want) < 2 || !reflect.DeepEqual(warmRows, want) {
 		t.Fatalf("restored CSV has %d rows, the uninterrupted run %d past cycle 3000 (or they differ)", len(warmRows)-1, len(want)-1)
 	}
+}
+
+// chromeEvent is the part of a Chrome trace event the tests read.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"`
+	Dur  float64        `json:"dur"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	Args map[string]any `json:"args"`
+}
+
+// readChrome reads a -chrome-trace file and splits its counter ("C") events
+// from its lifecycle and phase ("X") events.
+func readChrome(t *testing.T, path string) (counters, slices []chromeEvent) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	for _, ev := range doc.TraceEvents {
+		switch ev.Ph {
+		case "C":
+			counters = append(counters, ev)
+		case "X":
+			slices = append(slices, ev)
+		}
+	}
+	return counters, slices
+}
+
+// TestChromeTraceCounterTracks covers -chrome-trace's counter tracks, which
+// read the telemetry collector's records: one event per gauge per record,
+// stamped at the record's instant (every -telemetry-every central cycles,
+// plus the run's final instant); a warning, not a failure, when the ring
+// drops records; and, after -restore, tracks that start at the first cadence
+// instant past the checkpoint while the lifecycle slices, which travel with
+// the capture in the checkpoint, equal the uninterrupted run's.
+func TestChromeTraceCounterTracks(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	// The central clock runs at 250 MHz: one cycle is 4,000 ps.
+	const centralPS = 4000
+	psOf := func(ev chromeEvent) int64 { return int64(math.Round(ev.Ts * 1e6)) }
+
+	t.Run("cadence", func(t *testing.T) {
+		if _, stderr, code := runCLI(t, "-set", "scale=0.2", "-telemetry-every", "256", "-chrome-trace", path("c256.json")); code != 0 {
+			t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, stderr)
+		}
+		counters, _ := readChrome(t, path("c256.json"))
+		var stamps []int64
+		for _, ev := range counters {
+			if ev.Name == "lmi.lmi.queue_depth" {
+				if ps := psOf(ev); len(stamps) == 0 || stamps[len(stamps)-1] != ps {
+					stamps = append(stamps, ps)
+				}
+			}
+		}
+		if len(stamps) != 49 {
+			t.Fatalf("lmi.lmi.queue_depth has %d distinct stamps, want 49", len(stamps))
+		}
+		for i, ps := range stamps[:len(stamps)-1] {
+			if ps != int64(i+1)*256*centralPS {
+				t.Fatalf("stamp %d is %d ps, want the cadence instant %d ps", i, ps, int64(i+1)*256*centralPS)
+			}
+		}
+		if last, prev := stamps[len(stamps)-1], stamps[len(stamps)-2]; last <= prev {
+			t.Fatalf("final stamp %d ps is not after the last cadence instant %d ps", last, prev)
+		}
+	})
+
+	t.Run("ring overflow", func(t *testing.T) {
+		_, stderr, code := runCLI(t, "-set", "scale=0.2", "-telemetry-every", "8", "-chrome-trace", path("c8.json"))
+		if code != 0 {
+			t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, stderr)
+		}
+		if !strings.Contains(stderr, "counter tracks of "+path("c8.json")+" lost their") || !strings.Contains(stderr, "raise -telemetry-every") {
+			t.Fatalf("stderr lacks the counter-track overflow warning:\n%s", stderr)
+		}
+	})
+
+	t.Run("restore", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"-chrome-trace", path("cold.json"), "-checkpoint-at", "3000", "-checkpoint", path("run.ckpt")},
+			{"-chrome-trace", path("warm.json"), "-restore", path("run.ckpt")},
+		} {
+			args = append([]string{"-set", "scale=0.2"}, args...)
+			if _, stderr, code := runCLI(t, args...); code != 0 {
+				t.Fatalf("%v: exit code = %d, want 0\nstderr:\n%s", args, code, stderr)
+			}
+		}
+		coldC, coldX := readChrome(t, path("cold.json"))
+		warmC, warmX := readChrome(t, path("warm.json"))
+		if len(coldC) == 0 || len(warmC) == 0 {
+			t.Fatalf("counter events: %d cold, %d restored", len(coldC), len(warmC))
+		}
+		// The default cadence is 1,024 cycles: the first record after the
+		// restore at cycle 3000 is cycle 3072, 12.288 us.
+		if got := psOf(warmC[0]); got != 3072*centralPS {
+			t.Fatalf("restored counter tracks start at %d ps, want 3072 cycles (%d ps)", got, 3072*centralPS)
+		}
+		if len(coldX) == 0 || !reflect.DeepEqual(warmX, coldX) {
+			t.Fatalf("restored lifecycle slices differ from the uninterrupted run's (%d vs %d)", len(warmX), len(coldX))
+		}
+	})
 }
 
 // readCSV reads a -trace file and requires a header and at least one row.

@@ -4,11 +4,11 @@
 //
 // The paper's core claim is that communication/memory/I/O interactions only
 // become visible when two platform variants are compared under identical
-// stimulus. The simulator already produces rich per-run artifacts — report/2
+// stimulus. The simulator already produces rich per-run artifacts — report
 // JSON, attribution matrices, telemetry NDJSON, snapshots — and this package
 // turns them into first-class comparisons:
 //
-//   - diff.go: structural diff of two report/2 documents — counter, gauge
+//   - diff.go: structural diff of two run reports — counter, gauge
 //     and histogram deltas ranked by relative magnitude, per-initiator ×
 //     per-phase attribution deltas with dominant-phase flips highlighted,
 //     and deadline-table regressions.
@@ -122,7 +122,7 @@ type DeadlineDelta struct {
 	Regressed   bool    `json:"regressed"`
 }
 
-// ReportDiff is the structural comparison of two report/2 documents.
+// ReportDiff is the structural comparison of two run reports.
 // Instrument deltas are ranked by relative magnitude (then absolute delta,
 // then name), so the most-disturbed subsystems lead each list.
 type ReportDiff struct {
@@ -188,7 +188,7 @@ func rankValues(ds []ValueDelta) {
 	})
 }
 
-// ReadReportFile loads a report/2 JSON document from a file (see
+// ReadReportFile loads a run report JSON document from a file (see
 // ReadReport).
 func ReadReportFile(path string) (*platform.Report, error) {
 	f, err := os.Open(path)
@@ -203,8 +203,10 @@ func ReadReportFile(path string) (*platform.Report, error) {
 	return rep, nil
 }
 
-// ReadReport decodes one report/2 JSON document, checking its schema
-// family. Any document it accepts can be diffed against any other.
+// ReadReport decodes one run report JSON document, checking its schema
+// family (mpsocsim.report/): a stored report/2 baseline, whose metrics
+// carry timelines, reads like a report/3 one, the timelines ignored. Any
+// document it accepts can be diffed against any other.
 func ReadReport(r io.Reader) (*platform.Report, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

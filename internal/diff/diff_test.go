@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -176,4 +179,58 @@ func abs(f float64) float64 {
 		return -f
 	}
 	return f
+}
+
+// TestReportDiffReadsStoredReport2 diffs a stored report/2 baseline against
+// a fresh report of the same spec. The baseline is the first document of
+// the checked-in FuzzReports seed seed_same, a scale-0.05 reference run
+// whose metrics still carry the timelines that report/3 removed: the reader
+// must accept it, ignore the timelines, and diff every counter it stores
+// against the fresh run's, by name, ranked. The model has not moved this
+// run since the seed was written, so today the diff finds no delta; a model
+// change that does move it must still rank what it finds.
+func TestReportDiffReadsStoredReport2(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzReports", "seed_same"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(body), "\n")
+	lit, ok := strings.CutPrefix(lines[1], "[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("seed_same does not hold a []byte corpus value on its second line")
+	}
+	doc, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(doc, `"timelines"`) {
+		t.Fatal("the stored baseline has no timelines section")
+	}
+	base, err := ReadReport(strings.NewReader(doc))
+	if err != nil {
+		t.Fatalf("stored report/2 baseline does not read: %v", err)
+	}
+	if base.Schema != "mpsocsim.report/2" {
+		t.Fatalf("baseline schema = %q, want mpsocsim.report/2", base.Schema)
+	}
+	fresh := runReport(t, "[platform]\nscale = 0.05\n", false)
+	if fresh.Schema != platform.ReportSchema || base.Spec.Platform != fresh.Spec.Platform {
+		t.Fatalf("fresh run is %s of %s, want %s of %s", fresh.Schema, fresh.Spec.Platform, platform.ReportSchema, base.Spec.Platform)
+	}
+	if base.Metrics == nil || len(base.Metrics.Counters) != len(fresh.Metrics.Counters) {
+		t.Fatalf("baseline reads %v counters, the fresh run has %d", base.Metrics, len(fresh.Metrics.Counters))
+	}
+	d := Reports(base, fresh, "seed_same", "")
+	if len(d.CountersOnlyInA) != 0 || len(d.CountersOnlyInB) != 0 {
+		t.Fatalf("counters unmatched by name: only in the baseline %v, only in the fresh run %v", d.CountersOnlyInA, d.CountersOnlyInB)
+	}
+	for i := 1; i < len(d.Counters); i++ {
+		if abs(d.Counters[i-1].Rel) < abs(d.Counters[i].Rel) {
+			t.Fatalf("counter deltas not ranked: %v before %v", d.Counters[i-1], d.Counters[i])
+		}
+	}
+	var buf bytes.Buffer
+	if err := d.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -15,10 +15,17 @@ type rig struct {
 	k    *sim.Kernel
 	clk  *sim.Clock
 	core *Core
+	node *stbus.Node
 	m    *mem.Memory
 }
 
 func newRig(t *testing.T, cfg Config, prog Program) *rig {
+	t.Helper()
+	return newRigMem(t, cfg, prog, mem.Config{WaitStates: 1, ReqDepth: 2, RespDepth: 4})
+}
+
+// newRigMem is newRig with the memory's configuration given.
+func newRigMem(t *testing.T, cfg Config, prog Program, mcfg mem.Config) *rig {
 	t.Helper()
 	k := sim.NewKernel()
 	clk := k.NewClock("cpu", 400)
@@ -27,13 +34,13 @@ func newRig(t *testing.T, cfg Config, prog Program) *rig {
 		t.Fatal(err)
 	}
 	node := stbus.NewNode("n", stbus.Config{Type: stbus.Type3, BytesPerBeat: cfg.BytesPerBeat}, bus.Single(0))
-	m := mem.New("mem", mem.Config{WaitStates: 1, ReqDepth: 2, RespDepth: 4})
+	m := mem.New("mem", mcfg)
 	node.AttachInitiator(core.Port())
 	node.AttachTarget(m.Port())
 	clk.Register(core)
 	clk.Register(node)
 	clk.Register(m)
-	return &rig{k: k, clk: clk, core: core, m: m}
+	return &rig{k: k, clk: clk, core: core, node: node, m: m}
 }
 
 func (r *rig) run(t *testing.T) {

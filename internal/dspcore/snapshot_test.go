@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpsocsim/internal/bus"
+	"mpsocsim/internal/mem"
 	"mpsocsim/internal/snapshot"
 )
 
@@ -68,5 +69,57 @@ func TestDecodeStateRejectsOutOfRange(t *testing.T) {
 				t.Fatalf("decode returned %v, want %v", err, snapshot.ErrCorrupt)
 			}
 		})
+	}
+}
+
+// TestRestoreWhileOpWaitsOnFullFifo checkpoints a core whose head memory op
+// has already accessed the D-cache and waits for room in the full two-entry
+// request FIFO, the one state in which opAccessed is true across an edge.
+// Write-through stores to a slow memory fill the FIFO with posted writes;
+// the load behind them then misses and cannot issue its refill. The kernel,
+// node, memory and core go through one encoder into a fresh rig, and both
+// rigs must halt with equal Stats: a restored core that lost the flag would
+// access the D-cache a second time, hit the line the first access
+// allocated, and never issue the refill.
+func TestRestoreWhileOpWaitsOnFullFifo(t *testing.T) {
+	cfg := DefaultConfig("c")
+	cfg.WriteThrough = true
+	prog := MustAssemble(`
+.base 0x9000000
+        alu r3, r0, r0, 0x200000
+        alu r2, r0, r0, 0x400000
+        st  r3, 0  | st r3, 8  | st r3, 16 | st r3, 24
+        st  r3, 32 | st r3, 40 | st r3, 48 | ld r4, r2, 0
+        halt
+`)
+	mcfg := mem.Config{WaitStates: 20, ReqDepth: 2, RespDepth: 4}
+	src := newRigMem(t, cfg, prog, mcfg)
+	for !(src.core.opAccessed && !src.core.Port().Req.CanPush()) {
+		if src.core.Halted() || src.k.Now() > 1e9 {
+			t.Fatalf("the load never waited on a full request FIFO after its D-cache access: %s", src.core.Stats())
+		}
+		src.k.Step()
+	}
+	e := snapshot.NewEncoder()
+	src.k.EncodeState(e)
+	src.node.EncodeState(e)
+	src.m.EncodeState(e)
+	src.core.EncodeState(e)
+	d, err := snapshot.NewDecoder(e.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := newRigMem(t, cfg, prog, mcfg)
+	dst.k.DecodeState(d)
+	dst.node.DecodeState(d, nil)
+	dst.m.DecodeState(d, nil)
+	dst.core.DecodeState(d, nil)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	src.run(t)
+	dst.run(t)
+	if got, want := dst.core.Stats(), src.core.Stats(); got != want {
+		t.Fatalf("restored core halts with %s, the uninterrupted one with %s", got, want)
 	}
 }

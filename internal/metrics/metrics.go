@@ -1,26 +1,26 @@
-// Package metrics is the platform-wide telemetry layer: a registry of named
-// counters, gauges and latency histograms that components register at build
-// time, plus per-clock-domain ring-buffer samplers that turn gauges into
-// cycle-stamped timelines. The paper's contribution is *measurement* — the
-// interaction of the communication, memory and I/O subsystems is only
-// visible when every arbiter, bridge, memory controller and cache exposes
-// its cycle-level state — so the registry generalizes the one-off LMI
-// bus-interface monitor onto every node of the platform.
+// Package metrics is the platform-wide instrument registry: named counters,
+// gauges and latency histograms that components register at build time. The
+// paper's contribution is *measurement* — the interaction of the
+// communication, memory and I/O subsystems is only visible when every
+// arbiter, bridge, memory controller and cache exposes its cycle-level
+// state — so the registry generalizes the one-off LMI bus-interface monitor
+// onto every node of the platform. Periodic sampling of the instruments is
+// the telemetry collector's job (internal/telemetry); this package only
+// holds and snapshots them.
 //
 // Design constraints, in priority order:
 //
 //  1. Zero allocations on the observation hot path. Counters and gauges are
 //     plain int64 cells (or read-on-demand closures over component state);
-//     histograms are stats.Histogram values registered by pointer; samplers
-//     record into storage preallocated at registration. The PR-2 invariant
-//     (TestZeroAllocSteadyState) holds with the full registry and samplers
-//     attached.
+//     histograms are stats.Histogram values registered by pointer. The
+//     steady-state zero-allocation invariant (TestZeroAllocSteadyState)
+//     holds with the full registry attached.
 //  2. Deterministic enumeration. Instruments snapshot in registration
 //     order, and platform builds register components in a fixed order, so
 //     two identical runs produce byte-identical reports.
 //  3. Post-run export off the hot path. Snapshot() copies every instrument
-//     into a plain, JSON-marshalable value; the exporters (JSON run report,
-//     Chrome trace events, text tables) render from the snapshot.
+//     into a plain, JSON-marshalable value; the JSON run report and the
+//     text tables render from the snapshot.
 package metrics
 
 import (
@@ -59,7 +59,7 @@ func (c *Counter) Value() int64 {
 
 // Gauge is an instantaneous level (queue depth, outstanding occupancy,
 // FIFO fill). Gauges carry the name of the clock domain they are meaningful
-// in; a Sampler on that domain turns them into a timeline.
+// in; the telemetry collector samples them into its records.
 type Gauge struct {
 	name  string
 	clock string
@@ -101,7 +101,6 @@ type Registry struct {
 	counters []*Counter
 	gauges   []*Gauge
 	hists    []*Histogram
-	samplers []*Sampler
 	names    map[string]struct{}
 }
 
@@ -199,11 +198,9 @@ type Snapshot struct {
 	Counters   []CounterValue   `json:"counters"`
 	Gauges     []GaugeValue     `json:"gauges"`
 	Histograms []HistogramValue `json:"histograms"`
-	Timelines  []Timeline       `json:"timelines,omitempty"`
 }
 
-// Snapshot copies the current value of every instrument and the contents of
-// every sampler ring.
+// Snapshot copies the current value of every instrument.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Counters:   make([]CounterValue, 0, len(r.counters)),
@@ -229,9 +226,6 @@ func (r *Registry) Snapshot() *Snapshot {
 			P99:  h.h.Quantile(0.99),
 			hist: *h.h,
 		})
-	}
-	for _, sp := range r.samplers {
-		s.Timelines = append(s.Timelines, sp.timeline())
 	}
 	return s
 }

@@ -65,62 +65,6 @@ func TestHistogramSnapshotQuantiles(t *testing.T) {
 	}
 }
 
-func TestSamplerRecordsAndWraps(t *testing.T) {
-	r := NewRegistry()
-	var level int64
-	r.GaugeFunc("q.depth", "clk", func() int64 { return level })
-	r.GaugeFunc("other.domain", "elsewhere", func() int64 { return 99 })
-	s := r.NewSampler("clk", 4000, 10, 4)
-	if s.Tracks() != 1 {
-		t.Fatalf("sampler tracks = %d, want 1 (gauge filtering by clock)", s.Tracks())
-	}
-	// 100 cycles at every=10 -> 10 samples into a 4-slot ring: 6 dropped,
-	// slots hold cycles 70..100.
-	for c := int64(10); c <= 100; c += 10 {
-		level = c
-		s.Sample(c)
-	}
-	tl := r.Snapshot().Timelines[0]
-	if tl.Clock != "clk" || tl.PeriodPS != 4000 || tl.Every != 10 {
-		t.Fatalf("timeline header = %+v", tl)
-	}
-	if tl.Dropped != 6 {
-		t.Fatalf("dropped = %d, want 6", tl.Dropped)
-	}
-	wantCycles := []int64{70, 80, 90, 100}
-	if len(tl.Cycles) != len(wantCycles) {
-		t.Fatalf("kept %d samples, want %d", len(tl.Cycles), len(wantCycles))
-	}
-	for i, want := range wantCycles {
-		if tl.Cycles[i] != want {
-			t.Fatalf("cycle[%d] = %d, want %d", i, tl.Cycles[i], want)
-		}
-		if tl.Values[i][0] != want {
-			t.Fatalf("value[%d] = %d, want %d (gauge read at sample time)", i, tl.Values[i][0], want)
-		}
-	}
-}
-
-func TestSamplerNoAllocSteadyState(t *testing.T) {
-	r := NewRegistry()
-	var level int64
-	for i := 0; i < 8; i++ {
-		name := string(rune('a'+i)) + ".depth"
-		r.GaugeFunc(name, "clk", func() int64 { return level })
-	}
-	s := r.NewSampler("clk", 4000, 1, 16) // wraps fast
-	for i := int64(1); i <= 100; i++ {
-		s.Sample(i)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		level++
-		s.Sample(level)
-	})
-	if allocs != 0 {
-		t.Fatalf("sampler Sample allocates: %.2f allocs/sample (want 0)", allocs)
-	}
-}
-
 func TestDiffCountersAligned(t *testing.T) {
 	prev := []CounterValue{{Name: "a", Value: 10}, {Name: "b", Value: 20}, {Name: "c", Value: 5}}
 	cur := []CounterValue{{Name: "a", Value: 10}, {Name: "b", Value: 27}, {Name: "c", Value: 6}}

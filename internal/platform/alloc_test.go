@@ -63,40 +63,6 @@ func TestZeroAllocSteadyStateWithCapture(t *testing.T) {
 	}
 }
 
-// TestZeroAllocSteadyStateWithMetrics re-proves the invariant with the full
-// observability stack attached: trace capture on every initiator port plus
-// one gauge sampler per clock domain. The samplers record into preallocated
-// rings and every other instrument is a func-backed read of existing
-// component state, so complete instrumentation costs no allocations per
-// cycle.
-func TestZeroAllocSteadyStateWithMetrics(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement is slow under -short")
-	}
-	spec := DefaultSpec()
-	p := MustBuild(spec)
-	c := tracecap.NewCapture(spec.Name(), 0)
-	p.AttachCapture(c)
-	p.EnableTimelines(0, 0)
-	p.Kernel.RunCycles(p.CentralClk, 5000)
-
-	allocs := testing.AllocsPerRun(2000, func() {
-		p.Kernel.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Step with metrics allocates: %.2f allocs/step (want 0)", allocs)
-	}
-	snap := p.Metrics.Snapshot()
-	if len(snap.Timelines) == 0 {
-		t.Fatal("no timelines recorded")
-	}
-	for _, tl := range snap.Timelines {
-		if len(tl.Cycles) == 0 {
-			t.Fatalf("timeline %q recorded no samples", tl.Clock)
-		}
-	}
-}
-
 // TestZeroAllocSteadyStateWithAttribution re-proves the invariant with
 // latency attribution enabled: records come from the collector's
 // preallocated free list, every stamp writes into fixed-size segment arrays,

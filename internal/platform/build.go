@@ -93,8 +93,7 @@ type Platform struct {
 
 	// fabrics lists every interconnect node with its clock-domain name, in
 	// build order, for metric registration.
-	fabrics  []fabricEntry
-	samplers []*metrics.Sampler
+	fabrics []fabricEntry
 
 	// attrCol is the latency-attribution collector, nil until
 	// EnableAttribution is called.
@@ -107,15 +106,6 @@ type Platform struct {
 	// correlation-only and never reach a result or trace.
 	idSrcs []*bus.IDSource
 	pool   bus.RequestPool
-
-	// timelineEvery and timelineCap are the EnableTimelines parameters, and
-	// timelineLeft is the live countdown to the next sampling instant. All
-	// three are Platform fields (not closure variables) so checkpoint/restore
-	// can carry them: a restored run must sample at exactly the instants the
-	// uninterrupted run would.
-	timelineEvery int64
-	timelineCap   int
-	timelineLeft  int64
 
 	// attrRetain remembers the retention depth EnableAttribution was called
 	// with, so a snapshot can re-enable attribution identically on restore.
@@ -258,48 +248,6 @@ func (p *Platform) registerMetrics() {
 	for _, g := range p.gens {
 		g.RegisterMetrics(p.Metrics, g.Clock().Name())
 	}
-}
-
-// EnableTimelines attaches one gauge sampler per clock domain, turning every
-// registered gauge into a cycle-stamped timeline (the counter tracks of the
-// Chrome trace export and the series of the JSON report). every is the
-// sampling window in central-clock cycles and capSamples the ring capacity
-// per domain; both fall back to the metrics package defaults when <= 0.
-// Call after Build and before Run — the samplers' ring storage is
-// preallocated here, so the steady-state zero-allocation invariant holds
-// with timelines enabled. Calling it twice is a no-op.
-//
-// All domains are sampled by a single trigger registered on the central
-// clock: per-cycle cost is one decrement and one branch for the whole
-// platform, instead of an Eval/Update interface dispatch per domain per
-// edge (which measurably slows the kernel's hot loop). Each sampled row is
-// stamped with its own domain's cycle counter at the trigger instant, so
-// timestamps stay exact in every domain.
-func (p *Platform) EnableTimelines(every int64, capSamples int) {
-	if len(p.samplers) > 0 {
-		return
-	}
-	if every <= 0 {
-		every = metrics.DefaultSampleEvery
-	}
-	clocks := p.Kernel.Clocks()
-	for _, clk := range clocks {
-		s := p.Metrics.NewSampler(clk.Name(), clk.PeriodPS(), every, capSamples)
-		p.samplers = append(p.samplers, s)
-	}
-	p.timelineEvery = every
-	p.timelineCap = capSamples
-	p.timelineLeft = every
-	p.CentralClk.Register(&sim.ClockedFunc{OnEval: func() {
-		p.timelineLeft--
-		if p.timelineLeft > 0 {
-			return
-		}
-		p.timelineLeft = every
-		for i, s := range p.samplers {
-			s.Sample(clocks[i].Cycles())
-		}
-	}})
 }
 
 // attributable is the attribution-enable surface every concrete fabric

@@ -26,7 +26,6 @@ var gatingPreps = []struct {
 	{"plain", func(p *Platform) {}},
 	{"observed", func(p *Platform) {
 		p.EnableAttribution(64)
-		p.EnableTimelines(50, 0)
 		p.EnableTelemetry(97, 1<<14)
 		p.AttachCapture(tracecap.NewCapture(p.Spec.Name(), 0))
 	}},

@@ -10,9 +10,9 @@ import "mpsocsim/internal/metrics"
 // matches at a cycle are indistinguishable to every artifact the simulator
 // emits at that cycle.
 //
-// Histograms and timelines are deliberately excluded — they summarize the
-// path taken, not the state reached, so two runs can hold identical
-// machine state while their distributions differ in bucket order only.
+// Histograms are deliberately excluded — they summarize the path taken,
+// not the state reached, so two runs can hold identical machine state while
+// their distributions differ in bucket order only.
 type ObservableState struct {
 	Cycle    int64
 	TimePS   int64

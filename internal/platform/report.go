@@ -20,8 +20,11 @@ import (
 // /2 added the optional "attribution" section (per-initiator × per-phase
 // latency breakdown) and the timeline "dropped" counters; every /1 field is
 // unchanged. The optional "deadlines" section (I/O deadline accounting), the
-// spec's io_* fields and its lmi_sdram_cas are additive to /2.
-const ReportSchema = "mpsocsim.report/2"
+// spec's io_* fields and its lmi_sdram_cas are additive to /2. /3 removed
+// the metrics snapshot's "timelines": the same gauges are in the telemetry
+// records (-telemetry, -trace, -vcd), at the -telemetry-every cadence; every
+// other /2 field is unchanged.
+const ReportSchema = "mpsocsim.report/3"
 
 // SpecReport is the JSON-stable description of the run's configuration: the
 // knobs that determine the run, flattened to plain values. A replay spec is
@@ -72,8 +75,8 @@ type DSPReport struct {
 
 // Report is the full machine-readable run report: the schema version, the
 // flattened spec, the run outcome, the per-subsystem statistics the text
-// summary prints, and the complete metrics snapshot (every registered
-// counter, gauge, histogram and sampled timeline).
+// summary prints, and the complete metrics snapshot (the final value of
+// every registered counter, gauge and histogram).
 type Report struct {
 	Schema        string     `json:"schema"`
 	Spec          SpecReport `json:"spec"`

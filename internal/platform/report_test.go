@@ -20,7 +20,6 @@ func reportSpec() Spec {
 // of these requires bumping ReportSchema.
 func TestReportSchema(t *testing.T) {
 	p := MustBuild(reportSpec())
-	p.EnableTimelines(64, 0)
 	r := p.Run(200e9)
 	if !r.Done {
 		t.Fatal("report run did not drain")
@@ -51,7 +50,7 @@ func TestReportSchema(t *testing.T) {
 		}
 	}
 	m := doc["metrics"].(map[string]any)
-	for _, key := range []string{"counters", "gauges", "histograms", "timelines"} {
+	for _, key := range []string{"counters", "gauges", "histograms"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics snapshot missing key %q", key)
 		}
@@ -80,7 +79,6 @@ func TestReportSchema(t *testing.T) {
 func TestReportDeterministic(t *testing.T) {
 	render := func() []byte {
 		p := MustBuild(reportSpec())
-		p.EnableTimelines(64, 0)
 		r := p.Run(200e9)
 		if !r.Done {
 			t.Fatal("run did not drain")

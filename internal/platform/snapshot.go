@@ -69,9 +69,6 @@ func (p *Platform) Snapshot(w io.Writer) error {
 	// parameters, so Restore re-applies them before decoding state.
 	e.Bool(p.attrCol != nil)
 	e.I(int64(p.attrRetain))
-	e.Bool(len(p.samplers) > 0)
-	e.I(p.timelineEvery)
-	e.I(int64(p.timelineCap))
 	e.Bool(p.capture != nil)
 	if p.capture != nil {
 		e.I(int64(p.capture.Limit()))
@@ -80,7 +77,7 @@ func (p *Platform) Snapshot(w io.Writer) error {
 	}
 
 	// Run-loop state: watchdog history with its counter baselines (values
-	// in registry order), and the timeline countdown.
+	// in registry order).
 	e.I(p.wdLastProg)
 	e.I(p.wdLastCheck)
 	e.I(p.wdObservations)
@@ -91,7 +88,6 @@ func (p *Platform) Snapshot(w io.Writer) error {
 			e.I(c.Value)
 		}
 	}
-	e.I(p.timelineLeft)
 
 	p.encodeComponents(e)
 	_, err := w.Write(e.Bytes())
@@ -102,7 +98,7 @@ func (p *Platform) Snapshot(w io.Writer) error {
 // order (mirrored exactly by decodeComponents): kernel time axis, request
 // pool, fabrics in build order, bridges by sorted name, memory subsystem,
 // DSP core, initiators in attachment order, ID sources, then the
-// attribution collector, trace capture and samplers when enabled.
+// attribution collector and trace capture when enabled.
 func (p *Platform) encodeComponents(e *snapshot.Encoder) {
 	p.Kernel.EncodeState(e)
 	p.pool.EncodeState(e)
@@ -133,9 +129,6 @@ func (p *Platform) encodeComponents(e *snapshot.Encoder) {
 	}
 	if p.capture != nil {
 		p.capture.EncodeState(e)
-	}
-	for _, s := range p.samplers {
-		s.EncodeState(e)
 	}
 }
 
@@ -170,36 +163,24 @@ func Restore(spec Spec, r io.Reader) (*Platform, error) {
 
 	attrOn := d.Bool()
 	attrRetain := d.I()
-	tlOn := d.Bool()
-	tlEvery := d.I()
-	tlCap := d.I()
 	capOn := d.Bool()
 	capLimit := d.I()
-	// The retention/capacity knobs size preallocated buffers (the sampler
-	// rings multiply by gauges × domains), so a corrupt stream must not
-	// reach EnableTimelines and friends with an absurd value — the
-	// decoder's count bound does not cover these signed fields. 1<<16 is
-	// 16x the metrics default ring; the period and capture limit drive no
-	// allocation and only need a sanity ceiling.
+	// The attribution retention sizes a preallocated buffer, so a corrupt
+	// stream must not reach EnableAttribution with an absurd value — the
+	// decoder's count bound does not cover these signed fields. The capture
+	// limit drives no allocation and only needs a sanity ceiling.
 	const maxObsBuf, maxObsVal = 1 << 16, 1 << 40
-	for _, v := range []int64{attrRetain, tlCap} {
-		if v < 0 || v > maxObsBuf {
-			d.Corrupt("observability buffer size %d out of range [0, %d]", v, int64(maxObsBuf))
-		}
+	if attrRetain < 0 || attrRetain > maxObsBuf {
+		d.Corrupt("observability buffer size %d out of range [0, %d]", attrRetain, int64(maxObsBuf))
 	}
-	for _, v := range []int64{tlEvery, capLimit} {
-		if v < 0 || v > maxObsVal {
-			d.Corrupt("observability parameter %d out of range [0, %d]", v, int64(maxObsVal))
-		}
+	if capLimit < 0 || capLimit > maxObsVal {
+		d.Corrupt("observability parameter %d out of range [0, %d]", capLimit, int64(maxObsVal))
 	}
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if attrOn {
 		p.EnableAttribution(int(attrRetain))
-	}
-	if tlOn {
-		p.EnableTimelines(tlEvery, int(tlCap))
 	}
 	if capOn {
 		p.AttachCapture(tracecap.NewCapture(spec.Name(), int(capLimit)))
@@ -211,7 +192,6 @@ func Restore(spec Spec, r io.Reader) (*Platform, error) {
 	p.wdObservedCycle = int64(d.Int(0, math.MaxInt, "watchdog observation cycle"))
 	p.decodeBaseline(d, p.wdCounters)
 	p.decodeBaseline(d, p.wdPrevCounters)
-	p.timelineLeft = d.I()
 
 	p.decodeComponents(d)
 	if err := d.Err(); err != nil {
@@ -282,9 +262,6 @@ func (p *Platform) decodeComponents(d *snapshot.Decoder) {
 	}
 	if p.capture != nil {
 		p.capture.DecodeState(d)
-	}
-	for _, s := range p.samplers {
-		s.DecodeState(d)
 	}
 }
 

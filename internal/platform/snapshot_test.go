@@ -37,10 +37,6 @@ var obsVariants = []struct {
 		p.EnableAttribution(0)
 		return nil
 	}},
-	{"timelines", func(p *Platform) *tracecap.Capture {
-		p.EnableTimelines(50, 0)
-		return nil
-	}},
 }
 
 // uninterruptedRun builds spec, applies prep and runs it to the end. It
@@ -129,7 +125,7 @@ func checkpointRun(t *testing.T, spec Spec, prep func(*Platform) *tracecap.Captu
 
 // TestCheckpointRestoreBitIdentical is the checkpoint half of the
 // serial-equivalence contract: for every golden configuration and every
-// observability variant (plain, attribution, timelines, capture), a run
+// observability variant (plain, attribution, capture), a run
 // interrupted by Snapshot/Restore at a mid-flight cycle must finish
 // bit-identical to the uninterrupted run — the full Result, the rendered
 // JSON report and text summary, and the captured transaction trace.
@@ -269,7 +265,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 	spec := quick(STBus, Distributed, LMIDDR)
 	p := MustBuild(spec)
 	p.EnableAttribution(4)
-	p.EnableTimelines(50, 0)
 	if !p.RunToCycle(checkpointAt, 5e12) {
 		t.Fatal("drained before checkpoint")
 	}

@@ -28,9 +28,8 @@ func drainNDJSON(t *testing.T, col *telemetry.Collector) []byte {
 }
 
 // TestTelemetryOffIsBitIdentical proves telemetry is purely observational:
-// the full run report (every counter, gauge, histogram, timeline and the
-// summary tables) of a telemetry-enabled run is byte-identical to a plain
-// one.
+// the full run report (every counter, gauge, histogram and the summary
+// tables) of a telemetry-enabled run is byte-identical to a plain one.
 func TestTelemetryOffIsBitIdentical(t *testing.T) {
 	spec := DefaultSpec()
 	spec.WorkloadScale = 0.3

@@ -38,8 +38,10 @@ const Magic = "MPSNAP"
 // that layout, the watchdog's counter baselines to the run-loop state, and
 // dropped the timeline samplers' self-clocked counters; version 5 gave the
 // DSP core's section the same issue-side layout in place of its port state
-// and its refill ID and wait flag.
-const Version = 5
+// and its refill ID and wait flag; version 6 dropped the timeline samplers:
+// the header's timeline flag, cadence, capacity and countdown and the
+// sampler sections.
+const Version = 6
 
 // Sentinel decode errors; match with errors.Is.
 var (

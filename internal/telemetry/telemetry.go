@@ -1,11 +1,13 @@
-// Package telemetry is the live observability layer: periodic in-run
-// snapshots of the platform's metrics registry, collected at safe boundaries
-// of the run loop (after a fully committed central-clock instant) into a
-// preallocated ring, and exported as NDJSON, CSV or VCD streams
-// (stream.go), a live HTTP endpoint with Prometheus exposition, SSE events
-// and a JSON progress document (server.go), a multi-job aggregation hub for
-// experiment sweeps (hub.go) and the post-mortem stall forensics of a wedged
-// run (forensics.go).
+// Package telemetry is the live observability layer and the platform's one
+// periodic sampler: in-run snapshots of the metrics registry, collected at
+// safe boundaries of the run loop (after a fully committed central-clock
+// instant) into a preallocated ring, and exported as NDJSON, CSV or VCD
+// streams (stream.go), the counter tracks of a Chrome trace-event file
+// beside the captured transaction lifecycles (chrome.go), a live HTTP
+// endpoint with Prometheus exposition, SSE events and a JSON progress
+// document (server.go), a multi-job aggregation hub for experiment sweeps
+// (hub.go) and the post-mortem stall forensics of a wedged run
+// (forensics.go).
 //
 // Design constraints, in priority order (mirroring internal/metrics):
 //
